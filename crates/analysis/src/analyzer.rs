@@ -184,10 +184,10 @@ impl TraceAnalyzer {
 
     /// Feeds a whole chunk, component-major: each component folds the
     /// full chunk before the next starts. The components are independent
-    /// folds over the same stream (the property the [`crate::parts`]
-    /// split is built on), so the final state is identical to per-event
-    /// [`push`](Self::push) order — chunk boundaries carry no semantics —
-    /// while each inner loop keeps one component's state and code hot.
+    /// folds over the same stream, so the final state is identical to
+    /// per-event [`push`](Self::push) order — chunk boundaries carry no
+    /// semantics — while each inner loop keeps one component's state and
+    /// code hot.
     pub fn push_chunk(&mut self, events: &[Event]) {
         for event in events {
             self.counts.absorb(event);

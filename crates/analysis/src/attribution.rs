@@ -11,7 +11,7 @@
 //! resolves labels through the (deterministic) trace string table into a
 //! [`telemetry::OriginTable`] in canonical row order. That is what lets
 //! the table ride inside [`Report`](crate::Report) — byte-identical
-//! across serial, parallel, cached-replay, pdes and every queue backend.
+//! across serial, parallel, cached-replay and every queue backend.
 //!
 //! Recording is gated on [`telemetry::enabled`], making the tracker part
 //! of the telemetry plane's measured overhead: the `telemetry_overhead`

@@ -26,11 +26,6 @@
 //! * [`visitor`] — the incremental API: [`EventVisitor`]/`SampleVisitor`
 //!   name the fold every analyzer already is, and [`drive_chunks`] feeds
 //!   one bounded chunk at a time while reporting the peak resident count.
-//! * [`parts`] — the analyzer split into independently-foldable slices
-//!   for the conservative parallel engine: every part folds the same
-//!   ordered stream on its own partition and
-//!   [`assemble_report`](parts::assemble_report) rebuilds the exact
-//!   monolithic [`Report`].
 //!
 //! [`TraceAnalyzer`] composes all of them behind one sink.
 
@@ -40,7 +35,6 @@ pub mod classify;
 pub mod countdown;
 pub mod fasthash;
 pub mod lifecycle;
-pub mod parts;
 pub mod provenance;
 pub mod scatter;
 pub mod summary;
@@ -51,5 +45,4 @@ pub use analyzer::{AnalyzerConfig, ClusterMode, Report, TraceAnalyzer};
 pub use attribution::AttributionTracker;
 pub use classify::{PatternClass, PatternMix};
 pub use lifecycle::{Outcome, Sample};
-pub use parts::{assemble_report, split_analyzer, AnalyzerPart, ANALYZER_PART_COUNT};
 pub use visitor::{drive_chunks, drive_views, EventColumns, EventVisitor, SampleVisitor};

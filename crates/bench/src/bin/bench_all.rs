@@ -152,17 +152,6 @@ fn bench_attribution_fold() -> f64 {
     })
 }
 
-/// The conservative parallel DES engine on the fixed-total-work heavy
-/// calendar: the same timer population at every width, so `des_pdes/8`
-/// vs `des_pdes/1` is the engine's measured scaling.
-fn bench_des_pdes(partitions: u32) -> f64 {
-    use bench::pdes_scenario;
-    time_ns_per_op(pdes_scenario::TOTAL_TIMERS, || {
-        let (checksum, events) = pdes_scenario::run(partitions);
-        checksum ^ events
-    })
-}
-
 fn run_suite() -> BTreeMap<String, f64> {
     let mut results = BTreeMap::new();
     for backend in Backend::FORCED {
@@ -186,9 +175,6 @@ fn run_suite() -> BTreeMap<String, f64> {
     }
     results.insert("analysis_chunk".to_string(), bench_analysis_chunk());
     results.insert("attribution_fold".to_string(), bench_attribution_fold());
-    for partitions in [1u32, 2, 4, 8] {
-        results.insert(format!("des_pdes/{partitions}"), bench_des_pdes(partitions));
-    }
     results
 }
 

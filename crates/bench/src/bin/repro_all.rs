@@ -55,16 +55,6 @@
 //! per-base inner structure). Sharding never changes the trace: the
 //! artifacts are byte-identical across any `N`.
 //!
-//! `--des-threads N` runs every experiment through the conservative
-//! parallel DES engine: the kernel streams its trace from one partition
-//! while `N` scoped worker partitions fold the analysis, synchronised by
-//! the engine's bounded channels. Artifacts and the sim-plane metrics
-//! are byte-identical to the serial pipeline for every `N`; only the
-//! wall-plane `des_*` counters (null messages, horizon stalls, per-
-//! partition busy/idle) differ. Composes with `--faults`, `--shards`
-//! and a single `--wheel-backend`; incompatible with `--serial`,
-//! `--collected` and `--wheel-backend=all`.
-//!
 //! `--adaptive[=off|fixed|learned]` selects the workload-timeout policy
 //! (the paper's §5 "timeouts should be learned"). `fixed` keeps every
 //! historical constant with the adaptive plumbing live — its output is
@@ -75,15 +65,101 @@
 //! expirations avoided per origin (riding the attribution plane), the
 //! dynticks sleep-residency histogram (the energy proxy), and
 //! retransmit-latency deltas (most visible under `--faults`). Composes
-//! with `--faults`, `--shards`, `--des-threads` and `--wheel-backend`
-//! (including `all`, which then asserts the counterfactual figures
-//! byte-identical across every backend too); incompatible with
-//! `--serial` and `--collected` (it runs on the cached parallel path).
+//! with `--faults`, `--shards` and `--wheel-backend` (including `all`,
+//! which then asserts the counterfactual figures byte-identical across
+//! every backend too); incompatible with `--serial` and `--collected`
+//! (it runs on the cached parallel path).
+//!
+//! Any other argument, or a flag missing its value, is a usage error
+//! (exit 2). A closed stdout (`repro_all | head`) ends the output: the
+//! run still finishes its stderr summary, metrics and checks.
+
+use std::io::Write;
 
 use timerstudy::experiment::repro_duration;
 use timerstudy::{Backend, FaultSpec};
 
 const SEED: u64 = 7;
+
+const USAGE: &str = "usage: repro_all [--serial | --collected] [--artifacts DIR] \
+     [--metrics[=DIR]] [--top-origins[=N]] [--timer-list SECS[,SECS...]] [--scale N] \
+     [--assert-peak-resident-below N] [--faults SPEC] [--wheel-backend NAME|all] \
+     [--shards N] [--adaptive[=off|fixed|learned]]";
+
+/// How a flag takes its value.
+#[derive(Clone, Copy)]
+enum Takes {
+    /// A bare switch.
+    Nothing,
+    /// Bare, or `--flag=VALUE`.
+    Inline,
+    /// `--flag VALUE`.
+    Next,
+    /// `--flag VALUE` or `--flag=VALUE`.
+    Either,
+}
+
+/// Every flag, spelled the way its parser below reads it.
+const FLAGS: [(&str, Takes); 12] = [
+    ("--serial", Takes::Nothing),
+    ("--collected", Takes::Nothing),
+    ("--metrics", Takes::Inline),
+    ("--top-origins", Takes::Inline),
+    ("--adaptive", Takes::Inline),
+    ("--artifacts", Takes::Next),
+    ("--scale", Takes::Next),
+    ("--assert-peak-resident-below", Takes::Next),
+    ("--faults", Takes::Next),
+    ("--wheel-backend", Takes::Either),
+    ("--shards", Takes::Either),
+    ("--timer-list", Takes::Either),
+];
+
+/// Exits 2 with a one-line usage error on an unknown argument or a flag
+/// missing its value, so a misspelt or retired flag never silently runs
+/// the default reproduction.
+fn check_args(args: &[String]) {
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        let (name, inline) = match arg.split_once('=') {
+            Some((name, _)) => (name, true),
+            None => (arg.as_str(), false),
+        };
+        let ok = match FLAGS.iter().find(|(flag, _)| *flag == name) {
+            Some((_, Takes::Nothing)) => !inline,
+            Some((_, Takes::Inline)) => true,
+            Some((_, Takes::Next)) => !inline && rest.next().is_some(),
+            Some((_, Takes::Either)) => inline || rest.next().is_some(),
+            None => false,
+        };
+        if !ok {
+            eprintln!("repro_all: bad argument `{arg}`; {USAGE}");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// Stdout that treats a closed reader (`BrokenPipe`) as the end of the
+/// output: later lines are dropped and the run finishes normally.
+struct Stdout {
+    closed: bool,
+}
+
+impl Stdout {
+    fn line(&mut self, text: impl std::fmt::Display) {
+        if self.closed {
+            return;
+        }
+        match writeln!(std::io::stdout().lock(), "{text}") {
+            Ok(()) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => self.closed = true,
+            Err(e) => {
+                eprintln!("repro_all: writing stdout: {e}");
+                std::process::exit(1);
+            }
+        }
+    }
+}
 
 /// What `--wheel-backend` asked for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,25 +196,6 @@ fn backend_mode(args: &[String]) -> BackendMode {
                 std::process::exit(2);
             }
         },
-    }
-}
-
-/// Parses `--des-threads N` / `--des-threads=N`.
-fn des_threads(args: &[String]) -> Option<u16> {
-    let value = args
-        .iter()
-        .position(|a| a == "--des-threads")
-        .and_then(|i| args.get(i + 1).cloned())
-        .or_else(|| {
-            args.iter()
-                .find_map(|a| a.strip_prefix("--des-threads=").map(str::to_owned))
-        })?;
-    match value.parse::<u16>() {
-        Ok(n) if n >= 1 => Some(n),
-        _ => {
-            eprintln!("--des-threads {value}: expected an integer >= 1");
-            std::process::exit(2);
-        }
     }
 }
 
@@ -254,26 +311,28 @@ fn timer_list_instants(args: &[String]) -> Option<Vec<u64>> {
 
 /// Prints the paper-Table-3-style "top timer users" table from the
 /// label-merged attribution tables of every experiment.
-fn print_top_origins(results: &[timerstudy::ExperimentResult], n: usize) {
+fn print_top_origins(out: &mut Stdout, results: &[timerstudy::ExperimentResult], n: usize) {
     let mut merged = telemetry::OriginTable::empty();
     for r in results {
         merged.merge(&r.report.attribution);
     }
-    println!("Top timer users: top {n} origins by sets (all experiments)");
-    println!(
+    out.line(format_args!(
+        "Top timer users: top {n} origins by sets (all experiments)"
+    ));
+    out.line(format_args!(
         "{:<40} {:>12} {:>10} {:>11}",
         "origin", "sets", "expired%", "cancelled%"
-    );
+    ));
     for row in merged.top(n) {
-        println!(
+        out.line(format_args!(
             "{:<40} {:>12} {:>9.1}% {:>10.1}%",
             row.label,
             row.sets,
             row.expiry_ratio() * 100.0,
             row.cancel_ratio() * 100.0
-        );
+        ));
     }
-    println!();
+    out.line("");
 }
 
 /// Parses `--metrics` / `--metrics=DIR` into the report directory.
@@ -291,6 +350,7 @@ fn metrics_dir(args: &[String]) -> Option<String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    check_args(&args);
     let artifacts_dir = args
         .iter()
         .position(|a| a == "--artifacts")
@@ -371,35 +431,15 @@ fn main() {
         eprintln!("--adaptive runs on the cached parallel path; it cannot be combined with --serial or --collected");
         std::process::exit(2);
     }
-    let des = des_threads(&args);
-    if des.is_some() && (serial || collected) {
-        eprintln!("--des-threads runs on the cached parallel path; it cannot be combined with --serial or --collected");
-        std::process::exit(2);
-    }
-    if des.is_some() && backend == BackendMode::All {
-        eprintln!(
-            "--des-threads cannot be combined with --wheel-backend=all (force one backend instead)"
-        );
-        std::process::exit(2);
-    }
-    // The one backend a --des-threads run forces (native unless
-    // --wheel-backend/--shards chose another); unused otherwise.
-    let des_backend = match backend {
+    // The backend the --timer-list runs use (native unless
+    // --wheel-backend/--shards forced one).
+    let timer_list_backend = match backend {
         BackendMode::One(b) => b,
         _ => Backend::Native,
     };
     let duration = repro_duration() * scale;
     let threads = if serial || collected {
         1
-    } else if let Some(n) = des {
-        // The outer pool divides by the inner analysis fan-out.
-        timerstudy::parallel::default_threads_for(&timerstudy::figures::paper_specs_configured(
-            duration,
-            SEED,
-            faults,
-            des_backend,
-            n,
-        ))
     } else {
         timerstudy::parallel::default_threads(9)
     };
@@ -410,8 +450,6 @@ fn main() {
             "collected oracle path".to_owned()
         } else if serial {
             "serial reference path".to_owned()
-        } else if let Some(n) = des {
-            format!("parallel, up to {threads} threads, {n} DES analysis partitions each")
         } else {
             format!("parallel, up to {threads} threads")
         },
@@ -421,24 +459,7 @@ fn main() {
     let started = std::time::Instant::now();
     // Per-backend summary lines, printed with the run summary.
     let mut backend_summaries: Vec<String> = Vec::new();
-    let (mode, (results, artifacts)) = if let Some(n) = des {
-        let run = timerstudy::figures::reproduce_all_adaptive_with_results(
-            duration,
-            SEED,
-            faults,
-            des_backend,
-            n,
-            policy,
-        );
-        if backend != BackendMode::Default {
-            backend_summaries.push(format!(
-                "backend {}: {}",
-                des_backend.label(),
-                wheel_counter_summary(&run.0)
-            ));
-        }
-        ("pdes", run)
-    } else if !faults.is_none() {
+    let (mode, (results, artifacts)) = if !faults.is_none() {
         (
             "faulted",
             timerstudy::figures::reproduce_all_adaptive_with_results(
@@ -446,7 +467,6 @@ fn main() {
                 SEED,
                 faults,
                 Backend::Native,
-                0,
                 policy,
             ),
         )
@@ -473,7 +493,6 @@ fn main() {
                     SEED,
                     FaultSpec::none(),
                     Backend::Native,
-                    0,
                     policy,
                 ),
             ),
@@ -483,7 +502,6 @@ fn main() {
                     SEED,
                     FaultSpec::none(),
                     b,
-                    0,
                     policy,
                 );
                 backend_summaries.push(format!(
@@ -512,7 +530,6 @@ fn main() {
                             SEED,
                             FaultSpec::none(),
                             b,
-                            0,
                             policy,
                         );
                     backend_summaries.push(format!(
@@ -555,8 +572,9 @@ fn main() {
         "all experiments finished in {:.2} s wall-clock",
         wall.as_secs_f64()
     );
+    let mut out = Stdout { closed: false };
     for (index, artifact) in artifacts.iter().enumerate() {
-        println!("{}", artifact.printable());
+        out.line(artifact.printable());
         if let Some(dir) = &artifacts_dir {
             std::fs::create_dir_all(dir).expect("create artifacts dir");
             let stem = artifact
@@ -578,7 +596,7 @@ fn main() {
         eprintln!("artifacts written to {dir}/");
     }
     if let Some(n) = top_n {
-        print_top_origins(&results, n);
+        print_top_origins(&mut out, &results, n);
     }
     if let Some(instants) = &timer_list {
         // Dedicated uncached serial runs (like the --collected oracle):
@@ -590,15 +608,15 @@ fn main() {
                 duration,
                 SEED,
             )
-            .with_backend(des_backend);
+            .with_backend(timer_list_backend);
             eprintln!(
                 "timer-list: dedicated {} Webserver run on backend {}...",
                 os.label(),
-                des_backend.label()
+                timer_list_backend.label()
             );
             let (_, captures) = timerstudy::run_experiment_with_timer_list(spec, instants);
             for capture in &captures {
-                println!("{}", capture.render());
+                out.line(capture.render());
             }
         }
     }

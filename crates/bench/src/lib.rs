@@ -4,8 +4,6 @@ use std::time::Instant;
 
 use timerstudy::ExperimentResult;
 
-pub mod pdes_scenario;
-
 /// Prints the one-line `[telemetry] stage=...` summary every reproduction
 /// binary emits when it finishes. Goes to stderr: stdout is reserved for
 /// the artifact text, which the golden-output tests compare byte-for-byte.
@@ -15,10 +13,10 @@ pub fn print_stage_summary<'a>(
     started: Instant,
 ) {
     let mut experiments = 0u64;
-    let mut sim_events = 0u64;
+    let mut trace_records = 0u64;
     for result in results {
         experiments += 1;
-        sim_events += result.metrics.total_events();
+        trace_records += result.records;
     }
     let cache = timerstudy::cache::global();
     eprintln!(
@@ -27,7 +25,7 @@ pub fn print_stage_summary<'a>(
             stage,
             &[
                 ("experiments", experiments.to_string()),
-                ("sim_events", sim_events.to_string()),
+                ("trace_records", trace_records.to_string()),
                 ("cache_hits", cache.hits().to_string()),
                 ("cache_misses", cache.misses().to_string()),
                 ("wall_ms", started.elapsed().as_millis().to_string()),

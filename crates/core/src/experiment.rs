@@ -51,14 +51,6 @@ pub struct ExperimentSpec {
     /// identical across backends, but the sim-plane metrics snapshot
     /// (cascades vs revisits vs stale pops) is backend-specific.
     pub backend: wheel::Backend,
-    /// Analysis partitions for the conservative parallel DES engine:
-    /// `0` keeps the historical single-threaded pipeline; `N > 0` fans
-    /// the trace out to up to `N` scoped threads through `des::pdes`
-    /// bounded channels. Reports, artifacts and the sim-plane snapshot
-    /// are byte-identical at any value (pinned by
-    /// `tests/pdes_determinism.rs`); the knob is still part of the cache
-    /// key so the differential tests exercise real runs, not replays.
-    pub des_threads: u16,
     /// Workload-timeout policy: `Off`/`Fixed` keep every historical
     /// constant (`Fixed` with the adaptive plumbing live but clamped —
     /// byte-identical to `Off`); `Learned` drives the same timers from
@@ -78,7 +70,6 @@ impl ExperimentSpec {
             seed,
             faults: FaultSpec::none(),
             backend: wheel::Backend::Native,
-            des_threads: 0,
             adaptive: adaptive::AdaptivePolicy::Off,
         }
     }
@@ -102,14 +93,6 @@ impl ExperimentSpec {
     /// metrics, so they must never alias in the memo table.
     pub const fn with_shards(mut self, shards: u16) -> Self {
         self.backend = self.backend.with_shards(shards);
-        self
-    }
-
-    /// The same experiment with its trace analysis fanned out across
-    /// `threads` partitions of the conservative parallel DES engine
-    /// (`0` restores the serial pipeline).
-    pub const fn with_des_threads(mut self, threads: u16) -> Self {
-        self.des_threads = threads;
         self
     }
 
@@ -177,7 +160,7 @@ impl ChunkedAnalyzerSink {
     /// the whole run instead of reallocated per flush. Flush points are a
     /// pure function of the event stream, so the gauge and the reuse
     /// counter stay bit-identical across serial/parallel/cached
-    /// execution (and across this sink and [`PdesFanoutSink`]).
+    /// execution.
     fn flush(&mut self) {
         if self.buf.is_empty() {
             return;
@@ -289,16 +272,6 @@ impl FinishedKernel {
             FinishedKernel::Vista(k) => k.log_mut().sink_mut(),
         }
     }
-
-    /// The kernel model's minimum cross-partition event latency: the
-    /// lookahead a conservative DES partitioning of this kernel can
-    /// promise (one jiffy on Linux, one tick on Vista).
-    fn des_lookahead(&self) -> SimDuration {
-        match self {
-            FinishedKernel::Linux(k) => k.des_lookahead(),
-            FinishedKernel::Vista(k) => k.des_lookahead(),
-        }
-    }
 }
 
 /// The analyzer configuration matching the paper's treatment of each OS.
@@ -328,13 +301,8 @@ pub fn run_experiment(spec: ExperimentSpec) -> ExperimentResult {
 }
 
 /// Runs one experiment with an explicit analyzer configuration (used by
-/// the classifier-tolerance ablation). `spec.des_threads > 0` routes
-/// through the conservative parallel DES fan-out; the results are
-/// byte-identical either way.
+/// the classifier-tolerance ablation).
 pub fn run_experiment_with(spec: ExperimentSpec, cfg: AnalyzerConfig) -> ExperimentResult {
-    if spec.des_threads > 0 {
-        return run_experiment_pdes_with(spec, cfg);
-    }
     let _experiment_span = telemetry::span("stage.experiment");
     telemetry::global().add("experiments_run_total", 1);
     // Everything sim-plane recorded below (wheel, trace, netsim, virtual
@@ -409,256 +377,6 @@ fn take_analyzer(sink: &mut dyn TraceSink) -> TraceAnalyzer {
         .and_then(|a| a.downcast_mut::<ChunkedAnalyzerSink>())
         .and_then(ChunkedAnalyzerSink::take)
         .expect("experiment sink is always a ChunkedAnalyzerSink")
-}
-
-/// Chunks in flight per PDES worker channel. Each envelope carries an
-/// `Arc` of one [`ANALYSIS_CHUNK_EVENTS`] chunk (shared across workers),
-/// so the bound caps resident trace data while still decoupling the
-/// kernel from analysis scheduling.
-const PDES_CHUNK_CHANNEL_DEPTH: usize = 32;
-
-/// The producer half of the parallel-DES analysis plane: a sink that
-/// mirrors [`ChunkedAnalyzerSink`] *exactly* — same chunk boundaries,
-/// same `AnalysisResidentEventsHigh` gauge at the same flush points, on
-/// the kernel's thread — but ships each finished chunk through one
-/// `des::pdes` bounded edge per worker partition instead of folding it
-/// locally. The edge timestamp is the running maximum event time, which
-/// keeps the edge clock monotone even under clock-jitter faults.
-struct PdesFanoutSink {
-    outlets: Vec<des::pdes::Outlet<std::sync::Arc<Vec<Event>>>>,
-    buf: Vec<Event>,
-    clock: SimInstant,
-    chunks_sent: u64,
-    /// Shipped chunks the workers may still hold, oldest first. Once the
-    /// sink owns a chunk's last `Arc`, its allocation is reclaimed into
-    /// `pool` instead of dropped.
-    in_flight: std::collections::VecDeque<std::sync::Arc<Vec<Event>>>,
-    /// Reclaimed chunk buffers awaiting reuse — the steady state ships
-    /// every chunk in a recycled allocation.
-    pool: Vec<Vec<Event>>,
-}
-
-impl PdesFanoutSink {
-    fn new(outlets: Vec<des::pdes::Outlet<std::sync::Arc<Vec<Event>>>>) -> Self {
-        PdesFanoutSink {
-            outlets,
-            buf: Vec::with_capacity(ANALYSIS_CHUNK_EVENTS),
-            clock: SimInstant::BOOT,
-            chunks_sent: 0,
-            in_flight: std::collections::VecDeque::new(),
-            pool: Vec::new(),
-        }
-    }
-
-    /// The next chunk buffer: reclaims every in-flight chunk the workers
-    /// have fully released (strictly decreasing refcounts — workers never
-    /// clone), then reuses a pooled allocation if one exists. Pool
-    /// occupancy is wall-plane scheduling luck; nothing here touches the
-    /// sim plane.
-    fn next_buf(&mut self) -> Vec<Event> {
-        while let Some(front) = self.in_flight.front() {
-            if std::sync::Arc::strong_count(front) != 1 {
-                break;
-            }
-            let chunk = self.in_flight.pop_front().expect("front just observed");
-            let mut buf = std::sync::Arc::try_unwrap(chunk).expect("sole owner");
-            buf.clear();
-            self.pool.push(buf);
-        }
-        self.pool
-            .pop()
-            .unwrap_or_else(|| Vec::with_capacity(ANALYSIS_CHUNK_EVENTS))
-    }
-
-    /// Gauges the buffer fill and ships it as one chunk — the identical
-    /// observable behaviour to [`ChunkedAnalyzerSink::flush`] (same sim
-    /// ops at the same flush points), which is what keeps the sim
-    /// snapshot byte-identical to the serial path.
-    fn flush(&mut self) {
-        if self.buf.is_empty() {
-            return;
-        }
-        telemetry::sim::gauge_max(
-            telemetry::SimGauge::AnalysisResidentEventsHigh,
-            self.buf.len() as u64,
-        );
-        telemetry::sim::add(telemetry::SimCounter::AnalysisChunkReuse, 1);
-        for event in &self.buf {
-            self.clock = self.clock.max(event.ts);
-        }
-        let next = self.next_buf();
-        let chunk = std::sync::Arc::new(std::mem::replace(&mut self.buf, next));
-        for outlet in &mut self.outlets {
-            outlet.send(self.clock, chunk.clone());
-        }
-        self.in_flight.push_back(chunk);
-        self.chunks_sent += 1;
-    }
-
-    /// Flushes the tail chunk and closes every edge (end of stream).
-    fn finish(&mut self) -> u64 {
-        self.flush();
-        for outlet in &mut self.outlets {
-            outlet.close();
-        }
-        self.chunks_sent
-    }
-}
-
-impl TraceSink for PdesFanoutSink {
-    fn record(&mut self, event: &Event) {
-        self.buf.push(*event);
-        if self.buf.len() >= ANALYSIS_CHUNK_EVENTS {
-            self.flush();
-        }
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
-    }
-}
-
-/// What one PDES analysis worker reports back besides its folded parts.
-struct PdesWorkerStats {
-    chunks: u64,
-    stalls: u64,
-    idle_ns: u64,
-    busy_ns: u64,
-}
-
-/// One analysis partition: drains its inlet in timestamp order and folds
-/// every chunk through its assigned analyzer parts. Pure consumer — it
-/// records nothing on the sim plane, which is thread-local to the kernel.
-fn pdes_worker(
-    worker: usize,
-    mut inlet: des::pdes::Inlet<std::sync::Arc<Vec<Event>>>,
-    mut parts: Vec<(usize, analysis::AnalyzerPart)>,
-) -> (Vec<(usize, analysis::AnalyzerPart)>, PdesWorkerStats) {
-    // Wall-plane only: the busy/idle spans become this partition's
-    // timeline row in the Chrome trace profile. Nothing here touches the
-    // sim plane, so the pdes byte-identity guarantees are unaffected.
-    telemetry::chrome::register_thread_name(&format!("des.worker.{worker}"));
-    let started = std::time::Instant::now();
-    let mut chunks = 0u64;
-    loop {
-        {
-            let _busy = telemetry::span("des.partition.busy");
-            while let Some((_, _, chunk)) = inlet.pop_pending() {
-                for (_, part) in parts.iter_mut() {
-                    part.push_chunk(&chunk);
-                }
-                chunks += 1;
-            }
-        }
-        // A closed edge means end of stream; the pending set above is
-        // already drained, so the fold is complete.
-        if inlet.horizon().is_none() {
-            break;
-        }
-        let _idle = telemetry::span("des.partition.idle");
-        if !inlet.wait() {
-            break;
-        }
-    }
-    {
-        let _busy = telemetry::span("des.partition.busy");
-        while let Some((_, _, chunk)) = inlet.pop_pending() {
-            for (_, part) in parts.iter_mut() {
-                part.push_chunk(&chunk);
-            }
-            chunks += 1;
-        }
-    }
-    let idle_ns = inlet.idle_ns();
-    let stats = PdesWorkerStats {
-        chunks,
-        stalls: inlet.stalls(),
-        idle_ns,
-        busy_ns: (started.elapsed().as_nanos() as u64).saturating_sub(idle_ns),
-    };
-    (parts, stats)
-}
-
-/// [`run_experiment_with`] through the conservative parallel DES engine:
-/// the kernel runs on the calling thread (the sim plane is thread-local)
-/// feeding a [`PdesFanoutSink`], while up to `spec.des_threads` scoped
-/// worker threads fold the analyzer's independent parts over the
-/// identical chunk stream. Reports and sim snapshots are byte-identical
-/// to the serial pipeline; only wall-plane `des_*` metrics differ.
-fn run_experiment_pdes_with(spec: ExperimentSpec, cfg: AnalyzerConfig) -> ExperimentResult {
-    use analysis::{assemble_report, split_analyzer, AnalyzerPart, ANALYZER_PART_COUNT};
-    use des::pdes::{channel, PartitionId};
-
-    let _experiment_span = telemetry::span("stage.experiment");
-    telemetry::global().add("experiments_run_total", 1);
-    let workers = (spec.des_threads as usize).clamp(1, ANALYZER_PART_COUNT);
-    let (mut result, metrics) = telemetry::sim::scoped(|| {
-        std::thread::scope(|scope| {
-            // Round-robin the analyzer parts over the worker partitions,
-            // tagged with their canonical index for exact reassembly.
-            let mut assigned: Vec<Vec<(usize, AnalyzerPart)>> =
-                (0..workers).map(|_| Vec::new()).collect();
-            for (idx, part) in split_analyzer(&cfg).into_iter().enumerate() {
-                assigned[idx % workers].push((idx, part));
-            }
-            let mut outlets = Vec::with_capacity(workers);
-            let mut handles = Vec::with_capacity(workers);
-            for (worker, slot) in assigned.into_iter().enumerate() {
-                // One edge per worker: kernel partition -> analysis
-                // partition, FIFO in the chunk-clock timestamps.
-                let (mut outs, inlet) = channel(&[PartitionId(0)], PDES_CHUNK_CHANNEL_DEPTH);
-                outlets.push(outs.pop().expect("one outlet per declared edge"));
-                handles.push(scope.spawn(move || pdes_worker(worker, inlet, slot)));
-            }
-
-            let fanout: Box<dyn TraceSink> = Box::new(PdesFanoutSink::new(outlets));
-            let mut kernel = FinishedKernel::run(&spec, wrap_in_faults(&spec, fanout));
-            let _analysis_span = telemetry::span("stage.analysis");
-            let (chunks_sent, dropped) = finish_fanout(kernel.sink_mut());
-
-            let mut collected: Vec<(usize, AnalyzerPart)> = Vec::with_capacity(ANALYZER_PART_COUNT);
-            let reg = telemetry::global();
-            for handle in handles {
-                let (parts, stats) = handle.join().expect("pdes analysis worker panicked");
-                collected.extend(parts);
-                reg.add("des_partition_events_total", stats.chunks);
-                reg.add("des_horizon_stalls_total", stats.stalls);
-                reg.add("des_partition_idle_ns_total", stats.idle_ns);
-                reg.add("des_partition_busy_ns_total", stats.busy_ns);
-                debug_assert_eq!(stats.chunks, chunks_sent, "a worker missed chunks");
-            }
-            reg.gauge_max("des_partitions", workers as u64);
-            reg.gauge_max("des_min_lookahead_ns", kernel.des_lookahead().as_nanos());
-            collected.sort_by_key(|&(idx, _)| idx);
-            let parts = collected.into_iter().map(|(_, part)| part).collect();
-            let mut report = assemble_report(parts, kernel.strings());
-            report.summary.dropped_records = dropped;
-            finish_result(spec, report, &kernel)
-        })
-    });
-    result.metrics = metrics;
-    result
-}
-
-/// Recovers the fan-out sink (through any fault adaptor), flushes its
-/// tail chunk, closes every edge, and returns `(chunks sent, records
-/// the fault adaptor dropped)`.
-fn finish_fanout(sink: &mut dyn TraceSink) -> (u64, u64) {
-    if let Some(fault) = sink
-        .as_any_mut()
-        .and_then(|a| a.downcast_mut::<FaultSink>())
-    {
-        let dropped = fault.dropped();
-        return (take_fanout(fault.inner_mut()), dropped);
-    }
-    (take_fanout(sink), 0)
-}
-
-fn take_fanout(sink: &mut dyn TraceSink) -> u64 {
-    sink.as_any_mut()
-        .and_then(|a| a.downcast_mut::<PdesFanoutSink>())
-        .map(PdesFanoutSink::finish)
-        .expect("pdes sink is always a PdesFanoutSink")
 }
 
 /// Runs a batch of experiments strictly serially, in spec order.
@@ -752,10 +470,6 @@ pub fn run_experiment_with_timer_list(
     spec: ExperimentSpec,
     instants_nanos: &[u64],
 ) -> (ExperimentResult, Vec<wheel::TimerListCapture>) {
-    assert_eq!(
-        spec.des_threads, 0,
-        "timer-list capture uses the serial path"
-    );
     wheel::snapshot::install_plan(instants_nanos.to_vec());
     let result = run_experiment(spec);
     let captures = wheel::snapshot::take_captures();

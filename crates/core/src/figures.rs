@@ -258,25 +258,18 @@ pub fn paper_specs(duration: simtime::SimDuration, seed: u64) -> Vec<ExperimentS
 }
 
 /// [`paper_specs`] with every orthogonal knob applied to every
-/// experiment: a fault plane, a forced timer-queue backend, and the
-/// conservative parallel-DES analysis plane (`des_threads` worker
-/// partitions; 0 keeps the historical single-threaded pipeline). All
-/// three are part of the experiment cache key, so configured runs never
-/// alias differently-configured ones.
+/// experiment: a fault plane and a forced timer-queue backend. Both are
+/// part of the experiment cache key, so configured runs never alias
+/// differently-configured ones.
 pub fn paper_specs_configured(
     duration: simtime::SimDuration,
     seed: u64,
     faults: crate::FaultSpec,
     backend: wheel::Backend,
-    des_threads: u16,
 ) -> Vec<ExperimentSpec> {
     paper_specs(duration, seed)
         .into_iter()
-        .map(|s| {
-            s.with_faults(faults)
-                .with_backend(backend)
-                .with_des_threads(des_threads)
-        })
+        .map(|s| s.with_faults(faults).with_backend(backend))
         .collect()
 }
 
@@ -290,10 +283,9 @@ pub fn paper_specs_adaptive(
     seed: u64,
     faults: crate::FaultSpec,
     backend: wheel::Backend,
-    des_threads: u16,
     policy: adaptive::AdaptivePolicy,
 ) -> Vec<ExperimentSpec> {
-    paper_specs_configured(duration, seed, faults, backend, des_threads)
+    paper_specs_configured(duration, seed, faults, backend)
         .into_iter()
         .map(|s| s.with_adaptive(policy))
         .collect()
@@ -314,37 +306,18 @@ pub fn reproduce_all_adaptive_with_results(
     seed: u64,
     faults: crate::FaultSpec,
     backend: wheel::Backend,
-    des_threads: u16,
     policy: adaptive::AdaptivePolicy,
 ) -> (Vec<ExperimentResult>, Vec<Artifact>) {
+    let run = |p| {
+        crate::cache::global().run_all(&paper_specs_adaptive(duration, seed, faults, backend, p))
+    };
     if !policy.is_learned() {
-        let results = crate::cache::global().run_all(&paper_specs_adaptive(
-            duration,
-            seed,
-            faults,
-            backend,
-            des_threads,
-            policy,
-        ));
+        let results = run(policy);
         let artifacts = assemble(&results);
         return (results, artifacts);
     }
-    let fixed = crate::cache::global().run_all(&paper_specs_adaptive(
-        duration,
-        seed,
-        faults,
-        backend,
-        des_threads,
-        adaptive::AdaptivePolicy::Fixed,
-    ));
-    let learned = crate::cache::global().run_all(&paper_specs_adaptive(
-        duration,
-        seed,
-        faults,
-        backend,
-        des_threads,
-        adaptive::AdaptivePolicy::Learned,
-    ));
+    let fixed = run(adaptive::AdaptivePolicy::Fixed);
+    let learned = run(adaptive::AdaptivePolicy::Learned);
     let mut artifacts = assemble(&fixed);
     artifacts.extend(crate::counterfactual::counterfactual_artifacts(
         &fixed, &learned,
@@ -361,7 +334,7 @@ pub fn paper_specs_faulted(
     seed: u64,
     faults: crate::FaultSpec,
 ) -> Vec<ExperimentSpec> {
-    paper_specs_configured(duration, seed, faults, wheel::Backend::Native, 0)
+    paper_specs_configured(duration, seed, faults, wheel::Backend::Native)
 }
 
 /// [`paper_specs`] with every experiment forced onto one timer-queue
@@ -371,7 +344,7 @@ pub fn paper_specs_backend(
     seed: u64,
     backend: wheel::Backend,
 ) -> Vec<ExperimentSpec> {
-    paper_specs_configured(duration, seed, crate::FaultSpec::none(), backend, 0)
+    paper_specs_configured(duration, seed, crate::FaultSpec::none(), backend)
 }
 
 /// Assembles the paper's artifacts from results laid out as
@@ -502,31 +475,6 @@ pub fn reproduce_all_backend_with_results(
     backend: wheel::Backend,
 ) -> (Vec<ExperimentResult>, Vec<Artifact>) {
     let results = crate::cache::global().run_all(&paper_specs_backend(duration, seed, backend));
-    let artifacts = assemble(&results);
-    (results, artifacts)
-}
-
-/// The fully-configured reproduction: faults, a forced backend, and the
-/// parallel-DES analysis plane, composed (the `repro_all --des-threads`
-/// path). Runs through the process-wide cache; with
-/// `FaultSpec::none()`, `Backend::Native` and `des_threads == 0` this is
-/// exactly [`reproduce_all`]. The artifacts are byte-identical across
-/// every `des_threads` value — the parallel engine only changes *who*
-/// folds the analysis, never the stream it folds.
-pub fn reproduce_all_configured_with_results(
-    duration: simtime::SimDuration,
-    seed: u64,
-    faults: crate::FaultSpec,
-    backend: wheel::Backend,
-    des_threads: u16,
-) -> (Vec<ExperimentResult>, Vec<Artifact>) {
-    let results = crate::cache::global().run_all(&paper_specs_configured(
-        duration,
-        seed,
-        faults,
-        backend,
-        des_threads,
-    ));
     let artifacts = assemble(&results);
     (results, artifacts)
 }

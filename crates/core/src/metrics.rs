@@ -30,9 +30,6 @@ pub fn spec_label(spec: &ExperimentSpec) -> String {
         label.push_str(" backend=");
         label.push_str(&spec.backend.label());
     }
-    if spec.des_threads != 0 {
-        label.push_str(&format!(" des={}", spec.des_threads));
-    }
     // `Fixed` is the degenerate mode that must reproduce the default
     // byte-identically — including this label — so only `Learned` runs
     // are marked.
@@ -82,7 +79,7 @@ mod tests {
             crate::ExperimentSpec::new(Os::Linux, Workload::Idle, SimDuration::from_secs(2), 11);
         let result = run_experiment(spec);
         assert!(
-            result.metrics.total_events() > 0,
+            result.metrics.counter(telemetry::SimCounter::TraceRecords) > 0,
             "an experiment must record sim-plane events"
         );
         let report = run_report(

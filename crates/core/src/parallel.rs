@@ -48,21 +48,10 @@ pub fn default_threads(specs: usize) -> usize {
     hw.min(specs).max(1)
 }
 
-/// [`default_threads`] for a concrete spec batch, accounting for inner
-/// parallelism: when the specs themselves fan out over `des_threads`
-/// analysis partitions, the outer pool is divided by the widest inner
-/// fan-out so the two levels together roughly match the machine instead
-/// of multiplying against each other. `REPRO_THREADS` still overrides
-/// the outer count directly.
+/// [`default_threads`] for a concrete spec batch: one worker per spec at
+/// most.
 pub fn default_threads_for(specs: &[ExperimentSpec]) -> usize {
-    let inner = specs
-        .iter()
-        .map(|s| s.des_threads as usize)
-        .max()
-        .unwrap_or(0)
-        .max(1);
-    let outer = default_threads(specs.len());
-    (outer / inner).clamp(1, specs.len().max(1))
+    default_threads(specs.len())
 }
 
 /// Runs `specs` across a scoped worker pool, returning results in spec

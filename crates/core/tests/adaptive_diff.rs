@@ -19,7 +19,7 @@ const DUR: SimDuration = SimDuration::from_secs(4);
 const SEED: u64 = 11;
 
 fn artifacts(policy: AdaptivePolicy, backend: Backend) -> Vec<Artifact> {
-    reproduce_all_adaptive_with_results(DUR, SEED, FaultSpec::none(), backend, 0, policy).1
+    reproduce_all_adaptive_with_results(DUR, SEED, FaultSpec::none(), backend, policy).1
 }
 
 fn assert_identical(a: &[Artifact], b: &[Artifact], what: &str) {

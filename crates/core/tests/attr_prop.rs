@@ -3,8 +3,7 @@
 //! The attribution table rides on the stored [`analysis::Report`], so
 //! every execution mode that promises byte-identical reports must also
 //! agree on every origin label and every per-origin histogram: a live
-//! serial run, a cached replay, the conservative parallel DES fan-out at
-//! any width, and any forced timer-queue backend.
+//! serial run, a cached replay, and any forced timer-queue backend.
 
 use proptest::prelude::*;
 use simtime::SimDuration;
@@ -20,13 +19,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// OriginId -> label resolution and the folded per-origin tables are
-    /// identical between the live run, the cached replay, a pdes run,
-    /// and a forced-backend run of the same spec.
+    /// identical between the live run, the cached replay and a
+    /// forced-backend run of the same spec.
     #[test]
     fn attribution_is_identical_across_execution_modes(
         os in os_strategy(),
         seed in any::<u64>(),
-        des in 1u16..5,
     ) {
         let spec = ExperimentSpec::new(os, Workload::Idle, SimDuration::from_secs(2), seed);
         let live = timerstudy::run_experiment(spec);
@@ -45,12 +43,6 @@ proptest! {
         prop_assert_eq!(
             &want,
             &serde_json::to_string(&replay[0].report.attribution).unwrap()
-        );
-
-        let pdes = timerstudy::run_experiment(spec.with_des_threads(des));
-        prop_assert_eq!(
-            &want,
-            &serde_json::to_string(&pdes.report.attribution).unwrap()
         );
 
         let forced = timerstudy::run_experiment(spec.with_backend(Backend::Heap));

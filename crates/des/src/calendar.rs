@@ -9,18 +9,6 @@ use simtime::SimInstant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Token(u64);
 
-impl Token {
-    /// Wraps a posting key. Shared with the partitioned calendar so both
-    /// calendars hand out interchangeable tokens.
-    pub(crate) fn from_key(key: u64) -> Token {
-        Token(key)
-    }
-
-    pub(crate) fn key(self) -> u64 {
-        self.0
-    }
-}
-
 /// A deterministic time-ordered event queue.
 ///
 /// Ties at the same instant are broken by posting order, which makes whole

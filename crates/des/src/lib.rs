@@ -7,11 +7,6 @@
 //! * [`Calendar`] — the pending-event set: post an event for a future
 //!   instant, cancel it, pop the earliest. Events at the same instant pop
 //!   in posting order, so runs are exactly reproducible.
-//! * [`pdes`] — the conservative (lookahead / null-message) parallel
-//!   engine: [`PartitionedCalendar`] shards the pending-event set without
-//!   changing the pop order, and `pdes::exec` runs partitions on scoped
-//!   threads behind a safe-time horizon, with a serial differential
-//!   oracle pinning byte-identical results at any thread count.
 //! * [`CpuMeter`] — virtual CPU accounting: busy time, idle time, and the
 //!   *wakeup count* that the paper's power discussion (Section 5.3, the
 //!   dynticks/deferrable-timer changes of Section 2.1) revolves around. An
@@ -20,8 +15,6 @@
 
 pub mod calendar;
 pub mod cpu;
-pub mod pdes;
 
 pub use calendar::{Calendar, Token};
 pub use cpu::CpuMeter;
-pub use pdes::{PartitionId, PartitionedCalendar};

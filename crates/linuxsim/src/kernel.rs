@@ -254,14 +254,6 @@ impl LinuxKernel {
         &self.base
     }
 
-    /// The minimum latency of any cross-partition event this kernel can
-    /// generate — one jiffy, since no timer effect propagates faster
-    /// than the tick that expires it. This is the lookahead a
-    /// conservative parallel-DES partitioning of the kernel promises.
-    pub fn des_lookahead(&self) -> SimDuration {
-        simtime::LINUX_HZ.period()
-    }
-
     /// Declares which simulated CPU issues the following timer arms
     /// (`None` restores per-timer default placement).
     ///

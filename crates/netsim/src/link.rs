@@ -85,15 +85,6 @@ impl Link {
         )
     }
 
-    /// The minimum latency any delivery over this link can have: the RTT
-    /// floor (a tenth of the base RTT, which [`Link::sample_rtt`] never
-    /// goes below, faulted or not — fault episodes only *raise* the base).
-    /// A conservative parallel-DES partitioning that separates the two
-    /// endpoints can promise exactly this lookahead on the link's edges.
-    pub fn lookahead(&self) -> SimDuration {
-        SimDuration::from_secs_f64(self.base_rtt.as_secs_f64() * 0.1)
-    }
-
     /// Samples one round-trip time (never below a tenth of the base RTT).
     pub fn sample_rtt(&self, rng: &mut SimRng) -> SimDuration {
         let floor = self.base_rtt.as_secs_f64() * 0.1;

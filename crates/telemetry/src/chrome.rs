@@ -4,9 +4,8 @@
 //! not *when*. This module captures individual timestamped span intervals
 //! and serializes them as Chrome trace-event JSON (the `traceEvents`
 //! array Perfetto and `chrome://tracing` load), turning the existing
-//! stage spans, queue-wait/worker-busy instrumentation and the pdes
-//! executor's per-partition busy/idle/stall loops into a zoomable
-//! timeline.
+//! stage spans and queue-wait/worker-busy instrumentation into a
+//! zoomable timeline.
 //!
 //! Capture is off by default and costs one relaxed atomic load per span
 //! drop; `repro_all --metrics` switches it on for the duration of the run

@@ -267,11 +267,6 @@ impl SimSnapshot {
             mine.merge(theirs);
         }
     }
-
-    /// Sum of all counters — a quick "did anything get recorded" probe.
-    pub fn total_events(&self) -> u64 {
-        self.counters.iter().copied().fold(0, u64::saturating_add)
-    }
 }
 
 impl Default for SimSnapshot {
@@ -414,7 +409,7 @@ mod tests {
         gauge_max(SimGauge::RingBytesHigh, 1);
         crate::set_enabled(true);
         let s = snapshot();
-        assert_eq!(s.total_events(), 0);
+        assert_eq!(s.counter(SimCounter::WheelSchedules), 0);
         assert_eq!(s.gauge(SimGauge::RingBytesHigh), 0);
         reset();
     }

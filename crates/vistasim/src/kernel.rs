@@ -211,14 +211,6 @@ impl VistaKernel {
         std::mem::take(&mut self.notifications)
     }
 
-    /// The minimum latency of any cross-partition event this kernel can
-    /// generate — the current clock-interrupt period (possibly lowered
-    /// by `timeBeginPeriod`). This is the lookahead a conservative
-    /// parallel-DES partitioning of the kernel promises.
-    pub fn des_lookahead(&self) -> SimDuration {
-        self.resolution
-    }
-
     /// The trace log.
     pub fn log(&self) -> &TraceLog {
         &self.log

@@ -235,7 +235,9 @@ impl Backend {
     /// Builds a queue for a subsystem whose historical structure is
     /// `native` (with `slot_count` slots when that structure is a hashed
     /// ring). A forced backend overrides the subsystem default; a sharded
-    /// backend builds one inner queue per base.
+    /// backend builds one inner queue per base. A single base has nothing
+    /// to place or migrate, so it is the inner queue itself: the wrapper
+    /// would add bookkeeping and no behaviour.
     pub fn build(self, native: Backend, slot_count: usize) -> Box<dyn TimerQueue> {
         match self.resolve(native) {
             Backend::Native => unreachable!("resolve() never returns Native"),
@@ -243,8 +245,12 @@ impl Backend {
             Backend::Hashed => Box::new(HashedWheel::new(slot_count)),
             Backend::SortedList => Box::new(SortedList::new()),
             Backend::Heap => Box::new(HeapQueue::new()),
+            Backend::Sharded {
+                shards: 0 | 1,
+                inner,
+            } => inner.as_backend().build(native, slot_count),
             Backend::Sharded { shards, inner } => {
-                Box::new(ShardedQueue::new(shards.max(1) as usize, &mut || {
+                Box::new(ShardedQueue::new(shards as usize, &mut || {
                     inner.as_backend().build(native, slot_count)
                 }))
             }

@@ -17,8 +17,7 @@
 //! kernel's `advance_to` drains [`due_instants`] as sim time passes and
 //! pushes a capture per instant via [`record_capture`], and the runner
 //! collects everything with [`take_captures`] afterwards. Kernels always
-//! run on the calling thread — including under the parallel DES engine,
-//! where the kernel partition is the caller — so thread-locals are safe.
+//! run on the calling thread, so thread-locals are safe.
 //!
 //! # Determinism and cross-backend equivalence
 //!

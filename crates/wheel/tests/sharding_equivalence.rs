@@ -12,7 +12,7 @@
 //! `equivalence.rs`, plus CPU-context ops the flat backends ignore.
 
 use proptest::prelude::*;
-use telemetry::{sim, SimCounter};
+use telemetry::{sim, SimCounter, SimGauge};
 use wheel::{Backend, ShardedQueue, Tick, TimerId, TimerQueue};
 
 /// One operation in a randomly generated trace.
@@ -86,6 +86,15 @@ fn sharded(n: u16, inner: Backend) -> Box<dyn TimerQueue> {
     inner.with_shards(n).build(Backend::Hierarchical, 64)
 }
 
+/// The sharded wrapper around one base, built directly: the factory
+/// returns the bare inner queue for `sharded:1`, and the `single_shard_*`
+/// tests pin that the two are interchangeable.
+fn one_base(inner: Backend) -> Box<dyn TimerQueue> {
+    Box::new(ShardedQueue::new(1, &mut || {
+        inner.build(Backend::Hierarchical, 64)
+    }))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -99,7 +108,7 @@ proptest! {
         for inner in Backend::FORCED {
             let mut bare = inner.build(Backend::Hierarchical, 64);
             let expected = run(bare.as_mut(), &ops);
-            let mut one = sharded(1, inner);
+            let mut one = one_base(inner);
             let fired = run(one.as_mut(), &ops);
             prop_assert_eq!(
                 &expected,
@@ -221,8 +230,8 @@ fn migration_bumps_counter_and_inner_churn() {
     assert_eq!(snap.counter(SimCounter::WheelExpirations), 1);
 }
 
-/// Regression: with one base there is nowhere to migrate — counters are
-/// exactly the bare structure's.
+/// Regression: with one base there is nowhere to migrate — counters and
+/// gauges are exactly the bare structure's.
 #[test]
 fn single_shard_counters_identical_to_bare() {
     let drive = |q: &mut dyn TimerQueue| {
@@ -241,7 +250,7 @@ fn single_shard_counters_identical_to_bare() {
         drive(q.as_mut());
     });
     let ((), one) = sim::scoped(|| {
-        let mut q = sharded(1, Backend::Heap);
+        let mut q = one_base(Backend::Heap);
         drive(q.as_mut());
     });
     for c in SimCounter::ALL {
@@ -249,6 +258,13 @@ fn single_shard_counters_identical_to_bare() {
             bare.counter(c),
             one.counter(c),
             "counter {c:?} diverged between bare and sharded:1"
+        );
+    }
+    for g in SimGauge::ALL {
+        assert_eq!(
+            bare.gauge(g),
+            one.gauge(g),
+            "gauge {g:?} diverged between bare and sharded:1"
         );
     }
 }

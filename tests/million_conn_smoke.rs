@@ -106,18 +106,6 @@ fn mass_population_builds_migrates_and_drains_clean() {
     );
 }
 
-/// Inner parallel-DES width for the bounded-memory smoke: 0 (the serial
-/// pipeline) by default, or `MILLION_CONN_DES_THREADS=N` to push the
-/// mass population through the conservative parallel engine — CI runs
-/// this once at N=4. The chunk bound must hold either way: the fan-out
-/// sink gauges exactly the same flush points the serial sink does.
-fn smoke_des_threads() -> u16 {
-    std::env::var("MILLION_CONN_DES_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
-}
-
 #[test]
 fn streaming_analysis_stays_bounded_at_scale() {
     // The full experiment pipeline (workload → streaming analyzer →
@@ -125,9 +113,7 @@ fn streaming_analysis_stays_bounded_at_scale() {
     // buffer must stay chunk-bounded no matter how many events the mass
     // population emits.
     let duration = SimDuration::from_secs(40);
-    let spec = ExperimentSpec::new(Os::Linux, Workload::ApacheScale, duration, SEED)
-        .with_shards(4)
-        .with_des_threads(smoke_des_threads());
+    let spec = ExperimentSpec::new(Os::Linux, Workload::ApacheScale, duration, SEED).with_shards(4);
     let result = timerstudy::experiment::run_experiment(spec);
     let peak = result.metrics.gauge(SimGauge::AnalysisResidentEventsHigh);
     assert!(peak > 0, "the analyzer saw no events");

@@ -9,6 +9,7 @@
 //! reports must agree on their canonical `sim` sections.
 
 use simtime::SimDuration;
+use telemetry::SimCounter;
 use timerstudy::cache::ExperimentCache;
 use timerstudy::experiment::{run_experiments, table_specs};
 use timerstudy::parallel::run_experiments_parallel_with;
@@ -50,7 +51,7 @@ fn sim_plane_identical_across_serial_parallel_and_cached() {
     // an all-zero snapshot would make the equality below vacuous.
     for result in &serial {
         assert!(
-            result.metrics.total_events() > 0,
+            result.metrics.counter(SimCounter::TraceRecords) > 0,
             "no sim-plane events for {:?}/{:?}",
             result.spec.os,
             result.spec.workload
