@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 use simtime::SimDuration;
-use trace::{Event, EventCounts, Pid, StringTable, TraceSink};
+use trace::{Event, EventCounts, Pid, StringTable};
 
 use crate::attribution::AttributionTracker;
 use crate::classify::{Classifier, ClusterKey, PatternMix};
@@ -169,25 +169,18 @@ impl TraceAnalyzer {
         self.decode_lost += n;
     }
 
-    /// Feeds one event through every component.
+    /// Feeds one event through every component: a one-event
+    /// [`push_chunk`](Self::push_chunk).
     pub fn push(&mut self, event: &Event) {
-        self.counts.absorb(event);
-        self.population.push(event);
-        self.rates.push(event);
-        self.values_all.push(event);
-        self.values_filtered.push(event);
-        self.values_user.push(event);
-        self.countdown.push(event);
-        self.attribution.push(event);
-        self.push_lifecycle(event);
+        self.push_chunk(std::slice::from_ref(event));
     }
 
     /// Feeds a whole chunk, component-major: each component folds the
     /// full chunk before the next starts. The components are independent
     /// folds over the same stream, so the final state is identical to
-    /// per-event [`push`](Self::push) order — chunk boundaries carry no
+    /// folding the events one at a time — chunk boundaries carry no
     /// semantics — while each inner loop keeps one component's state and
-    /// code hot.
+    /// code hot. This is the analyzer's only fold.
     pub fn push_chunk(&mut self, events: &[Event]) {
         for event in events {
             self.counts.absorb(event);
@@ -213,43 +206,6 @@ impl TraceAnalyzer {
         self.attribution.push_chunk(events);
         for event in events {
             self.push_lifecycle(event);
-        }
-    }
-
-    /// Columnar variant of [`push_chunk`](Self::push_chunk) over a
-    /// decoded structure-of-arrays batch: the counting and bucketing
-    /// folds read only the columns they need (and the three value
-    /// histograms share one bucket computation); the order-sensitive
-    /// per-timer folds materialise each row once.
-    pub fn push_columns(&mut self, cols: &crate::visitor::EventColumns) {
-        let n = cols.len();
-        for i in 0..n {
-            self.counts.absorb_parts(cols.kinds[i], cols.spaces[i]);
-        }
-        for &timer in &cols.timers {
-            self.population.push_addr(timer);
-        }
-        for i in 0..n {
-            if cols.kinds[i] == trace::EventKind::Set {
-                self.rates.record_set(cols.ts_nanos[i], cols.pids[i]);
-            }
-        }
-        for i in 0..n {
-            if cols.kinds[i] == trace::EventKind::Set
-                && cols.timeout_ns[i] != crate::visitor::EventColumns::NONE_NS
-            {
-                let bucket = ValueHistogram::bucket_of(cols.timeout_ns[i]);
-                let (space, pid) = (cols.spaces[i], cols.pids[i]);
-                self.values_all.record_bucket(space, pid, bucket);
-                self.values_filtered.record_bucket(space, pid, bucket);
-                self.values_user.record_bucket(space, pid, bucket);
-            }
-        }
-        for i in 0..n {
-            let event = cols.event(i);
-            self.countdown.push(&event);
-            self.attribution.push(&event);
-            self.push_lifecycle(&event);
         }
     }
 
@@ -320,15 +276,5 @@ impl TraceAnalyzer {
     /// Aggregate counters so far (for progress displays).
     pub fn counts(&self) -> EventCounts {
         self.counts
-    }
-}
-
-impl TraceSink for TraceAnalyzer {
-    fn record(&mut self, event: &Event) {
-        self.push(event);
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
     }
 }

@@ -1,8 +1,8 @@
 //! The trace-analysis pipeline (paper Sections 3–4).
 //!
-//! Everything is *streaming*: the analyzer implements
-//! [`trace::TraceSink`], so a 30-minute, multi-million-event workload run
-//! feeds it one event at a time and memory stays bounded by the number of
+//! Everything is *streaming*: [`TraceAnalyzer::push_chunk`] is the one
+//! fold, so a 30-minute, multi-million-event workload run feeds it one
+//! bounded chunk at a time and memory stays bounded by the number of
 //! distinct timers, origins and histogram buckets — never by trace length.
 //!
 //! Components, one per analysis the paper performs:
@@ -23,11 +23,8 @@
 //!   data of Figures 8–11 (250 % cut-off, immediate-expiry exclusion);
 //! * [`provenance`] — Table 3: which origin sets which frequent value,
 //!   and how that timer classifies.
-//! * [`visitor`] — the incremental API: [`EventVisitor`]/`SampleVisitor`
-//!   name the fold every analyzer already is, and [`drive_chunks`] feeds
-//!   one bounded chunk at a time while reporting the peak resident count.
 //!
-//! [`TraceAnalyzer`] composes all of them behind one sink.
+//! [`TraceAnalyzer`] composes all of them behind that one fold.
 
 pub mod analyzer;
 pub mod attribution;
@@ -39,10 +36,8 @@ pub mod provenance;
 pub mod scatter;
 pub mod summary;
 pub mod values;
-pub mod visitor;
 
 pub use analyzer::{AnalyzerConfig, ClusterMode, Report, TraceAnalyzer};
 pub use attribution::AttributionTracker;
 pub use classify::{PatternClass, PatternMix};
 pub use lifecycle::{Outcome, Sample};
-pub use visitor::{drive_chunks, drive_views, EventColumns, EventVisitor, SampleVisitor};

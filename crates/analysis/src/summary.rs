@@ -75,12 +75,7 @@ pub struct TimerPopulation {
 impl TimerPopulation {
     /// Feeds one event.
     pub fn push(&mut self, event: &Event) {
-        self.push_addr(event.timer);
-    }
-
-    /// Folds one timer address (the columnar entry point).
-    pub(crate) fn push_addr(&mut self, addr: TimerAddr) {
-        self.seen.insert(addr);
+        self.seen.insert(event.timer);
     }
 
     /// Number of distinct timers.
@@ -127,11 +122,7 @@ impl RateSeries {
         if event.kind != EventKind::Set {
             return;
         }
-        self.record_set(event.ts.as_nanos(), event.pid);
-    }
-
-    /// Folds one set operation given its raw columns.
-    pub(crate) fn record_set(&mut self, ts_nanos: u64, pid: Pid) {
+        let pid = event.pid;
         let slot = match self.pid_slot.get(&pid) {
             Some(&slot) => slot,
             None => {
@@ -152,7 +143,7 @@ impl RateSeries {
                 slot
             }
         };
-        let sec = (ts_nanos / 1_000_000_000) as usize;
+        let sec = (event.ts.as_nanos() / 1_000_000_000) as usize;
         let series = &mut self.data[slot];
         if series.len() <= sec {
             series.resize(sec + 1, 0);

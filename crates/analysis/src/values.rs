@@ -78,24 +78,13 @@ impl ValueHistogram {
         let Some(timeout) = event.timeout else {
             return;
         };
-        self.record_bucket(event.space, event.pid, Self::bucket_of(timeout.as_nanos()));
-    }
-
-    /// The bucket a raw timeout value falls into — shared between this
-    /// histogram's own `push` and the columnar path, which computes the
-    /// bucket once for the three filtered instances.
-    pub(crate) fn bucket_of(timeout_ns: u64) -> u64 {
-        round_half_up(timeout_ns, BUCKET_NS)
-    }
-
-    /// Counts one pre-bucketed set if it passes this instance's filters.
-    pub(crate) fn record_bucket(&mut self, space: Space, pid: Pid, bucket: u64) {
-        if self.user_only && space != Space::User {
+        if self.user_only && event.space != Space::User {
             return;
         }
-        if !self.exclude_pids.is_empty() && self.exclude_pids.contains(&pid) {
+        if !self.exclude_pids.is_empty() && self.exclude_pids.contains(&event.pid) {
             return;
         }
+        let bucket = round_half_up(timeout.as_nanos(), BUCKET_NS);
         *self.counts.entry(bucket).or_insert(0) += 1;
         self.total += 1;
     }

@@ -1,15 +1,14 @@
-//! Streaming-equivalence property: chunked delivery through the
-//! [`analysis::EventVisitor`] API must produce byte-identical reports to
+//! Streaming-equivalence property: chunked delivery through
+//! [`TraceAnalyzer::push_chunk`] must produce byte-identical reports to
 //! per-event delivery and to one whole-trace pass, for arbitrary event
 //! sequences — including traces with injected drops (orphan ends) and
 //! locally non-monotonic timestamps (the out-of-order paths the
 //! countdown/classify bugfixes guard). Chunk boundaries are an
 //! implementation detail; they must never leak into `FigureData`.
 
-use analysis::{drive_chunks, drive_views, AnalyzerConfig, EventVisitor, TraceAnalyzer};
+use analysis::{AnalyzerConfig, TraceAnalyzer};
 use proptest::prelude::*;
 use simtime::{SimDuration, SimInstant};
-use trace::codec::RECORD_SIZE;
 use trace::{Event, EventKind, Space, StringTable};
 
 #[derive(Debug, Clone)]
@@ -96,33 +95,15 @@ fn surviving(raws: &[RawEvent], keep_at_most: u8) -> Vec<Event> {
 const LEVELS: [u8; 3] = [255, 96, 0];
 const CHUNKS: [usize; 4] = [1, 7, 64, 4096];
 
-fn report_of(events: &[Event], cfg: AnalyzerConfig, chunk: Option<usize>) -> (String, usize) {
+/// The report after feeding `events` in chunks of `chunk` events, or in
+/// one whole-trace chunk when `chunk` is `None`.
+fn report_of(events: &[Event], cfg: AnalyzerConfig, chunk: Option<usize>) -> String {
     let mut analyzer = TraceAnalyzer::new(cfg);
-    let peak = match chunk {
-        Some(chunk) => drive_chunks(events.iter().copied(), chunk, &mut analyzer),
-        None => {
-            analyzer.visit_chunk(events);
-            events.len()
-        }
-    };
-    let report = analyzer.finish(&StringTable::new());
-    (serde_json::to_string(&report).unwrap(), peak)
-}
-
-/// Runs the zero-copy path: events are encoded to the wire format, then
-/// streamed as borrowed [`trace::EventView`]s through [`drive_views`].
-fn report_of_views(events: &[Event], cfg: AnalyzerConfig, chunk: usize) -> (String, usize) {
-    let mut wire = Vec::with_capacity(events.len() * RECORD_SIZE);
-    for event in events {
-        trace::codec::encode(event, &mut wire);
+    match chunk {
+        Some(chunk) => events.chunks(chunk).for_each(|c| analyzer.push_chunk(c)),
+        None => analyzer.push_chunk(events),
     }
-    let views = wire
-        .chunks_exact(RECORD_SIZE)
-        .map(|rec| trace::codec::decode_view(rec).expect("just encoded"));
-    let mut analyzer = TraceAnalyzer::new(cfg);
-    let peak = drive_views(views, chunk, &mut analyzer);
-    let report = analyzer.finish(&StringTable::new());
-    (serde_json::to_string(&report).unwrap(), peak)
+    serde_json::to_string(&analyzer.finish(&StringTable::new())).unwrap()
 }
 
 proptest! {
@@ -138,37 +119,12 @@ proptest! {
         for keep in LEVELS {
             let events = surviving(&raws, keep);
             for cfg in [AnalyzerConfig::linux(), AnalyzerConfig::vista()] {
-                let (baseline, _) = report_of(&events, cfg.clone(), Some(1));
-                let (whole, _) = report_of(&events, cfg.clone(), None);
+                let baseline = report_of(&events, cfg.clone(), Some(1));
+                let whole = report_of(&events, cfg.clone(), None);
                 prop_assert_eq!(&baseline, &whole, "whole-trace pass diverged");
                 for chunk in CHUNKS {
-                    let (chunked, peak) = report_of(&events, cfg.clone(), Some(chunk));
-                    prop_assert!(peak <= chunk, "peak {} exceeds chunk {}", peak, chunk);
+                    let chunked = report_of(&events, cfg.clone(), Some(chunk));
                     prop_assert_eq!(&baseline, &chunked, "chunk {} diverged", chunk);
-                }
-            }
-        }
-    }
-
-    /// The zero-copy columnar path ([`drive_views`] over borrowed wire
-    /// records, dispatched as SoA columns) is byte-identical to the owned
-    /// chunked path ([`drive_chunks`]) for arbitrary event sequences, at
-    /// every chunk size, drop level and cluster mode — and honours the
-    /// same bounded-residency contract.
-    #[test]
-    fn zero_copy_views_match_owned_chunks(
-        raws in proptest::collection::vec(arb_event(), 0..400)
-    ) {
-        for keep in LEVELS {
-            let events = surviving(&raws, keep);
-            for cfg in [AnalyzerConfig::linux(), AnalyzerConfig::vista()] {
-                let (baseline, _) = report_of(&events, cfg.clone(), Some(1));
-                for chunk in CHUNKS {
-                    let (owned, owned_peak) = report_of(&events, cfg.clone(), Some(chunk));
-                    let (viewed, viewed_peak) = report_of_views(&events, cfg.clone(), chunk);
-                    prop_assert_eq!(owned_peak, viewed_peak, "peaks diverged at chunk {}", chunk);
-                    prop_assert_eq!(&owned, &viewed, "views diverged at chunk {}", chunk);
-                    prop_assert_eq!(&baseline, &viewed, "views diverged from per-event");
                 }
             }
         }

@@ -1,11 +1,8 @@
-//! Streaming vs. collected analysis: the two pipeline shapes whose
-//! reports are proven byte-identical by the differential oracle tests.
-//! The streaming path buffers at most one chunk of events; the collected
-//! path materialises the whole trace first (the pre-streaming shape).
-//! A third case drives the chunked k-way merge reader straight off
-//! per-CPU rings, covering the decode side of the streaming pipeline.
+//! The streaming analysis fold: one case folds a resident trace in
+//! bounded chunks, the other drives the chunked k-way merge reader
+//! straight off per-CPU rings, covering the decode side of the pipeline.
 
-use analysis::{drive_chunks, AnalyzerConfig, EventVisitor, TraceAnalyzer};
+use analysis::{AnalyzerConfig, TraceAnalyzer};
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use simtime::{SimDuration, SimInstant, SimRng};
 use trace::{Event, EventKind, PerCpuRings, Space};
@@ -59,17 +56,9 @@ fn bench_streaming(c: &mut Criterion) {
     group.bench_function("streaming_chunked_4096", |b| {
         b.iter(|| {
             let mut a = TraceAnalyzer::new(AnalyzerConfig::linux());
-            let peak = drive_chunks(events.iter().copied(), CHUNK, &mut a);
-            black_box((a.counts().accesses, peak))
-        })
-    });
-    group.bench_function("collected_oracle", |b| {
-        b.iter(|| {
-            // The pre-streaming shape: clone the full trace into a
-            // resident Vec, then one whole-trace pass.
-            let resident: Vec<Event> = events.clone();
-            let mut a = TraceAnalyzer::new(AnalyzerConfig::linux());
-            a.visit_chunk(&resident);
+            for chunk in events.chunks(CHUNK) {
+                a.push_chunk(chunk);
+            }
             black_box(a.counts().accesses)
         })
     });
@@ -79,7 +68,7 @@ fn bench_streaming(c: &mut Criterion) {
             let mut reader = rings.stream();
             let mut buf = Vec::with_capacity(CHUNK);
             while reader.read_chunk(&mut buf, CHUNK) > 0 {
-                a.visit_chunk(&buf);
+                a.push_chunk(&buf);
             }
             black_box(a.counts().accesses)
         })

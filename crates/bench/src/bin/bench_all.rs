@@ -16,8 +16,8 @@
 //!   not percent-level noise. The rows the zero-copy refactor sped up
 //!   ≥2× carry a tighter 2× gate: their baseline was re-recorded after
 //!   the speedup, so even at 2× the gate holds the *old* cost as a hard
-//!   ceiling — losing the columnar dispatch, the fast hasher or the
-//!   arena would trip it on any machine;
+//!   ceiling — losing the chunked fold, the fast hasher or the arena
+//!   would trip it on any machine;
 //! - with no flag it just prints the table.
 
 use std::collections::BTreeMap;
@@ -102,7 +102,6 @@ fn bench_sharded_migrate(shards: u16) -> f64 {
 
 /// The streaming analyzer's per-event cost on a synthetic trace chunk.
 fn bench_analysis_chunk() -> f64 {
-    use analysis::EventVisitor;
     use trace::{Event, EventKind};
     const N: u64 = 65_536;
     let origin = {
@@ -120,7 +119,7 @@ fn bench_analysis_chunk() -> f64 {
     time_ns_per_op(N, || {
         let mut analyzer = analysis::TraceAnalyzer::new(analysis::AnalyzerConfig::linux());
         for chunk in events.chunks(4096) {
-            analyzer.visit_chunk(chunk);
+            analyzer.push_chunk(chunk);
         }
         events.len() as u64
     })

@@ -10,12 +10,17 @@ use adaptive::AdaptiveTimeout;
 use simtime::{LogNormal, Sample, SimDuration, SimRng};
 
 fn main() {
+    bench::check_args(std::env::args(), &[], "usage: ext_adaptive");
+    let mut out = bench::Stdout::default();
     let mut rng = SimRng::new(7);
     let lan = LogNormal::from_median(0.0008, 0.4); // LAN file server.
     let wan = LogNormal::from_median(0.130, 0.4); // Same server via WAN.
 
-    println!("=== Adaptive vs fixed timeouts (paper 5.1) ===\n");
-    println!("workload: 50000 requests, 0.2% of them hit a dead server\n");
+    writeln!(out, "=== Adaptive vs fixed timeouts (paper 5.1) ===\n");
+    writeln!(
+        out,
+        "workload: 50000 requests, 0.2% of them hit a dead server\n"
+    );
 
     for (name, dist) in [("LAN (0.8 ms median)", &lan), ("WAN (130 ms median)", &wan)] {
         let fixed = SimDuration::from_secs(30);
@@ -48,26 +53,31 @@ fn main() {
         }
         let fd = fixed_detect.as_secs_f64() / failures.max(1) as f64;
         let ad = adaptive_detect.as_secs_f64() / failures.max(1) as f64;
-        println!("--- {name} ---");
-        println!("  mean failure detection, fixed 30 s : {fd:>9.3} s");
-        println!(
+        writeln!(out, "--- {name} ---");
+        writeln!(out, "  mean failure detection, fixed 30 s : {fd:>9.3} s");
+        writeln!(
+            out,
             "  mean failure detection, adaptive   : {ad:>9.3} s  ({:.0}x faster)",
             fd / ad.max(1e-9)
         );
-        println!(
+        writeln!(
+            out,
             "  spurious timeouts: {spurious} / {requests} ({:.3}%)",
             100.0 * spurious as f64 / requests as f64
         );
-        println!("  learned timeout after run: {}\n", est.timeout());
+        writeln!(out, "  learned timeout after run: {}\n", est.timeout());
     }
 
     // Level shift: learn on the LAN, then move to the WAN.
-    println!("--- level shift: laptop moves from LAN to WAN (paper 5.1) ---");
+    writeln!(
+        out,
+        "--- level shift: laptop moves from LAN to WAN (paper 5.1) ---"
+    );
     let mut est = AdaptiveTimeout::new(0.99, SimDuration::from_secs(30));
     for _ in 0..20_000 {
         est.observe_success(lan.sample_duration(&mut rng));
     }
-    println!("  timeout learned on LAN: {}", est.timeout());
+    writeln!(out, "  timeout learned on LAN: {}", est.timeout());
     let mut timeouts_before_adapting = 0u64;
     for _ in 0..200 {
         let latency = wan.sample_duration(&mut rng);
@@ -78,9 +88,10 @@ fn main() {
             est.observe_success(latency);
         }
     }
-    println!(
+    writeln!(
+        out,
         "  WAN requests spuriously timed out while re-learning: {timeouts_before_adapting} / 200"
     );
-    println!("  timeout after re-learning on WAN: {}", est.timeout());
-    println!("  level-shift resets performed: {}", est.resets());
+    writeln!(out, "  timeout after re-learning on WAN: {}", est.timeout());
+    writeln!(out, "  level-shift resets performed: {}", est.resets());
 }

@@ -71,16 +71,34 @@ fn run(adaptive: bool) -> (f64, f64, u64) {
 }
 
 fn main() {
-    println!("=== Adaptive socket-poll timeout inside the simulated kernel ===\n");
-    println!("20000 requests, 1% hung clients; worker-slot hostage time per hang:\n");
+    bench::check_args(std::env::args(), &[], "usage: ext_adaptive_kernel");
+    let mut out = bench::Stdout::default();
+    writeln!(
+        out,
+        "=== Adaptive socket-poll timeout inside the simulated kernel ===\n"
+    );
+    writeln!(
+        out,
+        "20000 requests, 1% hung clients; worker-slot hostage time per hang:\n"
+    );
     let (fixed_mean, fixed_max, fixed_sets) = run(false);
     let (ad_mean, ad_max, ad_sets) = run(true);
-    println!("policy            mean      worst   kernel timer sets");
-    println!("fixed 15 s     {fixed_mean:>7.2}s   {fixed_max:>7.2}s   {fixed_sets:>8}");
-    println!("adaptive 99.9% {ad_mean:>7.2}s   {ad_max:>7.2}s   {ad_sets:>8}");
-    println!(
+    writeln!(out, "policy            mean      worst   kernel timer sets");
+    writeln!(
+        out,
+        "fixed 15 s     {fixed_mean:>7.2}s   {fixed_max:>7.2}s   {fixed_sets:>8}"
+    );
+    writeln!(
+        out,
+        "adaptive 99.9% {ad_mean:>7.2}s   {ad_max:>7.2}s   {ad_sets:>8}"
+    );
+    writeln!(
+        out,
         "\nworker slots are freed {:.0}x faster with learned timeouts,",
         fixed_mean / ad_mean.max(1e-9)
     );
-    println!("with the same kernel timer API and no extra timer churn.");
+    writeln!(
+        out,
+        "with the same kernel timer API and no extra timer churn."
+    );
 }

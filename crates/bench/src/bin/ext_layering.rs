@@ -14,8 +14,10 @@ use netsim::{LookupService, ServiceBehavior};
 use simtime::{SimDuration, SimInstant, SimRng};
 
 fn main() {
+    bench::check_args(std::env::args(), &[], "usage: ext_layering");
+    let mut out = bench::Stdout::default();
     let mut rng = SimRng::new(7);
-    println!("=== The layered-timeout cascade (paper 2.2.2) ===\n");
+    writeln!(out, "=== The layered-timeout cascade (paper 2.2.2) ===\n");
 
     // Phase 1: parallel name lookups for a mistyped name.
     let wins = LookupService::new("WINS", ServiceBehavior::Silent);
@@ -27,7 +29,10 @@ fn main() {
         (AttemptOutcome::TimedOut(a), AttemptOutcome::TimedOut(b)) => a.max(b),
         _ => SimDuration::ZERO,
     };
-    println!("phase 1 - WINS/DNS lookups (5 s each, parallel): {phase1}");
+    writeln!(
+        out,
+        "phase 1 - WINS/DNS lookups (5 s each, parallel): {phase1}"
+    );
 
     // Suppose a stale broadcast answer lets it continue: the file
     // protocols race next against the dead host.
@@ -54,17 +59,26 @@ fn main() {
     };
     // NFS over SunRPC: 7 refused retries with doubling 500 ms timeouts.
     let (outcome, nfs_time) = sunrpc_retry_loop(&nfs, SimDuration::from_millis(500), 7, &mut rng);
-    println!("phase 2 - SMB refused-retry budget:  {smb_time}");
-    println!("phase 2 - WebDAV full timeout:       {webdav_time}");
-    println!("phase 2 - NFS SunRPC backoff ({outcome:?}): {nfs_time}");
+    writeln!(out, "phase 2 - SMB refused-retry budget:  {smb_time}");
+    writeln!(out, "phase 2 - WebDAV full timeout:       {webdav_time}");
+    writeln!(
+        out,
+        "phase 2 - NFS SunRPC backoff ({outcome:?}): {nfs_time}"
+    );
     let phase2 = smb_time.max(webdav_time).max(nfs_time);
     let total = phase1 + phase2;
-    println!("\nuser-visible failure latency: {total}");
+    writeln!(out, "\nuser-visible failure latency: {total}");
     assert!(total > SimDuration::from_secs(60));
-    println!("=> 'recovering from a typing error can take over a minute!' reproduced\n");
+    writeln!(
+        out,
+        "=> 'recovering from a typing error can take over a minute!' reproduced\n"
+    );
 
     // What dependency tracking (5.2) and nested-guard elision (5.4) fix.
-    println!("=== With timeout provenance and dependency tracking (paper 5.2/5.4) ===\n");
+    writeln!(
+        out,
+        "=== With timeout provenance and dependency tracking (paper 5.2/5.4) ===\n"
+    );
     let mut g = DepGraph::new();
     let boot = SimInstant::BOOT;
     let s = |secs| boot + SimDuration::from_secs(secs);
@@ -77,11 +91,12 @@ fn main() {
     g.relate(1, 3, Relation::Overlaps(OverlapKind::MinMatters));
     g.relate(1, 4, Relation::Overlaps(OverlapKind::MinMatters));
     g.relate(1, 5, Relation::Overlaps(OverlapKind::MinMatters));
-    println!(
+    writeln!(
+        out,
         "timers armed without tracking: 5; with elision rules: {}",
         g.required_armed().len()
     );
-    println!("provenance of the NFS timer: {:?}", g.trace_path(4));
+    writeln!(out, "provenance of the NFS timer: {:?}", g.trace_path(4));
 
     // Nested RAII guards: the inner 30 s attempts are pointless under a
     // tight outer deadline.
@@ -93,11 +108,13 @@ fn main() {
         let _nfs = TimeoutGuard::arm(&reg, boot, SimDuration::from_secs(64));
     }
     let stats = guard_stats(&reg);
-    println!(
+    writeln!(
+        out,
         "nested guards under a 10 s user deadline: {} armed, {} elided",
         stats.armed, stats.elided
     );
-    println!(
+    writeln!(
+        out,
         "user now sees the failure at the outer deadline: {}",
         outer.deadline()
     );

@@ -26,19 +26,27 @@ fn run(dynticks: bool, round: bool, defer: bool) -> f64 {
 }
 
 fn main() {
-    println!("=== Idle-system wakeup ablation (paper 2.1 / 5.3) ===\n");
-    println!("configuration                              wakeups/s");
-    println!("----------------------------------------------------");
+    bench::check_args(std::env::args(), &[], "usage: ext_power");
+    let mut out = bench::Stdout::default();
+    writeln!(
+        out,
+        "=== Idle-system wakeup ablation (paper 2.1 / 5.3) ===\n"
+    );
+    writeln!(out, "configuration                              wakeups/s");
+    writeln!(out, "----------------------------------------------------");
     let base = run(false, false, false);
-    println!("periodic tick (HZ=250), no dynticks        {base:>9.1}");
+    writeln!(
+        out,
+        "periodic tick (HZ=250), no dynticks        {base:>9.1}"
+    );
     let dt = run(true, false, false);
-    println!("dynticks                                   {dt:>9.1}");
+    writeln!(out, "dynticks                                   {dt:>9.1}");
     let dtr = run(true, true, false);
-    println!("dynticks + round_jiffies on periodics      {dtr:>9.1}");
+    writeln!(out, "dynticks + round_jiffies on periodics      {dtr:>9.1}");
     let dtd = run(true, false, true);
-    println!("dynticks + deferrable periodics            {dtd:>9.1}");
+    writeln!(out, "dynticks + deferrable periodics            {dtd:>9.1}");
     let all = run(true, true, true);
-    println!("dynticks + round_jiffies + deferrable      {all:>9.1}");
+    writeln!(out, "dynticks + round_jiffies + deferrable      {all:>9.1}");
 
     // The idealised 5.3 design: flexible TimeSpecs + minimal coalescing.
     let mut c = Coalescer::new();
@@ -75,8 +83,12 @@ fn main() {
     let plan = c.plan(boot + SimDuration::from_secs(120));
     let coalesced = plan.len() as f64 / 60.0;
     let naive = c.naive_wakeup_count() as f64 / 60.0;
-    println!("ideal: flexible TimeSpec + coalescer       {coalesced:>9.1}   (vs {naive:.1} naive)");
-    println!(
+    writeln!(
+        out,
+        "ideal: flexible TimeSpec + coalescer       {coalesced:>9.1}   (vs {naive:.1} naive)"
+    );
+    writeln!(
+        out,
         "\nreduction from baseline to full batching: {:.0}x",
         base / all.max(0.01)
     );

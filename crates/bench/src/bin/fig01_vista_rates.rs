@@ -2,6 +2,8 @@
 use timerstudy::{cache, figures, ExperimentSpec, Os, Workload, FIG1_DURATION};
 
 fn main() {
+    bench::check_args(std::env::args(), &[], "usage: fig01_vista_rates");
+    let mut out = bench::Stdout::default();
     let started = std::time::Instant::now();
     let result = cache::global().get_or_run(ExperimentSpec::new(
         Os::Vista,
@@ -9,6 +11,6 @@ fn main() {
         FIG1_DURATION,
         7,
     ));
-    println!("{}", figures::fig01(&result).printable());
+    writeln!(out, "{}", figures::fig01(&result).printable());
     bench::print_stage_summary("fig01", [result.as_ref()], started);
 }

@@ -7,13 +7,19 @@ use timerstudy::experiment::{
 use timerstudy::{figures, ExperimentSpec, Os, Workload};
 
 fn main() {
+    bench::check_args(
+        std::env::args(),
+        &[("--sweep", bench::Takes::Nothing)],
+        "usage: fig02_patterns [--sweep]",
+    );
+    let mut out = bench::Stdout::default();
     let started = std::time::Instant::now();
     let duration = repro_duration();
     let results = run_table_workloads(Os::Linux, duration, 7);
-    println!("{}", figures::fig02(&results).printable());
+    writeln!(out, "{}", figures::fig02(&results).printable());
     bench::print_stage_summary("fig02", &results, started);
     if std::env::args().any(|a| a == "--sweep") {
-        println!("=== jitter-tolerance sensitivity (Idle workload) ===");
+        writeln!(out, "=== jitter-tolerance sensitivity (Idle workload) ===");
         for tol_us in [100u64, 500, 2_000, 8_000] {
             let mut cfg = analyzer_config(Os::Linux, Workload::Idle);
             cfg.tolerance = simtime::SimDuration::from_micros(tol_us);
@@ -21,7 +27,8 @@ fn main() {
                 ExperimentSpec::new(Os::Linux, Workload::Idle, duration, 7),
                 cfg,
             );
-            println!(
+            writeln!(
+                out,
                 "tolerance {:>5} us: periodic {:>5.1}%  watchdog {:>5.1}%  timeout {:>5.1}%  other {:>5.1}%",
                 tol_us,
                 result.report.pattern_mix.percent(PatternClass::Periodic),
@@ -30,6 +37,9 @@ fn main() {
                 result.report.pattern_mix.percent(PatternClass::Other),
             );
         }
-        println!("(the paper's experimentally determined tolerance is 2 ms)");
+        writeln!(
+            out,
+            "(the paper's experimentally determined tolerance is 2 ms)"
+        );
     }
 }

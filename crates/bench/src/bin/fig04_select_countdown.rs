@@ -3,6 +3,8 @@ use timerstudy::experiment::repro_duration;
 use timerstudy::{cache, figures, ExperimentSpec, Os, Workload};
 
 fn main() {
+    bench::check_args(std::env::args(), &[], "usage: fig04_select_countdown");
+    let mut out = bench::Stdout::default();
     let started = std::time::Instant::now();
     let result = cache::global().get_or_run(ExperimentSpec::new(
         Os::Linux,
@@ -10,8 +12,11 @@ fn main() {
         repro_duration(),
         7,
     ));
-    println!("{}", figures::fig04(&result).printable());
+    writeln!(out, "{}", figures::fig04(&result).printable());
     let (detected, flagged) = result.report.countdown_validation;
-    println!("countdown detector: {detected} sets detected vs {flagged} ground-truth flagged");
+    writeln!(
+        out,
+        "countdown detector: {detected} sets detected vs {flagged} ground-truth flagged"
+    );
     bench::print_stage_summary("fig04", [result.as_ref()], started);
 }

@@ -3,8 +3,10 @@ use timerstudy::experiment::{repro_duration, run_table_workloads};
 use timerstudy::{figures, Os};
 
 fn main() {
+    bench::check_args(std::env::args(), &[], "usage: fig06_syscall_values");
+    let mut out = bench::Stdout::default();
     let started = std::time::Instant::now();
     let results = run_table_workloads(Os::Linux, repro_duration(), 7);
-    println!("{}", figures::fig06(&results).printable());
+    writeln!(out, "{}", figures::fig06(&results).printable());
     bench::print_stage_summary("fig06", &results, started);
 }

@@ -3,8 +3,10 @@ use timerstudy::experiment::{repro_duration, run_table_workloads};
 use timerstudy::{figures, Os};
 
 fn main() {
+    bench::check_args(std::env::args(), &[], "usage: fig07_vista_values");
+    let mut out = bench::Stdout::default();
     let started = std::time::Instant::now();
     let results = run_table_workloads(Os::Vista, repro_duration(), 7);
-    println!("{}", figures::fig07(&results).printable());
+    writeln!(out, "{}", figures::fig07(&results).printable());
     bench::print_stage_summary("fig07", &results, started);
 }

@@ -33,12 +33,9 @@
 //!
 //! `--scale N` multiplies the trace duration by `N` (the webserver
 //! workloads scale their connection counts with duration, so this is the
-//! "10× longer Apache/httperf run" knob). `--collected` forces the
-//! collect-everything oracle path — the whole trace resident as one
-//! `Vec<Event>` before analysis — whose stdout must be byte-identical to
-//! the streaming paths'. `--assert-peak-resident-below N` exits nonzero
-//! if the `analysis_resident_events_high_watermark` gauge reached `N` or
-//! more in any experiment (the CI bounded-memory check).
+//! "10× longer Apache/httperf run" knob). `--assert-peak-resident-below N`
+//! exits nonzero if the `analysis_resident_events_high_watermark` gauge
+//! reached `N` or more in any experiment (the CI bounded-memory check).
 //!
 //! `--wheel-backend NAME|all` forces every simulated subsystem's timer
 //! queue onto one structure (`hierarchical`, `hashed`, `sortedlist`,
@@ -67,42 +64,27 @@
 //! retransmit-latency deltas (most visible under `--faults`). Composes
 //! with `--faults`, `--shards` and `--wheel-backend` (including `all`,
 //! which then asserts the counterfactual figures byte-identical across
-//! every backend too); incompatible with `--serial` and `--collected`
-//! (it runs on the cached parallel path).
+//! every backend too); incompatible with `--serial` (it runs on the
+//! cached parallel path).
 //!
 //! Any other argument, or a flag missing its value, is a usage error
 //! (exit 2). A closed stdout (`repro_all | head`) ends the output: the
 //! run still finishes its stderr summary, metrics and checks.
 
-use std::io::Write;
-
+use bench::{Stdout, Takes};
 use timerstudy::experiment::repro_duration;
 use timerstudy::{Backend, FaultSpec};
 
 const SEED: u64 = 7;
 
-const USAGE: &str = "usage: repro_all [--serial | --collected] [--artifacts DIR] \
+const USAGE: &str = "usage: repro_all [--serial] [--artifacts DIR] \
      [--metrics[=DIR]] [--top-origins[=N]] [--timer-list SECS[,SECS...]] [--scale N] \
      [--assert-peak-resident-below N] [--faults SPEC] [--wheel-backend NAME|all] \
      [--shards N] [--adaptive[=off|fixed|learned]]";
 
-/// How a flag takes its value.
-#[derive(Clone, Copy)]
-enum Takes {
-    /// A bare switch.
-    Nothing,
-    /// Bare, or `--flag=VALUE`.
-    Inline,
-    /// `--flag VALUE`.
-    Next,
-    /// `--flag VALUE` or `--flag=VALUE`.
-    Either,
-}
-
 /// Every flag, spelled the way its parser below reads it.
-const FLAGS: [(&str, Takes); 12] = [
+const FLAGS: [(&str, Takes); 11] = [
     ("--serial", Takes::Nothing),
-    ("--collected", Takes::Nothing),
     ("--metrics", Takes::Inline),
     ("--top-origins", Takes::Inline),
     ("--adaptive", Takes::Inline),
@@ -114,52 +96,6 @@ const FLAGS: [(&str, Takes); 12] = [
     ("--shards", Takes::Either),
     ("--timer-list", Takes::Either),
 ];
-
-/// Exits 2 with a one-line usage error on an unknown argument or a flag
-/// missing its value, so a misspelt or retired flag never silently runs
-/// the default reproduction.
-fn check_args(args: &[String]) {
-    let mut rest = args.iter().skip(1);
-    while let Some(arg) = rest.next() {
-        let (name, inline) = match arg.split_once('=') {
-            Some((name, _)) => (name, true),
-            None => (arg.as_str(), false),
-        };
-        let ok = match FLAGS.iter().find(|(flag, _)| *flag == name) {
-            Some((_, Takes::Nothing)) => !inline,
-            Some((_, Takes::Inline)) => true,
-            Some((_, Takes::Next)) => !inline && rest.next().is_some(),
-            Some((_, Takes::Either)) => inline || rest.next().is_some(),
-            None => false,
-        };
-        if !ok {
-            eprintln!("repro_all: bad argument `{arg}`; {USAGE}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Stdout that treats a closed reader (`BrokenPipe`) as the end of the
-/// output: later lines are dropped and the run finishes normally.
-struct Stdout {
-    closed: bool,
-}
-
-impl Stdout {
-    fn line(&mut self, text: impl std::fmt::Display) {
-        if self.closed {
-            return;
-        }
-        match writeln!(std::io::stdout().lock(), "{text}") {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => self.closed = true,
-            Err(e) => {
-                eprintln!("repro_all: writing stdout: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-}
 
 /// What `--wheel-backend` asked for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -316,23 +252,26 @@ fn print_top_origins(out: &mut Stdout, results: &[timerstudy::ExperimentResult],
     for r in results {
         merged.merge(&r.report.attribution);
     }
-    out.line(format_args!(
+    writeln!(
+        out,
         "Top timer users: top {n} origins by sets (all experiments)"
-    ));
-    out.line(format_args!(
+    );
+    writeln!(
+        out,
         "{:<40} {:>12} {:>10} {:>11}",
         "origin", "sets", "expired%", "cancelled%"
-    ));
+    );
     for row in merged.top(n) {
-        out.line(format_args!(
+        writeln!(
+            out,
             "{:<40} {:>12} {:>9.1}% {:>10.1}%",
             row.label,
             row.sets,
             row.expiry_ratio() * 100.0,
             row.cancel_ratio() * 100.0
-        ));
+        );
     }
-    out.line("");
+    writeln!(out);
 }
 
 /// Parses `--metrics` / `--metrics=DIR` into the report directory.
@@ -350,14 +289,13 @@ fn metrics_dir(args: &[String]) -> Option<String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    check_args(&args);
+    bench::check_args(&args, &FLAGS, USAGE);
     let artifacts_dir = args
         .iter()
         .position(|a| a == "--artifacts")
         .and_then(|i| args.get(i + 1))
         .cloned();
     let serial = args.iter().any(|a| a == "--serial");
-    let collected = args.iter().any(|a| a == "--collected");
     let metrics = metrics_dir(&args);
     let top_n = top_origins(&args);
     let timer_list = timer_list_instants(&args);
@@ -409,10 +347,6 @@ fn main() {
         },
         None => FaultSpec::none(),
     };
-    if collected && !faults.is_none() {
-        eprintln!("--collected and --faults are mutually exclusive");
-        std::process::exit(2);
-    }
     let backend = match (shard_count(&args), backend_mode(&args)) {
         (None, mode) => mode,
         (Some(n), BackendMode::Default) => BackendMode::One(Backend::Native.with_shards(n)),
@@ -422,13 +356,15 @@ fn main() {
             std::process::exit(2);
         }
     };
-    if backend != BackendMode::Default && (collected || serial || !faults.is_none()) {
-        eprintln!("--wheel-backend runs on the cached parallel path; it cannot be combined with --serial, --collected, or --faults");
+    if backend != BackendMode::Default && (serial || !faults.is_none()) {
+        eprintln!("--wheel-backend runs on the cached parallel path; it cannot be combined with --serial or --faults");
         std::process::exit(2);
     }
     let policy = adaptive_policy(&args);
-    if policy.is_active() && (serial || collected) {
-        eprintln!("--adaptive runs on the cached parallel path; it cannot be combined with --serial or --collected");
+    if policy.is_active() && serial {
+        eprintln!(
+            "--adaptive runs on the cached parallel path; it cannot be combined with --serial"
+        );
         std::process::exit(2);
     }
     // The backend the --timer-list runs use (native unless
@@ -438,7 +374,7 @@ fn main() {
         _ => Backend::Native,
     };
     let duration = repro_duration() * scale;
-    let threads = if serial || collected {
+    let threads = if serial {
         1
     } else {
         timerstudy::parallel::default_threads(9)
@@ -446,9 +382,7 @@ fn main() {
     eprintln!(
         "running all experiments at {} simulated seconds per trace ({}, faults: {}, adaptive: {})...",
         duration.as_secs(),
-        if collected {
-            "collected oracle path".to_owned()
-        } else if serial {
+        if serial {
             "serial reference path".to_owned()
         } else {
             format!("parallel, up to {threads} threads")
@@ -469,11 +403,6 @@ fn main() {
                 Backend::Native,
                 policy,
             ),
-        )
-    } else if collected {
-        (
-            "collected",
-            timerstudy::figures::reproduce_all_collected_with_results(duration, SEED),
         )
     } else if serial {
         (
@@ -572,9 +501,9 @@ fn main() {
         "all experiments finished in {:.2} s wall-clock",
         wall.as_secs_f64()
     );
-    let mut out = Stdout { closed: false };
+    let mut out = Stdout::default();
     for (index, artifact) in artifacts.iter().enumerate() {
-        out.line(artifact.printable());
+        writeln!(out, "{}", artifact.printable());
         if let Some(dir) = &artifacts_dir {
             std::fs::create_dir_all(dir).expect("create artifacts dir");
             let stem = artifact
@@ -599,8 +528,8 @@ fn main() {
         print_top_origins(&mut out, &results, n);
     }
     if let Some(instants) = &timer_list {
-        // Dedicated uncached serial runs (like the --collected oracle):
-        // the kernels dump their queues at each requested instant.
+        // Dedicated uncached serial runs: the kernels dump their queues
+        // at each requested instant.
         for os in [timerstudy::Os::Linux, timerstudy::Os::Vista] {
             let spec = timerstudy::ExperimentSpec::new(
                 os,
@@ -616,7 +545,7 @@ fn main() {
             );
             let (_, captures) = timerstudy::run_experiment_with_timer_list(spec, instants);
             for capture in &captures {
-                out.line(capture.render());
+                writeln!(out, "{}", capture.render());
             }
         }
     }
@@ -652,9 +581,7 @@ fn main() {
         );
     }
     // The analysis pipeline's memory bound, from each experiment's sim
-    // snapshot: on the streaming paths this is capped by the chunk size
-    // no matter how long the trace is; on --collected it is the full
-    // trace length.
+    // snapshot: capped by the chunk size no matter how long the trace is.
     let peak_resident = results
         .iter()
         .map(|r| {

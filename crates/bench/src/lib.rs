@@ -1,8 +1,78 @@
 //! Benchmark and reproduction binaries for the paper.
 
+use std::io::Write;
 use std::time::Instant;
 
 use timerstudy::ExperimentResult;
+
+/// How a flag takes its value.
+#[derive(Debug, Clone, Copy)]
+pub enum Takes {
+    /// A bare switch.
+    Nothing,
+    /// Bare, or `--flag=VALUE`.
+    Inline,
+    /// `--flag VALUE`.
+    Next,
+    /// `--flag VALUE` or `--flag=VALUE`.
+    Either,
+}
+
+/// Exits 2 with a one-line usage error on an unknown argument or a flag
+/// missing its value, so a misspelt or retired flag never silently runs
+/// the default reproduction. `args` is the whole command line, program
+/// name first; `flags` lists every flag the binary reads, spelled the way
+/// its parser reads it; `usage` is the binary's `usage: NAME ...` line.
+pub fn check_args<S: AsRef<str>>(
+    args: impl IntoIterator<Item = S>,
+    flags: &[(&str, Takes)],
+    usage: &str,
+) {
+    let mut rest = args.into_iter().skip(1);
+    while let Some(arg) = rest.next() {
+        let arg = arg.as_ref();
+        let (name, inline) = match arg.split_once('=') {
+            Some((name, _)) => (name, true),
+            None => (arg, false),
+        };
+        let ok = match flags.iter().find(|(flag, _)| *flag == name) {
+            Some((_, Takes::Nothing)) => !inline,
+            Some((_, Takes::Inline)) => true,
+            Some((_, Takes::Next)) => !inline && rest.next().is_some(),
+            Some((_, Takes::Either)) => inline || rest.next().is_some(),
+            None => false,
+        };
+        if !ok {
+            eprintln!("bad argument `{arg}`; {usage}");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// Stdout that treats a closed reader (`BrokenPipe`) as the end of the
+/// output: later lines are dropped and the run finishes normally.
+#[derive(Debug, Default)]
+pub struct Stdout {
+    closed: bool,
+}
+
+impl Stdout {
+    /// Prints `args`, unless the reader has gone away: the target of
+    /// `write!(out, ...)` and `writeln!(out, ...)`.
+    pub fn write_fmt(&mut self, args: std::fmt::Arguments<'_>) {
+        if self.closed {
+            return;
+        }
+        match std::io::stdout().lock().write_fmt(args) {
+            Ok(()) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => self.closed = true,
+            Err(e) => {
+                eprintln!("writing stdout: {e}");
+                std::process::exit(1);
+            }
+        }
+    }
+}
 
 /// Prints the one-line `[telemetry] stage=...` summary every reproduction
 /// binary emits when it finishes. Goes to stderr: stdout is reserved for

@@ -1,6 +1,6 @@
-//! Command-line behaviour of the `repro_all` binary on ordinary misuse
-//! (a bad or retired flag, a reader that closes stdout early) and the
-//! record count its run summary reports.
+//! Command-line behaviour of the reproduction binaries on ordinary
+//! misuse (a bad or retired flag, a reader that closes stdout early) and
+//! the record count `repro_all`'s run summary reports.
 
 use std::process::{Command, Output, Stdio};
 
@@ -9,61 +9,109 @@ use simtime::SimDuration;
 /// The seed `repro_all` runs every experiment with.
 const SEED: u64 = 7;
 
-fn repro_all(args: &[&str]) -> Command {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro_all"));
+/// A binary's name and path.
+type Bin = (&'static str, &'static str);
+
+const REPRO_ALL: Bin = ("repro_all", env!("CARGO_BIN_EXE_repro_all"));
+
+/// Pairs each binary name with the path Cargo built it at.
+macro_rules! bins {
+    ($($name:literal),* $(,)?) => {
+        [$(($name, env!(concat!("CARGO_BIN_EXE_", $name)))),*]
+    };
+}
+
+/// Every `fig*`, `table*` and `ext_*` reproduction binary.
+const FIGURE_BINS: [Bin; 15] = bins!(
+    "fig01_vista_rates",
+    "fig02_patterns",
+    "fig03_values",
+    "fig04_select_countdown",
+    "fig05_values_filtered",
+    "fig06_syscall_values",
+    "fig07_vista_values",
+    "fig08_11_scatter",
+    "table1_linux_summary",
+    "table2_vista_summary",
+    "table3_origins",
+    "ext_adaptive",
+    "ext_adaptive_kernel",
+    "ext_layering",
+    "ext_power",
+);
+
+fn command((_, exe): Bin, args: &[&str]) -> Command {
+    let mut cmd = Command::new(exe);
     cmd.args(args).env("REPRO_SECONDS", "1");
     cmd
 }
 
 fn run(args: &[&str]) -> Output {
-    repro_all(args).output().expect("spawn repro_all")
+    command(REPRO_ALL, args).output().expect("spawn repro_all")
 }
 
-fn assert_usage_error(args: &[&str]) {
-    let out = run(args);
+fn assert_usage_error(bin: Bin, args: &[&str]) {
+    let (name, _) = bin;
+    let out = command(bin, args).output().expect("spawn binary");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{args:?}: stderr {stderr}");
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "{name} {args:?}: stderr {stderr}"
+    );
     assert!(
         out.stdout.is_empty(),
-        "{args:?} must not run the reproduction"
+        "{name} {args:?} must not run the reproduction"
     );
-    assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
-    assert!(stderr.contains("usage: repro_all"), "{args:?}: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{name} {args:?}: {stderr}");
+    assert!(
+        stderr.contains(&format!("usage: {name}")),
+        "{name} {args:?}: {stderr}"
+    );
 }
 
 #[test]
 fn unknown_flag_is_a_usage_error() {
-    assert_usage_error(&["--bogus-flag"]);
+    for bin in std::iter::once(REPRO_ALL).chain(FIGURE_BINS) {
+        assert_usage_error(bin, &["--bogus-flag"]);
+    }
 }
 
 #[test]
-fn retired_parallel_analysis_flag_is_a_usage_error() {
-    assert_usage_error(&["--des-threads=2"]);
-    assert_usage_error(&["--des-threads", "2"]);
+fn retired_flags_are_usage_errors() {
+    assert_usage_error(REPRO_ALL, &["--des-threads=2"]);
+    assert_usage_error(REPRO_ALL, &["--des-threads", "2"]);
+    assert_usage_error(REPRO_ALL, &["--collected"]);
 }
 
 #[test]
 fn flag_missing_its_value_is_a_usage_error() {
-    assert_usage_error(&["--scale"]);
+    assert_usage_error(REPRO_ALL, &["--scale"]);
 }
 
 #[test]
 fn closed_stdout_ends_the_output_cleanly() {
-    let mut child = repro_all(&[])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn repro_all");
-    // Close the read end before the binary prints its first artifact.
-    drop(child.stdout.take());
-    let out = child.wait_with_output().expect("wait for repro_all");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
-    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
-    assert!(
-        stderr.contains("run summary:"),
-        "the run must still finish: {stderr}"
-    );
+    for bin in std::iter::once(REPRO_ALL).chain(FIGURE_BINS) {
+        let (name, _) = bin;
+        // Close the read end before the binary prints its first line.
+        let (reader, writer) = std::io::pipe().expect("create pipe");
+        drop(reader);
+        let out = command(bin, &[])
+            .stdout(writer)
+            .stderr(Stdio::piped())
+            .spawn()
+            .and_then(|child| child.wait_with_output())
+            .expect("run binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{name}: stderr {stderr}");
+        assert!(!stderr.contains("panicked"), "{name}: stderr {stderr}");
+        if bin == REPRO_ALL {
+            assert!(
+                stderr.contains("run summary:"),
+                "the run must still finish: {stderr}"
+            );
+        }
+    }
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! Running one workload × OS experiment end to end.
 
-use analysis::{AnalyzerConfig, EventVisitor, Report, TraceAnalyzer};
+use analysis::{AnalyzerConfig, Report, TraceAnalyzer};
 use simtime::{SimDuration, SimInstant};
-use trace::{CollectSink, Event, FaultSink, TraceSink};
+use trace::{Event, FaultSink, TraceSink};
 use workloads::{pids, Workload};
 
 use crate::faults::FaultSpec;
@@ -171,7 +171,7 @@ impl ChunkedAnalyzerSink {
         );
         telemetry::sim::add(telemetry::SimCounter::AnalysisChunkReuse, 1);
         if let Some(a) = self.analyzer.as_mut() {
-            a.visit_chunk(&self.buf);
+            a.push_chunk(&self.buf);
         }
         self.buf.clear();
     }
@@ -197,7 +197,7 @@ impl TraceSink for ChunkedAnalyzerSink {
 }
 
 /// A workload run to completion on either kernel model, with uniform
-/// access to the measurements every execution path extracts.
+/// access to the measurements an [`ExperimentResult`] carries.
 enum FinishedKernel {
     Linux(Box<linuxsim::LinuxKernel>),
     Vista(Box<vistasim::VistaKernel>),
@@ -316,7 +316,15 @@ pub fn run_experiment_with(spec: ExperimentSpec, cfg: AnalyzerConfig) -> Experim
         let (analyzer, dropped) = recover_analyzer(kernel.sink_mut());
         let mut report = analyzer.finish(kernel.strings());
         report.summary.dropped_records = dropped;
-        finish_result(spec, report, &kernel)
+        ExperimentResult {
+            spec,
+            report,
+            wakeups: kernel.wakeups(),
+            busy: kernel.busy(),
+            records: kernel.records(),
+            logging_overhead: kernel.logging_overhead(),
+            metrics: telemetry::SimSnapshot::empty(),
+        }
     });
     result.metrics = metrics;
     result
@@ -336,24 +344,6 @@ fn wrap_in_faults(spec: &ExperimentSpec, sink: Box<dyn TraceSink>) -> Box<dyn Tr
         ))
     } else {
         sink
-    }
-}
-
-/// Assembles the [`ExperimentResult`] every execution path shares (the
-/// sim snapshot is patched in by the caller's `telemetry::sim::scoped`).
-fn finish_result(
-    spec: ExperimentSpec,
-    report: Report,
-    kernel: &FinishedKernel,
-) -> ExperimentResult {
-    ExperimentResult {
-        spec,
-        report,
-        wakeups: kernel.wakeups(),
-        busy: kernel.busy(),
-        records: kernel.records(),
-        logging_overhead: kernel.logging_overhead(),
-        metrics: telemetry::SimSnapshot::empty(),
     }
 }
 
@@ -388,84 +378,16 @@ pub fn run_experiments(specs: &[ExperimentSpec]) -> Vec<ExperimentResult> {
     specs.iter().copied().map(run_experiment).collect()
 }
 
-/// Runs one experiment through the collect-everything oracle path: the
-/// whole trace is materialised as a `Vec<Event>` before a single
-/// analysis pass, exactly as every pipeline stage worked before the
-/// streaming reader existed. Reports must be byte-identical to
-/// [`run_experiment`]'s; only the peak-resident-events gauge differs
-/// (full trace length here, chunk-bounded there). Because of that gauge
-/// difference, oracle results never enter the experiment cache.
-pub fn run_experiment_collected(spec: ExperimentSpec) -> ExperimentResult {
-    let cfg = analyzer_config(spec.os, spec.workload);
-    run_experiment_collected_with(spec, cfg)
-}
-
-/// [`run_experiment_collected`] with an explicit analyzer configuration.
-pub fn run_experiment_collected_with(
-    spec: ExperimentSpec,
-    cfg: AnalyzerConfig,
-) -> ExperimentResult {
-    let _experiment_span = telemetry::span("stage.experiment");
-    telemetry::global().add("experiments_run_total", 1);
-    let (mut result, metrics) = telemetry::sim::scoped(|| {
-        let collect: Box<dyn TraceSink> = Box::new(CollectSink::default());
-        let mut kernel = FinishedKernel::run(&spec, wrap_in_faults(&spec, collect));
-        let _analysis_span = telemetry::span("stage.analysis");
-        let (events, dropped) = recover_collected(kernel.sink_mut());
-        let mut report = analyze_collected(events, cfg, kernel.strings());
-        report.summary.dropped_records = dropped;
-        finish_result(spec, report, &kernel)
-    });
-    result.metrics = metrics;
-    result
-}
-
-/// Recovers the collected events (and any fault adaptor's drop count)
-/// from the kernel's sink.
-fn recover_collected(sink: &mut dyn TraceSink) -> (Vec<Event>, u64) {
-    if let Some(fault) = sink
-        .as_any_mut()
-        .and_then(|a| a.downcast_mut::<FaultSink>())
-    {
-        let dropped = fault.dropped();
-        return (take_collected(fault.inner_mut()), dropped);
-    }
-    (take_collected(sink), 0)
-}
-
-fn take_collected(sink: &mut dyn TraceSink) -> Vec<Event> {
-    sink.as_any_mut()
-        .and_then(|a| a.downcast_mut::<CollectSink>())
-        .map(|c| std::mem::take(&mut c.events))
-        .expect("oracle sink is always a CollectSink")
-}
-
-/// One whole-trace analysis pass: the entire event vector is resident,
-/// which is exactly what the gauge records on this path.
-fn analyze_collected(
-    events: Vec<Event>,
-    cfg: AnalyzerConfig,
-    strings: &trace::StringTable,
-) -> Report {
-    telemetry::sim::gauge_max(
-        telemetry::SimGauge::AnalysisResidentEventsHigh,
-        events.len() as u64,
-    );
-    let mut analyzer = TraceAnalyzer::new(cfg);
-    analyzer.visit_chunk(&events);
-    analyzer.finish(strings)
-}
-
 /// Runs one experiment serially with a timer-list capture plan: the
 /// kernel dumps a `/proc/timer_list`-style [`wheel::TimerListCapture`]
 /// at each requested sim instant (nanoseconds since boot).
 ///
-/// Always a dedicated, uncached, single-threaded run — like the
-/// `--collected` oracle path, a capture run exists for its side channel
-/// and must not poison (or be satisfied from) the experiment cache. The
-/// captures are deterministic: same spec + instants → byte-identical
-/// renders, and the pending `(expiry, id)` multiset per queue is
-/// invariant across `spec.backend` choices (`tests/timer_list.rs`).
+/// Always a dedicated, uncached, single-threaded run — a capture run
+/// exists for its side channel and must not poison (or be satisfied
+/// from) the experiment cache. The captures are deterministic: same
+/// spec + instants → byte-identical renders, and the pending
+/// `(expiry, id)` multiset per queue is invariant across `spec.backend`
+/// choices (`tests/timer_list.rs`).
 pub fn run_experiment_with_timer_list(
     spec: ExperimentSpec,
     instants_nanos: &[u64],
@@ -474,16 +396,6 @@ pub fn run_experiment_with_timer_list(
     let result = run_experiment(spec);
     let captures = wheel::snapshot::take_captures();
     (result, captures)
-}
-
-/// Runs a batch through the collected oracle path, serially and
-/// uncached.
-pub fn run_experiments_collected(specs: &[ExperimentSpec]) -> Vec<ExperimentResult> {
-    specs
-        .iter()
-        .copied()
-        .map(run_experiment_collected)
-        .collect()
 }
 
 /// The specs of the four Table 1/2 workloads on one OS.

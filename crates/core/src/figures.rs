@@ -399,13 +399,9 @@ pub fn reproduce_all_with_results(
     (results, artifacts)
 }
 
-/// The strictly serial, uncached equivalent of [`reproduce_all`] — the
-/// reference path the determinism harness compares against.
-pub fn reproduce_all_serial(duration: simtime::SimDuration, seed: u64) -> Vec<Artifact> {
-    reproduce_all_serial_with_results(duration, seed).1
-}
-
-/// [`reproduce_all_serial`], also returning the experiment results.
+/// The strictly serial, uncached equivalent of
+/// [`reproduce_all_with_results`] — the reference path the determinism
+/// harness compares against.
 pub fn reproduce_all_serial_with_results(
     duration: simtime::SimDuration,
     seed: u64,
@@ -415,60 +411,10 @@ pub fn reproduce_all_serial_with_results(
     (results, artifacts)
 }
 
-/// [`reproduce_all`] through the collect-everything oracle path: the
-/// whole trace is materialised before one analysis pass. Artifacts must
-/// be byte-identical to the streaming paths' — this is the differential
-/// oracle behind `repro_all --collected`. Never cached (its resident-
-/// events gauge legitimately differs from the streaming runs').
-pub fn reproduce_all_collected(duration: simtime::SimDuration, seed: u64) -> Vec<Artifact> {
-    reproduce_all_collected_with_results(duration, seed).1
-}
-
-/// [`reproduce_all_collected`], also returning the experiment results.
-pub fn reproduce_all_collected_with_results(
-    duration: simtime::SimDuration,
-    seed: u64,
-) -> (Vec<ExperimentResult>, Vec<Artifact>) {
-    let results = crate::experiment::run_experiments_collected(&paper_specs(duration, seed));
-    let artifacts = assemble(&results);
-    (results, artifacts)
-}
-
-/// [`reproduce_all`] under fault injection: every experiment carries
-/// `faults`, and the summary tables gain drop/degradation accounting
-/// rows. With `FaultSpec::none()` this is exactly [`reproduce_all`].
-pub fn reproduce_all_faulted(
-    duration: simtime::SimDuration,
-    seed: u64,
-    faults: crate::FaultSpec,
-) -> Vec<Artifact> {
-    reproduce_all_faulted_with_results(duration, seed, faults).1
-}
-
-/// [`reproduce_all_faulted`], also returning the experiment results.
-pub fn reproduce_all_faulted_with_results(
-    duration: simtime::SimDuration,
-    seed: u64,
-    faults: crate::FaultSpec,
-) -> (Vec<ExperimentResult>, Vec<Artifact>) {
-    let results = crate::cache::global().run_all(&paper_specs_faulted(duration, seed, faults));
-    let artifacts = assemble(&results);
-    (results, artifacts)
-}
-
-/// [`reproduce_all`] with every experiment on one forced timer-queue
-/// backend, through the process-wide cache (backend is part of the cache
-/// key, so different backends never alias). With `Backend::Native` this
-/// is exactly [`reproduce_all`].
-pub fn reproduce_all_backend(
-    duration: simtime::SimDuration,
-    seed: u64,
-    backend: wheel::Backend,
-) -> Vec<Artifact> {
-    reproduce_all_backend_with_results(duration, seed, backend).1
-}
-
-/// [`reproduce_all_backend`], also returning the experiment results.
+/// [`reproduce_all_with_results`] with every experiment on one forced
+/// timer-queue backend, through the process-wide cache (backend is part
+/// of the cache key, so different backends never alias). With
+/// `Backend::Native` this is exactly [`reproduce_all_with_results`].
 pub fn reproduce_all_backend_with_results(
     duration: simtime::SimDuration,
     seed: u64,

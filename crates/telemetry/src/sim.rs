@@ -146,8 +146,7 @@ pub enum SimGauge {
     StringTableSize,
     /// Most events resident in the analysis pipeline's chunk buffer at
     /// once — the streaming pipeline's whole memory footprint, bounded by
-    /// the chunk size regardless of trace length (the collected oracle
-    /// path reports the full trace length here instead).
+    /// the chunk size regardless of trace length.
     AnalysisResidentEventsHigh,
     /// Largest pending-count spread between the fullest and emptiest base
     /// of a sharded backend — 0 unless shards are in use (or perfectly

@@ -114,176 +114,14 @@ pub fn encode(event: &Event, buf: &mut impl BufMut) {
     buf.put_u64_le(event.expires.map_or(NONE_SENTINEL, |i| i.as_nanos()));
 }
 
-/// Byte offsets of the fixed record layout (see [`encode`]).
-const OFF_KIND: usize = 8;
-const OFF_SPACE_FLAGS: usize = 9;
-const OFF_PID: usize = 12;
-const OFF_TID: usize = 16;
-const OFF_ORIGIN: usize = 20;
-const OFF_TIMER: usize = 24;
-const OFF_TIMEOUT: usize = 32;
-const OFF_EXPIRES: usize = 40;
-
-/// A borrowed, validated view over one encoded record.
-///
-/// [`decode_view`] performs the full validation [`decode`] would (length
-/// and kind discriminant — the only fallible field), so every accessor is
-/// infallible and reads its field lazily straight off the backing slice.
-/// Nothing is copied until [`EventView::to_event`]; the hot streaming path
-/// never calls it.
-#[derive(Debug, Clone, Copy)]
-pub struct EventView<'a> {
-    bytes: &'a [u8],
-}
-
-impl<'a> EventView<'a> {
-    #[inline]
-    fn u64_at(&self, off: usize) -> u64 {
-        u64::from_le_bytes(self.bytes[off..off + 8].try_into().expect("fixed layout"))
-    }
-
-    #[inline]
-    fn u32_at(&self, off: usize) -> u32 {
-        u32::from_le_bytes(self.bytes[off..off + 4].try_into().expect("fixed layout"))
-    }
-
-    /// Timestamp in raw nanoseconds (the merge key).
-    #[inline]
-    pub fn ts_nanos(&self) -> u64 {
-        self.u64_at(0)
-    }
-
-    /// Virtual timestamp of the operation.
-    #[inline]
-    pub fn ts(&self) -> SimInstant {
-        SimInstant::from_nanos(self.ts_nanos())
-    }
-
-    /// Operation kind (validated at view construction).
-    #[inline]
-    pub fn kind(&self) -> EventKind {
-        match self.bytes[OFF_KIND] {
-            0 => EventKind::Init,
-            1 => EventKind::Set,
-            2 => EventKind::Cancel,
-            3 => EventKind::Expire,
-            4 => EventKind::WaitSatisfied,
-            _ => EventKind::WaitTimedOut,
-        }
-    }
-
-    /// User/kernel space of the operation.
-    #[inline]
-    pub fn space(&self) -> Space {
-        unpack_space_flags(self.bytes[OFF_SPACE_FLAGS]).0
-    }
-
-    /// Auxiliary flags.
-    #[inline]
-    pub fn flags(&self) -> EventFlags {
-        unpack_space_flags(self.bytes[OFF_SPACE_FLAGS]).1
-    }
-
-    /// Owning process.
-    #[inline]
-    pub fn pid(&self) -> u32 {
-        self.u32_at(OFF_PID)
-    }
-
-    /// Owning thread.
-    #[inline]
-    pub fn tid(&self) -> u32 {
-        self.u32_at(OFF_TID)
-    }
-
-    /// Interned provenance label.
-    #[inline]
-    pub fn origin(&self) -> u32 {
-        self.u32_at(OFF_ORIGIN)
-    }
-
-    /// Timer object identity.
-    #[inline]
-    pub fn timer(&self) -> u64 {
-        self.u64_at(OFF_TIMER)
-    }
-
-    /// Raw timeout field: nanoseconds, or `u64::MAX` when unknown —
-    /// exactly the wire encoding, for columnar consumers.
-    #[inline]
-    pub fn timeout_ns_raw(&self) -> u64 {
-        self.u64_at(OFF_TIMEOUT)
-    }
-
-    /// Raw expiry field: nanoseconds, or `u64::MAX` when unknown.
-    #[inline]
-    pub fn expires_ns_raw(&self) -> u64 {
-        self.u64_at(OFF_EXPIRES)
-    }
-
-    /// Relative timeout, when known.
-    #[inline]
-    pub fn timeout(&self) -> Option<SimDuration> {
-        match self.u64_at(OFF_TIMEOUT) {
-            NONE_SENTINEL => None,
-            ns => Some(SimDuration::from_nanos(ns)),
-        }
-    }
-
-    /// Absolute armed expiry, when known.
-    #[inline]
-    pub fn expires(&self) -> Option<SimInstant> {
-        match self.u64_at(OFF_EXPIRES) {
-            NONE_SENTINEL => None,
-            ns => Some(SimInstant::from_nanos(ns)),
-        }
-    }
-
-    /// Materialises the owned [`Event`] — the differential-oracle bridge,
-    /// off the hot path.
-    pub fn to_event(&self) -> Event {
-        let (space, flags) = unpack_space_flags(self.bytes[OFF_SPACE_FLAGS]);
-        Event {
-            ts: self.ts(),
-            kind: self.kind(),
-            timer: self.timer(),
-            timeout: self.timeout(),
-            expires: self.expires(),
-            origin: self.origin(),
-            pid: self.pid(),
-            tid: self.tid(),
-            space,
-            flags,
-        }
-    }
-}
-
-/// Validates the record at the front of `buf` and returns a borrowed view
-/// over it, without copying or consuming anything.
-///
-/// Accepts exactly the inputs [`decode`] accepts and rejects exactly the
-/// inputs it rejects (the `codec_fuzz` suite pins the equivalence); extra
-/// bytes past the first record are ignored.
-pub fn decode_view(buf: &[u8]) -> Result<EventView<'_>, DecodeError> {
-    if buf.len() < RECORD_SIZE {
+/// Decodes the record at the front of `record`, validating its length and
+/// kind byte; bytes past the first [`RECORD_SIZE`] are ignored.
+pub fn decode(record: &[u8]) -> Result<Event, DecodeError> {
+    let Some(mut buf) = record.get(..RECORD_SIZE) else {
         return Err(DecodeError::Truncated {
-            available: buf.len(),
+            available: record.len(),
         });
-    }
-    let bytes = &buf[..RECORD_SIZE];
-    if bytes[OFF_KIND] > 5 {
-        return Err(DecodeError::BadKind(bytes[OFF_KIND]));
-    }
-    Ok(EventView { bytes })
-}
-
-/// Decodes one record from the front of `buf`.
-pub fn decode(buf: &mut impl Buf) -> Result<Event, DecodeError> {
-    if buf.remaining() < RECORD_SIZE {
-        return Err(DecodeError::Truncated {
-            available: buf.remaining(),
-        });
-    }
+    };
     let ts = SimInstant::from_nanos(buf.get_u64_le());
     let kind = kind_from_u8(buf.get_u8())?;
     let (space, flags) = unpack_space_flags(buf.get_u8());
@@ -360,8 +198,7 @@ mod tests {
             let mut buf = BytesMut::new();
             encode(&event, &mut buf);
             prop_assert_eq!(buf.len(), RECORD_SIZE);
-            let mut slice = &buf[..];
-            let back = decode(&mut slice).unwrap();
+            let back = decode(&buf).unwrap();
             prop_assert_eq!(event, back);
         }
     }
@@ -376,9 +213,8 @@ mod tests {
 
     #[test]
     fn truncated_fails() {
-        let mut short: &[u8] = &[0u8; RECORD_SIZE - 1];
         assert_eq!(
-            decode(&mut short),
+            decode(&[0u8; RECORD_SIZE - 1]),
             Err(DecodeError::Truncated {
                 available: RECORD_SIZE - 1
             })
@@ -389,7 +225,6 @@ mod tests {
     fn bad_kind_fails() {
         let mut bytes = [0u8; RECORD_SIZE];
         bytes[8] = 99; // Kind byte follows the 8-byte timestamp.
-        let mut slice: &[u8] = &bytes;
-        assert_eq!(decode(&mut slice), Err(DecodeError::BadKind(99)));
+        assert_eq!(decode(&bytes), Err(DecodeError::BadKind(99)));
     }
 }

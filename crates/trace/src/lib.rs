@@ -14,8 +14,8 @@
 //!   names, mirroring how the real traces post-process stacks into
 //!   call-site clusters.
 //! * [`codec`] — a fixed-size binary record encoding comparable to the
-//!   relayfs record the authors used, with both an owned decoder (the
-//!   differential oracle) and a borrowed zero-copy [`EventView`] layer.
+//!   relayfs record the authors used, and its one decoder, which
+//!   validates length and kind.
 //! * [`ring`] — a non-overwriting ring buffer (relayfs semantics: ordering
 //!   guaranteed, new events are dropped — and counted — rather than
 //!   overwriting old ones).
@@ -45,12 +45,11 @@ pub mod ring;
 pub mod strings;
 pub mod text;
 
-pub use codec::EventView;
 pub use event::{Event, EventFlags, EventKind, OriginId, Pid, Space, Tid, TimerAddr};
 pub use faults::{DropFault, FaultSink};
 pub use logger::{CollectSink, CountSink, EventCounts, NullSink, RingSink, TraceLog, TraceSink};
 pub use merge::{MergeStats, MergedReader};
 pub use percpu::PerCpuRings;
-pub use reader::{RingReader, RingViews};
+pub use reader::RingReader;
 pub use ring::RingBuffer;
 pub use strings::StringTable;

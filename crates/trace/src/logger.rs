@@ -133,18 +133,12 @@ pub struct EventCounts {
 impl EventCounts {
     /// Folds one event into the counters.
     pub fn absorb(&mut self, event: &Event) {
-        self.absorb_parts(event.kind, event.space);
-    }
-
-    /// Folds one event given just the fields the counters read — the
-    /// columnar entry point, so SoA consumers need not materialise events.
-    pub fn absorb_parts(&mut self, kind: EventKind, space: Space) {
         self.accesses += 1;
-        match space {
+        match event.space {
             Space::User => self.user_space += 1,
             Space::Kernel => self.kernel += 1,
         }
-        match kind {
+        match event.kind {
             EventKind::Init => self.init += 1,
             EventKind::Set => self.set += 1,
             EventKind::Cancel | EventKind::WaitSatisfied => self.canceled += 1,

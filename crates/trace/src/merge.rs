@@ -19,7 +19,9 @@
 //!   record is skipped, counted, and remembered in [`MergeStats`], which
 //!   analysis folds into its lost-record accounting.
 
-use crate::codec::{self, DecodeError, EventView};
+use simtime::SimInstant;
+
+use crate::codec::{self, DecodeError};
 use crate::event::Event;
 use crate::ring::RingBuffer;
 
@@ -42,25 +44,14 @@ impl MergeStats {
     }
 }
 
-/// The validated head of one ring: merge key plus record position.
-///
-/// The merge never materialises an owned [`Event`] for its heads — it
-/// keeps only the timestamp (the comparison key) and the index of the
-/// already-validated record, and re-borrows the bytes on yield.
-#[derive(Debug, Clone, Copy)]
-struct Head {
-    ts: u64,
-    index: usize,
-}
-
 /// An incremental k-way merge over owned ring snapshots.
 #[derive(Debug)]
 pub struct MergedReader {
     rings: Vec<RingBuffer>,
     /// Next undecoded record index per ring.
     cursors: Vec<usize>,
-    /// Validated head per ring; `None` once a ring is exhausted.
-    heads: Vec<Option<Head>>,
+    /// Decoded head per ring; `None` once a ring is exhausted.
+    heads: Vec<Option<Event>>,
     /// Strict mode: fail on the first damage instead of accounting it.
     strict: bool,
     /// The error a strict reader must yield on its next pull.
@@ -119,14 +110,10 @@ impl MergedReader {
     fn fill_head(&mut self, cpu: usize) {
         self.heads[cpu] = None;
         while let Some(bytes) = self.rings[cpu].record(self.cursors[cpu]) {
-            let index = self.cursors[cpu];
             self.cursors[cpu] += 1;
-            match codec::decode_view(bytes) {
-                Ok(view) => {
-                    self.heads[cpu] = Some(Head {
-                        ts: view.ts_nanos(),
-                        index,
-                    });
+            match codec::decode(bytes) {
+                Ok(event) => {
+                    self.heads[cpu] = Some(event);
                     return;
                 }
                 Err(err) => {
@@ -166,10 +153,8 @@ impl MergedReader {
         self.stats
     }
 
-    /// Validated head stubs currently resident (at most one per CPU) —
-    /// the readout side's whole merge-state footprint. No owned events
-    /// are ever resident: heads carry only a timestamp and a record
-    /// index.
+    /// Decoded heads currently resident (at most one per CPU) — the
+    /// readout side's whole merge-state footprint.
     pub fn resident_events(&self) -> usize {
         self.heads.iter().filter(|h| h.is_some()).count()
     }
@@ -177,7 +162,7 @@ impl MergedReader {
     /// The CPU whose head merges next (smallest timestamp; ties go to the
     /// lowest CPU index, preserving each CPU's internal order).
     fn best_cpu(&self) -> Option<usize> {
-        let mut best: Option<(usize, u64)> = None;
+        let mut best: Option<(usize, SimInstant)> = None;
         for (cpu, head) in self.heads.iter().enumerate() {
             if let Some(head) = head {
                 if best.is_none_or(|(_, b)| head.ts < b) {
@@ -186,48 +171,6 @@ impl MergedReader {
             }
         }
         best.map(|(cpu, _)| cpu)
-    }
-
-    /// Yields the next merged event as a zero-copy borrowed view.
-    ///
-    /// Identical stream to the owned [`Iterator`] (same order, same
-    /// damage policy) without materialising an [`Event`]: the view
-    /// borrows the record bytes straight out of the ring snapshot.
-    pub fn next_view(&mut self) -> Option<Result<EventView<'_>, DecodeError>> {
-        if self.poisoned {
-            return None;
-        }
-        if let Some(err) = self.pending_error.take() {
-            self.poisoned = true;
-            return Some(Err(err));
-        }
-        let cpu = self.best_cpu()?;
-        let head = self.heads[cpu].take().expect("selected head present");
-        self.stats.decoded += 1;
-        self.fill_head(cpu);
-        let bytes = self.rings[cpu]
-            .record(head.index)
-            .expect("head indexes a whole record");
-        Some(Ok(codec::decode_view(bytes).expect("head was validated")))
-    }
-
-    /// Streams up to `max` merged events into `sink` as borrowed views,
-    /// returning how many were delivered (`0` means exhausted). The
-    /// zero-copy analogue of [`MergedReader::read_chunk`]: damage is
-    /// folded into [`MergedReader::stats`] (lossy readers) or ends the
-    /// stream (strict readers).
-    pub fn read_chunk_views(&mut self, max: usize, sink: &mut dyn FnMut(EventView<'_>)) -> usize {
-        let mut delivered = 0;
-        while delivered < max {
-            match self.next_view() {
-                Some(Ok(view)) => {
-                    sink(view);
-                    delivered += 1;
-                }
-                Some(Err(_)) | None => break,
-            }
-        }
-        delivered
     }
 
     /// Clears `buf` and refills it with up to `max` merged events.
@@ -250,13 +193,18 @@ impl Iterator for MergedReader {
     type Item = Result<Event, DecodeError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        // Owned events are materialised only here, at the consumer's
-        // explicit request; the merge machinery itself works on views.
-        match self.next_view() {
-            Some(Ok(view)) => Some(Ok(view.to_event())),
-            Some(Err(err)) => Some(Err(err)),
-            None => None,
+        if self.poisoned {
+            return None;
         }
+        if let Some(err) = self.pending_error.take() {
+            self.poisoned = true;
+            return Some(Err(err));
+        }
+        let cpu = self.best_cpu()?;
+        let event = self.heads[cpu].take().expect("selected head present");
+        self.stats.decoded += 1;
+        self.fill_head(cpu);
+        Some(Ok(event))
     }
 }
 
@@ -265,7 +213,6 @@ mod tests {
     use super::*;
     use crate::event::EventKind;
     use crate::logger::{RingSink, TraceSink};
-    use simtime::SimInstant;
 
     fn ev(ts_ns: u64, timer: u64) -> Event {
         Event::new(SimInstant::from_nanos(ts_ns), EventKind::Set, timer, 0)

@@ -88,14 +88,9 @@ impl PerCpuRings {
 
     /// A streaming, loss-accounting k-way merge over a snapshot of the
     /// rings: events arrive in timestamp order (stable across CPUs at
-    /// equal timestamps) with only `O(cpus)` validated head stubs
-    /// resident, and damaged records are skipped and counted in the
-    /// reader's [`MergeStats`] instead of discarding healthy CPUs' data.
-    ///
-    /// The reader is zero-copy at heart: pull borrowed
-    /// [`EventView`](crate::codec::EventView)s via
-    /// [`MergedReader::next_view`]/[`MergedReader::read_chunk_views`], or
-    /// iterate owned events for the differential-oracle paths.
+    /// equal timestamps) with only `O(cpus)` decoded heads resident, and
+    /// damaged records are skipped and counted in the reader's
+    /// [`MergeStats`] instead of discarding healthy CPUs' data.
     pub fn stream(&self) -> MergedReader {
         MergedReader::new(self.snapshot())
     }

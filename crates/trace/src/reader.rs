@@ -3,7 +3,7 @@
 //! Mirrors the user-space program the authors used to read the relayfs
 //! buffer after a run and convert it to a processable format.
 
-use crate::codec::{self, DecodeError, EventView};
+use crate::codec::{self, DecodeError};
 use crate::event::Event;
 use crate::ring::RingBuffer;
 
@@ -27,50 +27,9 @@ impl<'a> RingReader<'a> {
 
     /// Decodes record `index` directly, without moving the cursor.
     pub fn get(&self, index: usize) -> Option<Result<Event, DecodeError>> {
-        let mut bytes = self.ring.record(index)?;
-        Some(codec::decode(&mut bytes))
-    }
-
-    /// Borrows record `index` as a validated zero-copy view, without
-    /// moving the cursor. The view outlives the reader (it borrows the
-    /// ring itself).
-    pub fn get_view(&self, index: usize) -> Option<Result<EventView<'a>, DecodeError>> {
-        let bytes = self.ring.record(index)?;
-        Some(codec::decode_view(bytes))
-    }
-
-    /// A zero-copy iterator over the ring's records as borrowed views.
-    pub fn views(self) -> RingViews<'a> {
-        RingViews {
-            ring: self.ring,
-            next: self.next,
-        }
+        Some(codec::decode(self.ring.record(index)?))
     }
 }
-
-/// A zero-copy iterator over a ring's records as [`EventView`]s.
-#[derive(Debug)]
-pub struct RingViews<'a> {
-    ring: &'a RingBuffer,
-    next: usize,
-}
-
-impl<'a> Iterator for RingViews<'a> {
-    type Item = Result<EventView<'a>, DecodeError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let bytes = self.ring.record(self.next)?;
-        self.next += 1;
-        Some(codec::decode_view(bytes))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.ring.record_count().saturating_sub(self.next);
-        (n, Some(n))
-    }
-}
-
-impl ExactSizeIterator for RingViews<'_> {}
 
 impl Iterator for RingReader<'_> {
     type Item = Result<Event, DecodeError>;

@@ -9,8 +9,7 @@ proptest! {
 
     #[test]
     fn random_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..3 * RECORD_SIZE)) {
-        let mut slice = &bytes[..];
-        match codec::decode(&mut slice) {
+        match codec::decode(&bytes) {
             Ok(event) => {
                 // A structurally valid record: re-encoding reproduces the
                 // same prefix byte-for-byte (the padding field is zeroed,
@@ -18,8 +17,7 @@ proptest! {
                 // semantic equality instead).
                 let mut out = bytes::BytesMut::new();
                 codec::encode(&event, &mut out);
-                let mut reslice = &out[..];
-                let back = codec::decode(&mut reslice).unwrap();
+                let back = codec::decode(&out).unwrap();
                 prop_assert_eq!(event, back);
             }
             Err(DecodeError::Truncated { available }) => {
@@ -31,55 +29,11 @@ proptest! {
         }
     }
 
-    /// Zero-copy differential: `decode_view` must agree with the owned
-    /// `decode` on arbitrary bytes — same accept/reject decision, same
-    /// typed error, and on success every borrowed accessor plus the
-    /// materialised `to_event` must match the owned decode field-for-field.
-    #[test]
-    fn decode_view_agrees_with_decode(bytes in proptest::collection::vec(any::<u8>(), 0..3 * RECORD_SIZE)) {
-        let mut slice = &bytes[..];
-        let owned = codec::decode(&mut slice);
-        let viewed = codec::decode_view(&bytes);
-        match (owned, viewed) {
-            (Ok(event), Ok(view)) => {
-                prop_assert_eq!(view.to_event(), event.clone());
-                prop_assert_eq!(view.ts(), event.ts);
-                prop_assert_eq!(view.kind(), event.kind);
-                prop_assert_eq!(view.space(), event.space);
-                prop_assert_eq!(view.flags(), event.flags);
-                prop_assert_eq!(view.pid(), event.pid);
-                prop_assert_eq!(view.tid(), event.tid);
-                prop_assert_eq!(view.origin(), event.origin);
-                prop_assert_eq!(view.timer(), event.timer);
-                prop_assert_eq!(view.timeout(), event.timeout);
-                prop_assert_eq!(view.expires(), event.expires);
-                // Raw columnar accessors preserve the wire sentinel.
-                prop_assert_eq!(
-                    view.timeout(),
-                    match view.timeout_ns_raw() {
-                        u64::MAX => None,
-                        ns => Some(simtime::SimDuration::from_nanos(ns)),
-                    }
-                );
-                prop_assert_eq!(
-                    view.expires(),
-                    match view.expires_ns_raw() {
-                        u64::MAX => None,
-                        ns => Some(simtime::SimInstant::from_nanos(ns)),
-                    }
-                );
-            }
-            (Err(a), Err(b)) => prop_assert_eq!(a, b),
-            (a, b) => prop_assert!(false, "decode {:?} disagrees with decode_view {:?}", a, b.map(|v| v.to_event())),
-        }
-    }
-
     #[test]
     fn truncation_is_detected_exactly(len in 0usize..RECORD_SIZE) {
         let bytes = vec![0u8; len];
-        let mut slice = &bytes[..];
         prop_assert_eq!(
-            codec::decode(&mut slice),
+            codec::decode(&bytes),
             Err(DecodeError::Truncated { available: len })
         );
     }

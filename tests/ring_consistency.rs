@@ -2,7 +2,7 @@
 //! buffer, decoded, and re-analysed must agree exactly with the streaming
 //! analysis — the two methodology paths of Section 3 see the same events.
 
-use analysis::{AnalyzerConfig, EventVisitor, TraceAnalyzer};
+use analysis::{AnalyzerConfig, TraceAnalyzer};
 use simtime::{SimDuration, SimInstant};
 use trace::{Event, PerCpuRings, RingBuffer, RingReader, RingSink, TraceSink};
 use workloads::{run_linux, Workload};
@@ -122,7 +122,7 @@ fn partial_decode_losses_flow_into_summary_accounting() {
     let mut decoded = 0u64;
     while reader.read_chunk(&mut buf, 64) > 0 {
         decoded += buf.len() as u64;
-        analyzer.visit_chunk(&buf);
+        analyzer.push_chunk(&buf);
     }
     let stats = reader.into_stats();
     assert_eq!(stats.lost_records, 2);
@@ -137,7 +137,7 @@ fn partial_decode_losses_flow_into_summary_accounting() {
     let (survivors, stats2) = rings.merged_lossy();
     assert_eq!(stats2, stats);
     let mut direct = TraceAnalyzer::new(AnalyzerConfig::linux());
-    direct.visit_chunk(&survivors);
+    direct.push_chunk(&survivors);
     direct.note_decode_lost(stats2.lost_records);
     let direct_report = direct.finish(&trace::StringTable::new());
     assert_eq!(

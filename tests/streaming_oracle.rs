@@ -4,12 +4,15 @@
 //! parallel and cached execution — while holding peak resident events to
 //! a constant independent of trace length.
 
+use analysis::TraceAnalyzer;
+use des::CpuMeter;
 use simtime::SimDuration;
 use timerstudy::cache::ExperimentCache;
-use timerstudy::experiment::{run_experiments, run_experiments_collected, table_specs};
+use timerstudy::experiment::{analyzer_config, run_experiments, table_specs};
 use timerstudy::figures::{assemble, paper_specs};
 use timerstudy::parallel::run_experiments_parallel_with;
-use timerstudy::{ExperimentResult, Os, ANALYSIS_CHUNK_EVENTS};
+use timerstudy::{ExperimentResult, ExperimentSpec, Os, ANALYSIS_CHUNK_EVENTS};
+use trace::{CollectSink, Event, TraceLog};
 
 const SECS: u64 = 12;
 const SEED: u64 = 7;
@@ -23,12 +26,79 @@ fn peak_resident(r: &ExperimentResult) -> u64 {
         .gauge(telemetry::SimGauge::AnalysisResidentEventsHigh)
 }
 
+/// The collect-everything oracle, built from public API only: the whole
+/// trace is collected into one resident `Vec<Event>`, then folded by a
+/// single `push_chunk`. Returns the result and how many events it held.
+fn collect_then_analyze(spec: ExperimentSpec) -> (ExperimentResult, usize) {
+    let sink = Box::new(CollectSink::default());
+    let (net, backend, policy) = (spec.faults.net, spec.backend, spec.adaptive);
+    match spec.os {
+        Os::Linux => {
+            let mut kernel = workloads::run_linux_configured(
+                spec.workload,
+                spec.seed,
+                spec.duration,
+                sink,
+                net,
+                backend,
+                policy,
+            );
+            let events = kernel
+                .log_mut()
+                .take_collected_events()
+                .expect("a CollectSink");
+            analyze(spec, &events, kernel.log(), kernel.cpu())
+        }
+        Os::Vista => {
+            let mut kernel = workloads::run_vista_configured(
+                spec.workload,
+                spec.seed,
+                spec.duration,
+                sink,
+                net,
+                backend,
+                policy,
+            );
+            let events = kernel
+                .log_mut()
+                .take_collected_events()
+                .expect("a CollectSink");
+            analyze(spec, &events, kernel.log(), kernel.cpu())
+        }
+    }
+}
+
+fn analyze(
+    spec: ExperimentSpec,
+    events: &[Event],
+    log: &TraceLog,
+    cpu: &CpuMeter,
+) -> (ExperimentResult, usize) {
+    let mut analyzer = TraceAnalyzer::new(analyzer_config(spec.os, spec.workload));
+    analyzer.push_chunk(events);
+    let result = ExperimentResult {
+        spec,
+        report: analyzer.finish(log.strings()),
+        wakeups: cpu.wakeups(),
+        busy: cpu.busy_time(),
+        records: log.records_logged(),
+        logging_overhead: log.modeled_overhead(),
+        metrics: telemetry::SimSnapshot::empty(),
+    };
+    (result, events.len())
+}
+
+fn collect_all(specs: &[ExperimentSpec]) -> Vec<(ExperimentResult, usize)> {
+    specs.iter().copied().map(collect_then_analyze).collect()
+}
+
 #[test]
 fn streaming_and_collected_agree_byte_for_byte_across_all_paths() {
     let specs = paper_specs(SimDuration::from_secs(SECS), SEED);
 
     let streaming = run_experiments(&specs);
-    let collected = run_experiments_collected(&specs);
+    let collected: Vec<ExperimentResult> =
+        collect_all(&specs).into_iter().map(|(r, _)| r).collect();
     let parallel = run_experiments_parallel_with(&specs, 4);
     let cached = ExperimentCache::new().run_all(&specs);
 
@@ -72,9 +142,9 @@ fn streaming_memory_bound_is_constant_in_trace_length() {
 
     let streaming_short = run_experiments(&table_specs(Os::Linux, short, SEED));
     let streaming_long = run_experiments(&table_specs(Os::Linux, long, SEED));
-    let collected_short = run_experiments_collected(&table_specs(Os::Linux, short, SEED));
+    let collected_short = collect_all(&table_specs(Os::Linux, short, SEED));
 
-    for (s, c) in streaming_short.iter().zip(&collected_short) {
+    for (s, (c, held)) in streaming_short.iter().zip(&collected_short) {
         // Streaming never buffers more than one chunk; the oracle holds
         // the entire trace resident at once.
         assert!(
@@ -83,13 +153,12 @@ fn streaming_memory_bound_is_constant_in_trace_length() {
             peak_resident(s)
         );
         assert_eq!(
-            peak_resident(c),
-            c.records,
+            *held as u64, c.records,
             "collected path must hold the whole trace"
         );
         if s.records > chunk {
             assert_eq!(peak_resident(s), chunk, "full chunks flush at the bound");
-            assert!(peak_resident(c) > peak_resident(s));
+            assert!(*held as u64 > peak_resident(s));
         }
     }
 
