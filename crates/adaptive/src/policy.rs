@@ -20,9 +20,9 @@
 //!
 //! Because learned decisions are fed exclusively from workload-level
 //! observations (RTT samples, activity gaps) — never from timer-queue
-//! internals — a learned run stays byte-identical across wheel backends,
-//! shard counts and analysis thread counts, preserving the equivalence
-//! matrix of the fixed modes.
+//! internals — a learned run stays byte-identical whichever wheel a spec
+//! forces and however many worker threads run the experiments, preserving
+//! the equivalence guarantees of the fixed modes.
 
 /// Which timeout policy an experiment runs under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]

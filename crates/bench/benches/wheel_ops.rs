@@ -1,12 +1,12 @@
 //! Timer-queue data-structure benchmarks (Varghese & Lauck comparison).
 //!
-//! Compares the Linux cascading hierarchical wheel, the hashed wheel,
-//! the binary heap and the sorted-list baseline on the operation mix the
-//! paper's traces exhibit: schedule-heavy with many cancellations.
+//! Compares the Linux cascading hierarchical wheel, the hashed wheel and
+//! the sorted-list baseline on the operation mix the paper's traces
+//! exhibit: schedule-heavy with many cancellations.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use simtime::SimRng;
-use wheel::{HashedWheel, HeapQueue, HierarchicalWheel, SortedList, TimerQueue};
+use wheel::{HashedWheel, HierarchicalWheel, SortedList, TimerQueue};
 
 fn mixed_ops(queue: &mut dyn TimerQueue, n: u64, rng: &mut SimRng) -> u64 {
     let mut fired = 0u64;
@@ -38,12 +38,6 @@ fn bench_wheels(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("hashed", n), &n, |b, &n| {
             b.iter(|| {
                 let mut q = HashedWheel::new(256);
-                mixed_ops(&mut q, n, &mut SimRng::new(1))
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("heap", n), &n, |b, &n| {
-            b.iter(|| {
-                let mut q = HeapQueue::new();
                 mixed_ops(&mut q, n, &mut SimRng::new(1))
             })
         });

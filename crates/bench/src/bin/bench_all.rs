@@ -2,8 +2,8 @@
 //!
 //! Criterion gives interactive statistics, but nothing in the repo
 //! remembered how fast the hot paths *were* — so regressions could land
-//! silently. This bin times a fixed micro-suite (timer-queue structures,
-//! flat and sharded; the streaming-analysis event path) with hand-rolled
+//! silently. This bin times a fixed micro-suite (the timer-queue
+//! structures; the streaming-analysis event path) with hand-rolled
 //! best-of-N wall timing and emits a `{name: ns_per_op}` map:
 //!
 //! - `bench_all --write[=PATH]` records the baseline (default
@@ -19,12 +19,19 @@
 //!   ceiling — losing the chunked fold, the fast hasher or the arena
 //!   would trip it on any machine;
 //! - with no flag it just prints the table.
+//!
+//! Any other argument is a usage error (exit 2), so a misspelt `--check`
+//! never silently skips the gate.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
 
+use bench::Takes;
 use simtime::SimRng;
-use wheel::{Backend, TimerQueue};
+use wheel::{HashedWheel, HierarchicalWheel, SortedList, TimerQueue};
+
+const USAGE: &str = "usage: bench_all [--write[=PATH]] [--check[=PATH]]";
+const FLAGS: [(&str, Takes); 2] = [("--write", Takes::Inline), ("--check", Takes::Inline)];
 
 /// A slower-than-baseline run fails `--check` past this factor.
 const TOLERANCE: f64 = 8.0;
@@ -61,15 +68,14 @@ fn time_ns_per_op(ops: u64, mut f: impl FnMut() -> u64) -> f64 {
     best
 }
 
-fn queue(backend: Backend) -> Box<dyn TimerQueue> {
-    backend.build(Backend::Hierarchical, 256)
-}
+/// Builds a fresh queue behind the trait object the kernels use.
+type NewQueue = fn() -> Box<dyn TimerQueue>;
 
-/// Schedule-then-drain on one backend: the simulator's dominant mix.
-fn bench_queue_mix(backend: Backend) -> f64 {
+/// Schedule-then-drain on one structure: the simulator's dominant mix.
+fn bench_queue_mix(new_queue: NewQueue) -> f64 {
     const N: u64 = 32_768;
     time_ns_per_op(2 * N, || {
-        let mut q = queue(backend);
+        let mut q = new_queue();
         let mut rng = SimRng::new(1);
         for i in 0..N {
             q.schedule(i, 1 + rng.range_u64(0, 100_000));
@@ -77,26 +83,6 @@ fn bench_queue_mix(backend: Backend) -> f64 {
         let mut fired = 0u64;
         q.advance_to(100_001, &mut |_, _| fired += 1);
         fired
-    })
-}
-
-/// The cross-base migration path: every re-arm comes from a rotated CPU.
-fn bench_sharded_migrate(shards: u16) -> f64 {
-    const N: u64 = 8_192;
-    const ROUNDS: u64 = 8;
-    time_ns_per_op(N * ROUNDS, || {
-        let mut q = queue(Backend::Hierarchical.with_shards(shards));
-        let mut rng = SimRng::new(1);
-        for i in 0..N {
-            q.schedule(i, 1 + rng.range_u64(0, 100_000));
-        }
-        for round in 0..ROUNDS {
-            for i in 0..N {
-                q.set_context_cpu(Some(((i + round) % shards.max(1) as u64) as u32));
-                q.schedule(i, 200_000 + round);
-            }
-        }
-        q.len() as u64
     })
 }
 
@@ -152,25 +138,14 @@ fn bench_attribution_fold() -> f64 {
 }
 
 fn run_suite() -> BTreeMap<String, f64> {
+    let queues: [(&str, NewQueue); 3] = [
+        ("hierarchical", || Box::new(HierarchicalWheel::new())),
+        ("hashed", || Box::new(HashedWheel::new(256))),
+        ("sortedlist", || Box::new(SortedList::new())),
+    ];
     let mut results = BTreeMap::new();
-    for backend in Backend::FORCED {
-        results.insert(
-            format!("queue_mix/{}", backend.label()),
-            bench_queue_mix(backend),
-        );
-    }
-    for shards in [1u16, 4, 8] {
-        results.insert(
-            format!(
-                "queue_mix/{}",
-                Backend::Hierarchical.with_shards(shards).label()
-            ),
-            bench_queue_mix(Backend::Hierarchical.with_shards(shards)),
-        );
-        results.insert(
-            format!("sharded_migrate/{shards}"),
-            bench_sharded_migrate(shards),
-        );
+    for (name, new_queue) in queues {
+        results.insert(format!("queue_mix/{name}"), bench_queue_mix(new_queue));
     }
     results.insert("analysis_chunk".to_string(), bench_analysis_chunk());
     results.insert("attribution_fold".to_string(), bench_attribution_fold());
@@ -192,9 +167,9 @@ fn to_json(results: &BTreeMap<String, f64>) -> String {
     out
 }
 
-/// Parses the flat `{ "name": ns, ... }` object [`to_json`] emits. Names
-/// may contain `:` (backend labels), so the split point is the colon
-/// *after* the closing quote, not the first one on the line.
+/// Parses the flat `{ "name": ns, ... }` object [`to_json`] emits. The
+/// split point is the colon *after* the closing quote, so a name may
+/// itself contain `:`.
 fn parse_baseline(text: &str) -> Option<BTreeMap<String, f64>> {
     let body = text.trim().strip_prefix('{')?.strip_suffix('}')?;
     let mut out = BTreeMap::new();
@@ -213,6 +188,7 @@ fn parse_baseline(text: &str) -> Option<BTreeMap<String, f64>> {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    bench::check_args(&args, &FLAGS, USAGE);
     let flag_path = |flag: &str| -> Option<String> {
         args.iter().find_map(|a| {
             if a == flag {

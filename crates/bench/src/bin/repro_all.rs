@@ -28,29 +28,15 @@
 //! `--timer-list=SIM_SECS[,SIM_SECS...]` runs one dedicated, uncached
 //! Linux and Vista webserver experiment and dumps a deterministic
 //! `/proc/timer_list`-style snapshot of every simulated timer queue at
-//! each requested sim instant. The pending `(expiry, id)` multiset per
-//! queue is invariant across `--wheel-backend`/`--shards` choices.
+//! each requested sim instant.
 //!
 //! `--scale N` multiplies the trace duration by `N` (the webserver
 //! workloads scale their connection counts with duration, so this is the
 //! "10× longer Apache/httperf run" knob). `--assert-peak-resident-below N`
 //! exits nonzero if the `analysis_resident_events_high_watermark` gauge
 //! reached `N` or more in any experiment (the CI bounded-memory check).
-//!
-//! `--wheel-backend NAME|all` forces every simulated subsystem's timer
-//! queue onto one structure (`hierarchical`, `hashed`, `sortedlist`,
-//! `heap`, `sharded[:N][:INNER]`; `native` keeps each kernel's
-//! historical one). With `all`, the whole figure pipeline runs once per
-//! backend — the four flat structures plus the sharded matrix — the
-//! artifacts are asserted byte-identical to the native run's, and a
-//! per-backend run summary with the wheel counters (`wheel_schedules`,
-//! `wheel_cancels`, `wheel_cascades`) is printed — the cross-backend
-//! equivalence matrix.
-//!
-//! `--shards N` splits every timer queue into `N` per-CPU bases (the
-//! selected `--wheel-backend` structure, or the native one, becomes the
-//! per-base inner structure). Sharding never changes the trace: the
-//! artifacts are byte-identical across any `N`.
+//! A trace length or snapshot instant past the simulated clock's range
+//! (about 584 years of nanoseconds) is a usage error.
 //!
 //! `--adaptive[=off|fixed|learned]` selects the workload-timeout policy
 //! (the paper's §5 "timeouts should be learned"). `fixed` keeps every
@@ -62,10 +48,8 @@
 //! expirations avoided per origin (riding the attribution plane), the
 //! dynticks sleep-residency histogram (the energy proxy), and
 //! retransmit-latency deltas (most visible under `--faults`). Composes
-//! with `--faults`, `--shards` and `--wheel-backend` (including `all`,
-//! which then asserts the counterfactual figures byte-identical across
-//! every backend too); incompatible with `--serial` (it runs on the
-//! cached parallel path).
+//! with `--faults`; incompatible with `--serial` (it runs on the cached
+//! parallel path).
 //!
 //! Any other argument, or a flag missing its value, is a usage error
 //! (exit 2). A closed stdout (`repro_all | head`) ends the output: the
@@ -79,11 +63,10 @@ const SEED: u64 = 7;
 
 const USAGE: &str = "usage: repro_all [--serial] [--artifacts DIR] \
      [--metrics[=DIR]] [--top-origins[=N]] [--timer-list SECS[,SECS...]] [--scale N] \
-     [--assert-peak-resident-below N] [--faults SPEC] [--wheel-backend NAME|all] \
-     [--shards N] [--adaptive[=off|fixed|learned]]";
+     [--assert-peak-resident-below N] [--faults SPEC] [--adaptive[=off|fixed|learned]]";
 
 /// Every flag, spelled the way its parser below reads it.
-const FLAGS: [(&str, Takes); 11] = [
+const FLAGS: [(&str, Takes); 9] = [
     ("--serial", Takes::Nothing),
     ("--metrics", Takes::Inline),
     ("--top-origins", Takes::Inline),
@@ -92,48 +75,8 @@ const FLAGS: [(&str, Takes); 11] = [
     ("--scale", Takes::Next),
     ("--assert-peak-resident-below", Takes::Next),
     ("--faults", Takes::Next),
-    ("--wheel-backend", Takes::Either),
-    ("--shards", Takes::Either),
     ("--timer-list", Takes::Either),
 ];
-
-/// What `--wheel-backend` asked for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BackendMode {
-    /// No flag: the native structures, via the default paths.
-    Default,
-    /// One forced backend for the whole pipeline.
-    One(Backend),
-    /// The full matrix: native plus every forced backend, with an
-    /// artifact byte-identity assertion.
-    All,
-}
-
-/// Parses `--wheel-backend NAME` / `--wheel-backend=NAME`.
-fn backend_mode(args: &[String]) -> BackendMode {
-    let value = args
-        .iter()
-        .position(|a| a == "--wheel-backend")
-        .and_then(|i| args.get(i + 1).cloned())
-        .or_else(|| {
-            args.iter()
-                .find_map(|a| a.strip_prefix("--wheel-backend=").map(str::to_owned))
-        });
-    match value.as_deref() {
-        None => BackendMode::Default,
-        Some("all") => BackendMode::All,
-        Some(name) => match Backend::parse(name) {
-            Some(b) => BackendMode::One(b),
-            None => {
-                eprintln!(
-                    "--wheel-backend {name}: expected native, hierarchical, hashed, \
-                     sortedlist, heap, sharded[:N][:INNER], or all"
-                );
-                std::process::exit(2);
-            }
-        },
-    }
-}
 
 /// Parses `--adaptive` / `--adaptive=off|fixed|learned` (bare flag means
 /// `learned` — "run the counterfactual").
@@ -153,38 +96,6 @@ fn adaptive_policy(args: &[String]) -> adaptive::AdaptivePolicy {
         }
     }
     policy
-}
-
-/// Parses `--shards N` / `--shards=N`.
-fn shard_count(args: &[String]) -> Option<u16> {
-    let value = args
-        .iter()
-        .position(|a| a == "--shards")
-        .and_then(|i| args.get(i + 1).cloned())
-        .or_else(|| {
-            args.iter()
-                .find_map(|a| a.strip_prefix("--shards=").map(str::to_owned))
-        })?;
-    match value.parse::<u16>() {
-        Ok(n) if n >= 1 => Some(n),
-        _ => {
-            eprintln!("--shards {value}: expected an integer >= 1");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// One backend's aggregated wheel counters, for the per-backend summary.
-fn wheel_counter_summary(results: &[timerstudy::ExperimentResult]) -> String {
-    use telemetry::SimCounter;
-    let sum = |c: SimCounter| -> u64 { results.iter().map(|r| r.metrics.counter(c)).sum() };
-    format!(
-        "wheel_schedules={} wheel_cancels={} wheel_expirations={} wheel_cascades={}",
-        sum(SimCounter::WheelSchedules),
-        sum(SimCounter::WheelCancels),
-        sum(SimCounter::WheelExpirations),
-        sum(SimCounter::WheelCascades),
-    )
 }
 
 /// Parses `--top-origins` / `--top-origins=N` (default 10).
@@ -222,20 +133,25 @@ fn timer_list_instants(args: &[String]) -> Option<Vec<u64>> {
         // and scale the fraction digits, no float round-tripping.
         let part = part.trim();
         let (whole, frac) = part.split_once('.').unwrap_or((part, ""));
-        let parsed = whole.parse::<u64>().ok().and_then(|secs| {
-            if frac.is_empty() {
-                Some(secs * 1_000_000_000)
-            } else if frac.len() <= 9 && frac.chars().all(|c| c.is_ascii_digit()) {
-                let scale = 10u64.pow(9 - frac.len() as u32);
-                Some(secs * 1_000_000_000 + frac.parse::<u64>().unwrap() * scale)
-            } else {
-                None
-            }
-        });
-        match parsed {
+        let frac_nanos = if frac.is_empty() {
+            Some(0)
+        } else if frac.len() <= 9 && frac.chars().all(|c| c.is_ascii_digit()) {
+            let scale = 10u64.pow(9 - frac.len() as u32);
+            Some(frac.parse::<u64>().expect("checked: 1 to 9 ASCII digits") * scale)
+        } else {
+            None
+        };
+        let Some((secs, frac_nanos)) = whole.parse::<u64>().ok().zip(frac_nanos) else {
+            eprintln!("--timer-list {value}: expected a comma list of sim seconds");
+            std::process::exit(2);
+        };
+        match secs
+            .checked_mul(1_000_000_000)
+            .and_then(|nanos| nanos.checked_add(frac_nanos))
+        {
             Some(nanos) => instants.push(nanos),
             None => {
-                eprintln!("--timer-list {value}: expected a comma list of sim seconds");
+                eprintln!("--timer-list {value}: {part} s is past the simulated clock's range");
                 std::process::exit(2);
             }
         }
@@ -347,19 +263,6 @@ fn main() {
         },
         None => FaultSpec::none(),
     };
-    let backend = match (shard_count(&args), backend_mode(&args)) {
-        (None, mode) => mode,
-        (Some(n), BackendMode::Default) => BackendMode::One(Backend::Native.with_shards(n)),
-        (Some(n), BackendMode::One(b)) => BackendMode::One(b.with_shards(n)),
-        (Some(_), BackendMode::All) => {
-            eprintln!("--shards cannot be combined with --wheel-backend=all (the matrix already varies shard counts)");
-            std::process::exit(2);
-        }
-    };
-    if backend != BackendMode::Default && (serial || !faults.is_none()) {
-        eprintln!("--wheel-backend runs on the cached parallel path; it cannot be combined with --serial or --faults");
-        std::process::exit(2);
-    }
     let policy = adaptive_policy(&args);
     if policy.is_active() && serial {
         eprintln!(
@@ -367,13 +270,14 @@ fn main() {
         );
         std::process::exit(2);
     }
-    // The backend the --timer-list runs use (native unless
-    // --wheel-backend/--shards forced one).
-    let timer_list_backend = match backend {
-        BackendMode::One(b) => b,
-        _ => Backend::Native,
+    let base_duration = repro_duration();
+    let Some(duration) = base_duration.checked_mul(scale) else {
+        eprintln!(
+            "--scale {scale}: {} s x {scale} is past the simulated clock's range",
+            base_duration.as_secs()
+        );
+        std::process::exit(2);
     };
-    let duration = repro_duration() * scale;
     let threads = if serial {
         1
     } else {
@@ -391,11 +295,21 @@ fn main() {
         policy.label(),
     );
     let started = std::time::Instant::now();
-    // Per-backend summary lines, printed with the run summary.
-    let mut backend_summaries: Vec<String> = Vec::new();
-    let (mode, (results, artifacts)) = if !faults.is_none() {
+    // A fault plane runs on the cached path even under --serial.
+    let (mode, (results, artifacts)) = if serial && faults.is_none() {
         (
-            "faulted",
+            "serial",
+            timerstudy::figures::reproduce_all_serial_with_results(duration, SEED),
+        )
+    } else {
+        (
+            if !faults.is_none() {
+                "faulted"
+            } else if policy.is_learned() {
+                "adaptive"
+            } else {
+                "parallel"
+            },
             timerstudy::figures::reproduce_all_adaptive_with_results(
                 duration,
                 SEED,
@@ -404,97 +318,6 @@ fn main() {
                 policy,
             ),
         )
-    } else if serial {
-        (
-            "serial",
-            timerstudy::figures::reproduce_all_serial_with_results(duration, SEED),
-        )
-    } else {
-        match backend {
-            BackendMode::Default => (
-                if policy.is_learned() {
-                    "adaptive"
-                } else {
-                    "parallel"
-                },
-                timerstudy::figures::reproduce_all_adaptive_with_results(
-                    duration,
-                    SEED,
-                    FaultSpec::none(),
-                    Backend::Native,
-                    policy,
-                ),
-            ),
-            BackendMode::One(b) => {
-                let run = timerstudy::figures::reproduce_all_adaptive_with_results(
-                    duration,
-                    SEED,
-                    FaultSpec::none(),
-                    b,
-                    policy,
-                );
-                backend_summaries.push(format!(
-                    "backend {}: {}",
-                    b.label(),
-                    wheel_counter_summary(&run.0)
-                ));
-                ("backend", run)
-            }
-            BackendMode::All => {
-                // The matrix: native first (its artifacts are the run's
-                // stdout and the comparison baseline), then every forced
-                // backend — flat and sharded — each asserted
-                // byte-identical. Under `--adaptive` the per-backend
-                // artifact lists include the counterfactual figures, so
-                // the assertion covers those too.
-                let mut all_results = Vec::new();
-                let mut baseline: Option<Vec<timerstudy::figures::Artifact>> = None;
-                for b in std::iter::once(Backend::Native)
-                    .chain(Backend::FORCED)
-                    .chain(Backend::SHARDED_MATRIX)
-                {
-                    let (results, artifacts) =
-                        timerstudy::figures::reproduce_all_adaptive_with_results(
-                            duration,
-                            SEED,
-                            FaultSpec::none(),
-                            b,
-                            policy,
-                        );
-                    backend_summaries.push(format!(
-                        "backend {}: {}",
-                        b.label(),
-                        wheel_counter_summary(&results)
-                    ));
-                    all_results.extend(results);
-                    match &baseline {
-                        None => baseline = Some(artifacts),
-                        Some(native) => {
-                            let identical = native.len() == artifacts.len()
-                                && native.iter().zip(&artifacts).all(|(n, a)| {
-                                    n.title == a.title && n.text == a.text && n.csv == a.csv
-                                });
-                            if !identical {
-                                eprintln!(
-                                    "FAIL: backend {} artifacts differ from the native run's",
-                                    b.label()
-                                );
-                                std::process::exit(1);
-                            }
-                        }
-                    }
-                }
-                eprintln!(
-                    "backend matrix: artifacts byte-identical across native, {} forced, and {} sharded backends",
-                    Backend::FORCED.len(),
-                    Backend::SHARDED_MATRIX.len()
-                );
-                (
-                    "backend_matrix",
-                    (all_results, baseline.expect("native ran")),
-                )
-            }
-        }
     };
     let wall = started.elapsed();
     eprintln!(
@@ -536,13 +359,8 @@ fn main() {
                 timerstudy::Workload::Webserver,
                 duration,
                 SEED,
-            )
-            .with_backend(timer_list_backend);
-            eprintln!(
-                "timer-list: dedicated {} Webserver run on backend {}...",
-                os.label(),
-                timer_list_backend.label()
             );
+            eprintln!("timer-list: dedicated {} Webserver run...", os.label());
             let (_, captures) = timerstudy::run_experiment_with_timer_list(spec, instants);
             for capture in &captures {
                 writeln!(out, "{}", capture.render());
@@ -552,9 +370,6 @@ fn main() {
     // The final run summary is always printed, metrics requested or not.
     let cache = timerstudy::cache::global();
     bench::print_stage_summary(&format!("repro_all.{mode}"), &results, started);
-    for line in &backend_summaries {
-        eprintln!("{line}");
-    }
     eprintln!(
         "run summary: cache {} hits / {} misses, {} thread(s), {:.2} s wall-clock",
         cache.hits(),

@@ -9,19 +9,13 @@
 //!   This is the CI drift check: two runs of the same parameters must
 //!   agree on the sim plane regardless of thread count or cache state,
 //!   while their wall planes are allowed (expected) to differ.
-//! * `validate_report --assert-attr-equal A B` — asserts the two
-//!   reports' per-experiment attribution sections are identical. Unlike
-//!   the full sim section (whose wheel counters are backend-specific:
-//!   cascades vs revisits vs migrations), attribution is invariant
-//!   across `--wheel-backend` and `--shards` choices, so this check
-//!   holds across a backend pair where `--assert-sim-equal` cannot.
 //! * `validate_report --chrome FILE` — checks a Chrome trace-event
 //!   profile (`run_trace.chrome.json`) for well-formedness: valid JSON,
 //!   a `traceEvents` array, every `B` matched by an `E` on the same
 //!   thread, and per-thread timestamps monotonically non-decreasing.
 
 use telemetry::json;
-use telemetry::report::{attr_section_canonical, sim_section_canonical, validate_value};
+use telemetry::report::{sim_section_canonical, validate_value};
 
 fn load(path: &str) -> json::Value {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -39,24 +33,19 @@ fn load(path: &str) -> json::Value {
     value
 }
 
-fn sim_canonical(path: &str, value: &json::Value) -> String {
-    sim_section_canonical(value).unwrap_or_else(|e| {
+fn sim_canonical(path: &str) -> String {
+    sim_section_canonical(&load(path)).unwrap_or_else(|e| {
         eprintln!("{path}: {e}");
         std::process::exit(1);
     })
 }
 
-fn attr_canonical(path: &str, value: &json::Value) -> String {
-    attr_section_canonical(value).unwrap_or_else(|e| {
-        eprintln!("{path}: {e}");
-        std::process::exit(1);
-    })
-}
-
-/// Reports the first byte where two canonical renderings diverge.
-fn assert_equal(what: &str, a: &str, b: &str, ca: &str, cb: &str) {
+/// Asserts the two reports' canonical `sim` sections are identical,
+/// reporting the first byte where they diverge.
+fn assert_sim_equal(a: &str, b: &str) {
+    let (ca, cb) = (sim_canonical(a), sim_canonical(b));
     if ca != cb {
-        eprintln!("{what} drift between {a} and {b}:");
+        eprintln!("sim-plane drift between {a} and {b}:");
         eprintln!("  {a}: {} canonical bytes", ca.len());
         eprintln!("  {b}: {} canonical bytes", cb.len());
         let diverge = ca
@@ -73,7 +62,7 @@ fn assert_equal(what: &str, a: &str, b: &str, ca: &str, cb: &str) {
         std::process::exit(1);
     }
     eprintln!(
-        "{a} and {b}: {what}s identical ({} canonical bytes)",
+        "{a} and {b}: sim-planes identical ({} canonical bytes)",
         ca.len()
     );
 }
@@ -161,27 +150,13 @@ fn main() {
             load(path);
             eprintln!("{path}: schema-valid run report");
         }
-        [flag, a, b] if flag == "--assert-sim-equal" => {
-            let va = load(a);
-            let vb = load(b);
-            let ca = sim_canonical(a, &va);
-            let cb = sim_canonical(b, &vb);
-            assert_equal("sim-plane", a, b, &ca, &cb);
-        }
-        [flag, a, b] if flag == "--assert-attr-equal" => {
-            let va = load(a);
-            let vb = load(b);
-            let ca = attr_canonical(a, &va);
-            let cb = attr_canonical(b, &vb);
-            assert_equal("attribution section", a, b, &ca, &cb);
-        }
+        [flag, a, b] if flag == "--assert-sim-equal" => assert_sim_equal(a, b),
         [flag, path] if flag == "--chrome" => {
             check_chrome(path);
         }
         _ => {
             eprintln!("usage: validate_report FILE");
             eprintln!("       validate_report --assert-sim-equal FILE1 FILE2");
-            eprintln!("       validate_report --assert-attr-equal FILE1 FILE2");
             eprintln!("       validate_report --chrome TRACE_FILE");
             std::process::exit(2);
         }

@@ -1,6 +1,7 @@
 //! Command-line behaviour of the reproduction binaries on ordinary
-//! misuse (a bad or retired flag, a reader that closes stdout early) and
-//! the record count `repro_all`'s run summary reports.
+//! misuse (a bad or retired flag, an out-of-range value, a reader that
+//! closes stdout early) and the record count `repro_all`'s run summary
+//! reports.
 
 use std::process::{Command, Output, Stdio};
 
@@ -13,6 +14,7 @@ const SEED: u64 = 7;
 type Bin = (&'static str, &'static str);
 
 const REPRO_ALL: Bin = ("repro_all", env!("CARGO_BIN_EXE_repro_all"));
+const BENCH_ALL: Bin = ("bench_all", env!("CARGO_BIN_EXE_bench_all"));
 
 /// Pairs each binary name with the path Cargo built it at.
 macro_rules! bins {
@@ -50,10 +52,12 @@ fn run(args: &[&str]) -> Output {
     command(REPRO_ALL, args).output().expect("spawn repro_all")
 }
 
-fn assert_usage_error(bin: Bin, args: &[&str]) {
+/// Asserts `bin args` exits 2 with one stderr line and no stdout, and
+/// returns that line.
+fn assert_rejected(bin: Bin, args: &[&str]) -> String {
     let (name, _) = bin;
     let out = command(bin, args).output().expect("spawn binary");
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert_eq!(
         out.status.code(),
         Some(2),
@@ -64,6 +68,12 @@ fn assert_usage_error(bin: Bin, args: &[&str]) {
         "{name} {args:?} must not run the reproduction"
     );
     assert_eq!(stderr.lines().count(), 1, "{name} {args:?}: {stderr}");
+    stderr
+}
+
+fn assert_usage_error(bin: Bin, args: &[&str]) {
+    let (name, _) = bin;
+    let stderr = assert_rejected(bin, args);
     assert!(
         stderr.contains(&format!("usage: {name}")),
         "{name} {args:?}: {stderr}"
@@ -72,9 +82,14 @@ fn assert_usage_error(bin: Bin, args: &[&str]) {
 
 #[test]
 fn unknown_flag_is_a_usage_error() {
-    for bin in std::iter::once(REPRO_ALL).chain(FIGURE_BINS) {
+    for bin in std::iter::once(REPRO_ALL)
+        .chain(FIGURE_BINS)
+        .chain([BENCH_ALL])
+    {
         assert_usage_error(bin, &["--bogus-flag"]);
     }
+    // A typo in CI's gate must not run the suite and check nothing.
+    assert_usage_error(BENCH_ALL, &["--chek=BENCH_baseline.json"]);
 }
 
 #[test]
@@ -82,6 +97,25 @@ fn retired_flags_are_usage_errors() {
     assert_usage_error(REPRO_ALL, &["--des-threads=2"]);
     assert_usage_error(REPRO_ALL, &["--des-threads", "2"]);
     assert_usage_error(REPRO_ALL, &["--collected"]);
+    assert_usage_error(REPRO_ALL, &["--wheel-backend=heap"]);
+    assert_usage_error(REPRO_ALL, &["--shards=4"]);
+}
+
+#[test]
+fn sim_times_past_the_clock_range_are_rejected() {
+    // 18446744074 s is just past u64::MAX nanoseconds: a wrapped product
+    // would quietly run (or snapshot at) about 0.29 s.
+    for args in [
+        &["--scale", "18446744074"][..],
+        &["--timer-list", "18446744074"][..],
+        &["--timer-list=1.5,18446744073.8"][..],
+    ] {
+        let stderr = assert_rejected(REPRO_ALL, args);
+        assert!(
+            stderr.contains("past the simulated clock's range"),
+            "{args:?}: {stderr}"
+        );
+    }
 }
 
 #[test]

@@ -15,9 +15,9 @@
 //!
 //! Every number here is a pure function of the per-experiment sim
 //! snapshots and attribution tables, which are themselves invariant
-//! across wheel backends, shard counts, DES thread counts and cached
-//! replay — so the counterfactual artifacts inherit the same
-//! byte-identity guarantees as the paper artifacts.
+//! across serial, parallel and cached execution — so the counterfactual
+//! artifacts inherit the same byte-identity guarantees as the paper
+//! artifacts.
 
 use telemetry::hist::LogHistogram;
 use telemetry::{OriginTable, SimCounter, SimHist};

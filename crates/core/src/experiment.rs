@@ -48,8 +48,8 @@ pub struct ExperimentSpec {
     /// Timer-queue backend for every simulated subsystem
     /// ([`wheel::Backend::Native`] keeps each kernel's historical
     /// structure). Part of the cache key: equivalence makes the *report*
-    /// identical across backends, but the sim-plane metrics snapshot
-    /// (cascades vs revisits vs stale pops) is backend-specific.
+    /// identical across wheels, but the sim-plane metrics snapshot
+    /// (cascades vs revisits) is wheel-specific.
     pub backend: wheel::Backend,
     /// Workload-timeout policy: `Off`/`Fixed` keep every historical
     /// constant (`Fixed` with the adaptive plumbing live but clamped —
@@ -80,19 +80,9 @@ impl ExperimentSpec {
         self
     }
 
-    /// The same experiment on a forced timer-queue backend.
+    /// The same experiment with one wheel forced onto every subsystem.
     pub const fn with_backend(mut self, backend: wheel::Backend) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// The same experiment with its timer queues sharded into `shards`
-    /// per-CPU bases (the current backend becomes the per-base inner
-    /// structure). Part of the cache key: runs at different base counts
-    /// produce identical reports but distinct placement/migration
-    /// metrics, so they must never alias in the memo table.
-    pub const fn with_shards(mut self, shards: u16) -> Self {
-        self.backend = self.backend.with_shards(shards);
         self
     }
 

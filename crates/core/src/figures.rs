@@ -258,9 +258,9 @@ pub fn paper_specs(duration: simtime::SimDuration, seed: u64) -> Vec<ExperimentS
 }
 
 /// [`paper_specs`] with every orthogonal knob applied to every
-/// experiment: a fault plane and a forced timer-queue backend. Both are
-/// part of the experiment cache key, so configured runs never alias
-/// differently-configured ones.
+/// experiment: a fault plane and a timer-queue backend (`Native` keeps
+/// each kernel's own wheel). Both are part of the experiment cache key,
+/// so configured runs never alias differently-configured ones.
 pub fn paper_specs_configured(
     duration: simtime::SimDuration,
     seed: u64,
@@ -337,16 +337,6 @@ pub fn paper_specs_faulted(
     paper_specs_configured(duration, seed, faults, wheel::Backend::Native)
 }
 
-/// [`paper_specs`] with every experiment forced onto one timer-queue
-/// backend (the `repro_all --wheel-backend` path).
-pub fn paper_specs_backend(
-    duration: simtime::SimDuration,
-    seed: u64,
-    backend: wheel::Backend,
-) -> Vec<ExperimentSpec> {
-    paper_specs_configured(duration, seed, crate::FaultSpec::none(), backend)
-}
-
 /// Assembles the paper's artifacts from results laid out as
 /// [`paper_specs`] returns them (4 Linux, 4 Vista, 1 Outlook).
 pub fn assemble(results: &[ExperimentResult]) -> Vec<Artifact> {
@@ -407,20 +397,6 @@ pub fn reproduce_all_serial_with_results(
     seed: u64,
 ) -> (Vec<ExperimentResult>, Vec<Artifact>) {
     let results = crate::experiment::run_experiments(&paper_specs(duration, seed));
-    let artifacts = assemble(&results);
-    (results, artifacts)
-}
-
-/// [`reproduce_all_with_results`] with every experiment on one forced
-/// timer-queue backend, through the process-wide cache (backend is part
-/// of the cache key, so different backends never alias). With
-/// `Backend::Native` this is exactly [`reproduce_all_with_results`].
-pub fn reproduce_all_backend_with_results(
-    duration: simtime::SimDuration,
-    seed: u64,
-    backend: wheel::Backend,
-) -> (Vec<ExperimentResult>, Vec<Artifact>) {
-    let results = crate::cache::global().run_all(&paper_specs_backend(duration, seed, backend));
     let artifacts = assemble(&results);
     (results, artifacts)
 }

@@ -28,7 +28,7 @@ pub fn spec_label(spec: &ExperimentSpec) -> String {
     }
     if spec.backend != wheel::Backend::Native {
         label.push_str(" backend=");
-        label.push_str(&spec.backend.label());
+        label.push_str(spec.backend.label());
     }
     // `Fixed` is the degenerate mode that must reproduce the default
     // byte-identically — including this label — so only `Learned` runs

@@ -3,7 +3,7 @@
 //! The attribution table rides on the stored [`analysis::Report`], so
 //! every execution mode that promises byte-identical reports must also
 //! agree on every origin label and every per-origin histogram: a live
-//! serial run, a cached replay, and any forced timer-queue backend.
+//! serial run, a cached replay, and a run with the other wheel forced.
 
 use proptest::prelude::*;
 use simtime::SimDuration;
@@ -20,7 +20,7 @@ proptest! {
 
     /// OriginId -> label resolution and the folded per-origin tables are
     /// identical between the live run, the cached replay and a
-    /// forced-backend run of the same spec.
+    /// forced-wheel run of the same spec.
     #[test]
     fn attribution_is_identical_across_execution_modes(
         os in os_strategy(),
@@ -45,7 +45,13 @@ proptest! {
             &serde_json::to_string(&replay[0].report.attribution).unwrap()
         );
 
-        let forced = timerstudy::run_experiment(spec.with_backend(Backend::Heap));
+        // Linux runs the hierarchical wheel natively and Vista the hashed
+        // rings; force the other one.
+        let other = match os {
+            Os::Linux => Backend::Hashed,
+            Os::Vista => Backend::Hierarchical,
+        };
+        let forced = timerstudy::run_experiment(spec.with_backend(other));
         prop_assert_eq!(
             &want,
             &serde_json::to_string(&forced.report.attribution).unwrap()

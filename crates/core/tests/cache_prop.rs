@@ -156,7 +156,7 @@ proptest! {
         };
         let other_seed = ExperimentSpec { seed: spec.seed ^ 1, ..spec };
         let other_faults = spec.with_faults(FaultSpec::ring_drops());
-        let other_backend = spec.with_backend(Backend::Heap);
+        let other_backend = spec.with_backend(Backend::Hashed);
         let mut map: HashMap<ExperimentSpec, &str> = HashMap::new();
         map.insert(spec, "base");
         map.insert(other_os, "os");
@@ -169,19 +169,20 @@ proptest! {
     }
 
     /// Specs that differ only in the timer-queue backend never share a
-    /// cache entry: forcing a backend can never be served the native
-    /// run's report (their sim metrics differ even when figures agree).
+    /// cache entry: forcing a wheel can never be served the native run's
+    /// report (their sim metrics differ even when figures agree).
     #[test]
     fn distinct_backends_never_collide(spec in spec_strategy()) {
+        let forced = [Backend::Hierarchical, Backend::Hashed];
         let mut map: HashMap<ExperimentSpec, Backend> = HashMap::new();
         map.insert(spec, Backend::Native);
-        for b in Backend::FORCED {
+        for b in forced {
             map.insert(spec.with_backend(b), b);
         }
-        // Native plus the four forced structures: five distinct keys.
-        prop_assert_eq!(map.len(), 1 + Backend::FORCED.len());
+        // Native plus the two forced wheels: three distinct keys.
+        prop_assert_eq!(map.len(), 1 + forced.len());
         prop_assert_eq!(map.get(&spec).copied(), Some(Backend::Native));
-        for b in Backend::FORCED {
+        for b in forced {
             prop_assert_eq!(map.get(&spec.with_backend(b)).copied(), Some(b));
         }
     }
@@ -220,50 +221,6 @@ proptest! {
         prop_assert_eq!(map.get(&spec.with_faults(b)).copied(), Some("b"));
     }
 
-    /// Shard count is part of the cache key: the same inner structure at
-    /// different per-CPU base counts never shares an entry (reports are
-    /// identical across counts, but the placement/migration metrics are
-    /// not), and sharding forks the key from the flat spec — including
-    /// the degenerate single-base wrapper.
-    #[test]
-    fn distinct_shard_counts_key_distinct_entries(spec in spec_strategy()) {
-        let mut map: HashMap<ExperimentSpec, &str> = HashMap::new();
-        map.insert(spec, "flat");
-        map.insert(spec.with_shards(1), "n1");
-        map.insert(spec.with_shards(2), "n2");
-        map.insert(spec.with_shards(4), "n4");
-        map.insert(spec.with_shards(8), "n8");
-        prop_assert_eq!(map.len(), 5);
-        prop_assert_eq!(map.get(&spec).copied(), Some("flat"));
-        prop_assert_eq!(map.get(&spec.with_shards(4)).copied(), Some("n4"));
-
-        // The same holds when a forced inner structure is sharded.
-        let heap = spec.with_backend(Backend::Heap);
-        let mut forced: HashMap<ExperimentSpec, &str> = HashMap::new();
-        forced.insert(heap, "flat");
-        forced.insert(heap.with_shards(2), "n2");
-        forced.insert(heap.with_shards(4), "n4");
-        prop_assert_eq!(forced.len(), 3);
-        prop_assert_eq!(forced.get(&heap.with_shards(2)).copied(), Some("n2"));
-    }
-
-    /// Re-sharding is idempotent on the key: `with_shards(n)` twice is
-    /// the same cache entry, and only the base count (not the application
-    /// order) matters.
-    #[test]
-    fn resharding_keeps_one_key_per_count(spec in spec_strategy(), n in 1u16..16) {
-        let once = spec.with_shards(n);
-        let twice = spec.with_shards(n).with_shards(n);
-        prop_assert_eq!(once, twice);
-        let via_other = spec.with_shards(n.wrapping_add(1).max(1)).with_shards(n);
-        prop_assert_eq!(once, via_other);
-        let mut map: HashMap<ExperimentSpec, &str> = HashMap::new();
-        map.insert(once, "a");
-        map.insert(twice, "b");
-        map.insert(via_other, "c");
-        prop_assert_eq!(map.len(), 1);
-    }
-
     /// A spec with an explicit `FaultSpec::none()` is the *same* cache key
     /// as the plain spec: enabling the fault plane with everything off
     /// cannot fork the cache.
@@ -284,11 +241,6 @@ fn backend_strategy() -> BoxedStrategy<Backend> {
         Just(Backend::Native),
         Just(Backend::Hierarchical),
         Just(Backend::Hashed),
-        Just(Backend::SortedList),
-        Just(Backend::Heap),
-        Just(Backend::Native.with_shards(2)),
-        Just(Backend::Hashed.with_shards(4)),
-        Just(Backend::Heap.with_shards(8)),
     ]
     .boxed()
 }
@@ -321,7 +273,7 @@ proptest! {
         prop_assert_eq!(&first[0].metrics, &fresh.metrics);
     }
 
-    /// A forced backend's cache entry is independent of the native one:
+    /// A forced wheel's cache entry is independent of the native one:
     /// running both through one cache yields two misses, never a hit, and
     /// each replays its own result.
     #[test]
@@ -330,7 +282,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let native = ExperimentSpec::new(os, Workload::Idle, SimDuration::from_secs(2), seed);
-        let forced = native.with_backend(Backend::Heap);
+        let forced = native.with_backend(Backend::Hashed);
         let cache = timerstudy::cache::ExperimentCache::new();
         cache.run_all(std::slice::from_ref(&native));
         cache.run_all(std::slice::from_ref(&forced));

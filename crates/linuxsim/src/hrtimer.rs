@@ -174,7 +174,6 @@ impl HrTimerBase {
                 wheel::TimerListEntry {
                     expires_tick: expires.as_nanos(),
                     id: idx as u64,
-                    base: 0,
                     origin: strings.resolve(slot.origin).to_owned(),
                     pid: slot.pid,
                 }
@@ -184,10 +183,7 @@ impl HrTimerBase {
             name: "hrtimer".to_owned(),
             now_tick: now.as_nanos(),
             tick_nanos: 1,
-            base_pending: vec![entries.len() as u64],
             entries,
-            migrations: 0,
-            imbalance: 0,
         }
     }
 }

@@ -45,14 +45,6 @@ pub struct LinuxConfig {
     pub policy: adaptive::AdaptivePolicy,
 }
 
-impl LinuxConfig {
-    /// The number of per-CPU timer bases this configuration simulates
-    /// (1 unless the backend is sharded).
-    pub fn shards(&self) -> u16 {
-        self.backend.shards()
-    }
-}
-
 impl Default for LinuxConfig {
     fn default() -> Self {
         LinuxConfig {
@@ -254,17 +246,6 @@ impl LinuxKernel {
         &self.base
     }
 
-    /// Declares which simulated CPU issues the following timer arms
-    /// (`None` restores per-timer default placement).
-    ///
-    /// Only the sharded backend reacts: new arms land on that CPU's base,
-    /// and a live timer re-armed from a different CPU migrates. The hint
-    /// never changes firing order, trace records, or RNG draws, so runs
-    /// stay byte-identical across shard counts.
-    pub fn set_timer_cpu(&mut self, cpu: Option<u32>) {
-        self.base.set_context_cpu(cpu);
-    }
-
     /// The next instant at which any timer (standard or high-resolution)
     /// can fire — drivers advance to this to react promptly.
     ///
@@ -352,9 +333,6 @@ impl LinuxKernel {
     /// Processes one jiffy tick: charge the tick, fire due timers, run
     /// callbacks slightly later (bottom-half latency), dispatch.
     fn process_jiffy(&mut self, jiffy: Jiffies) {
-        // Tick and callback context has no driver-declared arming CPU:
-        // callback re-arms fall back to per-timer home placement.
-        self.base.set_context_cpu(None);
         let tick_instant = self.base.clock().instant_of(jiffy);
         if tick_instant > self.now {
             self.now = tick_instant;
@@ -599,7 +577,7 @@ impl LinuxKernel {
     /// estimator has warmed up, in which case the learned value (clamped
     /// between the estimator floor and the constant) replaces it. Decided
     /// purely from workload-level samples, so the choice is identical
-    /// across wheel backends and shard counts.
+    /// whichever wheel the timer base runs.
     pub(crate) fn decide_timeout(
         policy: adaptive::AdaptivePolicy,
         est: &adaptive::AdaptiveTimeout,

@@ -6,15 +6,14 @@
 //! keepalive watchdog (Apache's 15 s `KeepAliveTimeout`, endlessly re-set
 //! by activity: the canonical *watchdog* pattern) and a kernel TCP
 //! retransmit timer (3 s initial, exponential backoff: the *timeout*
-//! pattern). It exists to exercise the sharded per-CPU bases at a scale
-//! where placement, migration, and per-base imbalance actually matter.
+//! pattern). It exercises the timer base and the streaming analysis at a
+//! population far beyond the paper's traces.
 //!
 //! Unlike [`TcpTable`](crate::subsys::tcp::TcpTable) — which models the
 //! full Jacobson RTO machinery for table-fidelity — entries here are a
 //! flat slab indexed by [`MassId`], because a million `HashMap` entries
 //! with four timers each would dominate the run's memory for no extra
-//! fidelity. Connections carry a simulated arming CPU so re-arms from a
-//! rotated CPU exercise cross-base migration deterministically (no RNG).
+//! fidelity.
 
 use simtime::{SimDuration, SimInstant};
 use trace::{EventFlags, Pid, Space};
@@ -87,11 +86,10 @@ impl MassTable {
 }
 
 impl LinuxKernel {
-    /// Opens a mass connection on simulated CPU `cpu`: allocates (or
-    /// recycles) its two timers and arms both — the watchdog at 15 s, the
-    /// retransmit timer at the 3 s initial timeout.
-    pub fn mass_open(&mut self, pid: Pid, cpu: u32) -> MassId {
-        self.set_timer_cpu(Some(cpu));
+    /// Opens a mass connection: allocates (or recycles) its two timers
+    /// and arms both — the watchdog at 15 s, the retransmit timer at the
+    /// 3 s initial timeout.
+    pub fn mass_open(&mut self, pid: Pid) -> MassId {
         let idx = match self.mass.free.pop() {
             Some(idx) => idx,
             None => {
@@ -164,12 +162,9 @@ impl LinuxKernel {
         id
     }
 
-    /// Connection activity from simulated CPU `cpu`: re-sets the watchdog
-    /// to its full timeout (the watchdog pattern). A live re-arm from a
-    /// CPU other than the one holding the timer migrates it between
-    /// bases, exactly as `__mod_timer` re-homes onto the arming CPU's
-    /// `tvec_base`.
-    pub fn mass_activity(&mut self, id: MassId, cpu: u32) {
+    /// Connection activity: re-sets the watchdog to its full timeout (the
+    /// watchdog pattern).
+    pub fn mass_activity(&mut self, id: MassId) {
         let Some(entry) = self.mass.entries.get_mut(id.0 as usize) else {
             return;
         };
@@ -185,7 +180,6 @@ impl LinuxKernel {
         self.mass_gap.observe_success(gap);
         let timeout =
             LinuxKernel::decide_timeout(self.cfg.policy, &self.mass_gap, MASS_WATCHDOG_TIMEOUT);
-        self.set_timer_cpu(Some(cpu));
         self.charge_call(self.now);
         self.base.mod_timer_in(
             &mut self.log,
@@ -198,9 +192,9 @@ impl LinuxKernel {
     }
 
     /// An ACK arrived and the connection went idle: reset the backoff and
-    /// re-arm the retransmit timer far out from CPU `cpu` — pending (the
-    /// connection still owns its two timers) but rarely expiring.
-    pub fn mass_ack(&mut self, id: MassId, cpu: u32) {
+    /// re-arm the retransmit timer far out — pending (the connection still
+    /// owns its two timers) but rarely expiring.
+    pub fn mass_ack(&mut self, id: MassId) {
         // The transmit→ACK delay is a round-trip sample for the shared
         // RTT prior (fed in every mode, like `tcp_ack_received`).
         if let Some(entry) = self.mass.entries.get(id.0 as usize) {
@@ -210,23 +204,23 @@ impl LinuxKernel {
             }
         }
         let base = LinuxKernel::decide_timeout(self.cfg.policy, &self.rtt_prior, TCP_TIMEOUT_INIT);
-        self.mass_rearm_rto(id, cpu, MASS_RTO_IDLE, base);
+        self.mass_rearm_rto(id, MASS_RTO_IDLE, base);
     }
 
     /// Data went out (and its ACK will be lost): the retransmit timer
-    /// arms at the initial timeout from CPU `cpu` and will actually fire.
-    pub fn mass_transmit(&mut self, id: MassId, cpu: u32) {
+    /// arms at the initial timeout and will actually fire.
+    pub fn mass_transmit(&mut self, id: MassId) {
         if let Some(entry) = self.mass.entries.get_mut(id.0 as usize) {
             entry.last_transmit = self.now;
         }
         let init = LinuxKernel::decide_timeout(self.cfg.policy, &self.rtt_prior, TCP_TIMEOUT_INIT);
-        self.mass_rearm_rto(id, cpu, init, init);
+        self.mass_rearm_rto(id, init, init);
     }
 
     /// Re-arms the retransmit timer at `timeout`; `base` is what the
     /// exponential backoff doubles from — the *initial* RTO decision,
     /// never the idle-probe interval, matching the fixed `3 s << n`.
-    fn mass_rearm_rto(&mut self, id: MassId, cpu: u32, timeout: SimDuration, base: SimDuration) {
+    fn mass_rearm_rto(&mut self, id: MassId, timeout: SimDuration, base: SimDuration) {
         let Some(entry) = self.mass.entries.get_mut(id.0 as usize) else {
             return;
         };
@@ -237,7 +231,6 @@ impl LinuxKernel {
         entry.rto_armed = timeout;
         entry.rto_base = base;
         let rto = entry.rto;
-        self.set_timer_cpu(Some(cpu));
         self.charge_call(self.now);
         let jitter = self.sample_set_jitter();
         self.base.mod_timer_in(

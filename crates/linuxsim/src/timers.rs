@@ -378,25 +378,8 @@ impl TimerBase {
         self.pending.get(&handle.0).copied()
     }
 
-    /// Declares which simulated CPU issues the following `mod_timer`
-    /// calls (`None` restores per-timer default placement).
-    ///
-    /// Forwarded to the timer queue; only the sharded backend reacts — it
-    /// places new arms on that CPU's base and migrates live timers
-    /// re-armed from a different CPU, exactly as `__mod_timer` re-homes a
-    /// timer onto the arming CPU's `tvec_base`.
-    pub fn set_context_cpu(&mut self, cpu: Option<u32>) {
-        self.wheel.set_context_cpu(cpu);
-    }
-
-    /// The per-CPU base a pending timer lives on (0 on single-base
-    /// backends).
-    pub fn base_of(&self, handle: TimerHandle) -> Option<u32> {
-        self.wheel.base_of(handle.0 as u64)
-    }
-
     /// The `/proc/timer_list` section for the standard base: every
-    /// pending timer's armed expiry jiffy, base, owner and provenance.
+    /// pending timer's armed expiry jiffy, owner and provenance.
     pub fn timer_list(&self, strings: &trace::StringTable) -> wheel::QueueListing {
         wheel::QueueListing::from_snapshot(
             "base",

@@ -12,14 +12,12 @@
 //! (retransmission timers, ARP cache state machines) lives in `linuxsim`
 //! and `vistasim` — exactly the split the real systems have.
 
-pub mod conn;
 pub mod faults;
 pub mod http;
 pub mod lan;
 pub mod link;
 pub mod rpc;
 
-pub use conn::{ClientPool, ConnAddr};
 pub use faults::NetFault;
 pub use http::{HttpLoadGen, HttpRequestOutcome};
 pub use lan::LanActivity;

@@ -37,8 +37,24 @@ impl SimDuration {
     }
 
     /// Creates a duration from whole seconds.
+    ///
+    /// # Panics
+    ///
+    /// Panics, in every build profile, if `s` seconds are past
+    /// [`SimDuration::MAX`].
     pub const fn from_secs(s: u64) -> Self {
-        SimDuration(s * 1_000_000_000)
+        match s.checked_mul(1_000_000_000) {
+            Some(ns) => SimDuration(ns),
+            None => panic!("SimDuration::from_secs overflows the nanosecond counter"),
+        }
+    }
+
+    /// `self * rhs`, or `None` past [`SimDuration::MAX`].
+    pub const fn checked_mul(self, rhs: u64) -> Option<SimDuration> {
+        match self.0.checked_mul(rhs) {
+            Some(ns) => Some(SimDuration(ns)),
+            None => None,
+        }
     }
 
     /// Creates a duration from a floating-point number of seconds.
@@ -159,10 +175,12 @@ impl SubAssign for SimDuration {
     }
 }
 
+/// Panics, in every build profile, past [`SimDuration::MAX`].
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
     fn mul(self, rhs: u64) -> SimDuration {
-        SimDuration(self.0 * rhs)
+        self.checked_mul(rhs)
+            .expect("SimDuration * u64 overflows the nanosecond counter")
     }
 }
 
@@ -284,6 +302,28 @@ mod tests {
         assert_eq!(SimDuration::from_millis(4).as_nanos(), 4_000_000);
         assert_eq!(SimDuration::from_micros(7).as_nanos(), 7_000);
         assert_eq!(SimDuration::from_secs(2).as_secs(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows the nanosecond counter")]
+    fn from_secs_panics_past_max() {
+        let secs = std::hint::black_box(u64::MAX / 1_000_000_000 + 1);
+        let _ = SimDuration::from_secs(secs);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows the nanosecond counter")]
+    fn mul_panics_past_max() {
+        let factor = std::hint::black_box(18_446_744_074);
+        let _ = SimDuration::from_secs(1) * factor;
+    }
+
+    #[test]
+    fn checked_mul_stops_at_max() {
+        let sec = SimDuration::from_secs(1);
+        assert_eq!(sec.checked_mul(3), Some(SimDuration::from_secs(3)));
+        assert_eq!(sec.checked_mul(18_446_744_074), None);
+        assert_eq!(SimDuration::MAX.checked_mul(1), Some(SimDuration::MAX));
     }
 
     #[test]

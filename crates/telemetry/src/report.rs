@@ -410,34 +410,6 @@ pub fn sim_section_canonical(v: &Value) -> Result<String, String> {
     Ok(v.get("sim").ok_or("missing sim section")?.canonical())
 }
 
-/// The canonical form of the attribution tables alone: one canonical
-/// object per experiment, in order, labels excluded.
-///
-/// Backends legitimately differ in structure-specific sim counters
-/// (cascades, migrations), so the full `sim` section cannot be compared
-/// across a backend pair — but per-origin attribution is a fold over the
-/// trace alone and must not drift. This is the byte string the CI
-/// backend-pair check pins.
-pub fn attr_section_canonical(v: &Value) -> Result<String, String> {
-    let experiments = v
-        .get("sim")
-        .and_then(|s| s.get("experiments"))
-        .and_then(Value::as_arr)
-        .ok_or("missing sim.experiments")?;
-    let mut out = String::from("[");
-    for (i, exp) in experiments.iter().enumerate() {
-        let attribution = exp
-            .get("attribution")
-            .ok_or_else(|| format!("experiment {i} missing attribution"))?;
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&attribution.canonical());
-    }
-    out.push(']');
-    Ok(out)
-}
-
 /// Formats the one-line per-stage summary the figure binaries print to
 /// stderr: `[telemetry] stage=<stage> k=v k=v ...`.
 pub fn stage_summary_line(stage: &str, fields: &[(&str, String)]) -> String {
@@ -522,7 +494,7 @@ mod tests {
     }
 
     #[test]
-    fn attribution_rides_in_sim_and_extracts_canonically() {
+    fn attribution_rides_in_sim_totals() {
         let report = sample_report();
         let parsed = json::parse(&report.to_json()).unwrap();
         let attr = parsed
@@ -536,13 +508,6 @@ mod tests {
                 .and_then(Value::as_u64),
             Some(12)
         );
-        let canonical = attr_section_canonical(&parsed).unwrap();
-        assert!(canonical.contains("\"tcp:rto\""));
-        // Wall-plane churn must not change the attribution bytes.
-        let mut other = report.clone();
-        other.wall_seconds = 5.0;
-        let b = json::parse(&other.to_json()).unwrap();
-        assert_eq!(canonical, attr_section_canonical(&b).unwrap());
     }
 
     #[test]

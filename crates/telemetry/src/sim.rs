@@ -31,8 +31,8 @@ pub enum SimCounter {
     /// Pending timers cancelled in any timer-queue backend.
     WheelCancels,
     /// Deferred-maintenance entry touches: cascade moves (hierarchical),
-    /// not-yet-due revisits (hashed), stale-entry pops (heap). The exact
-    /// sorted list does no deferred work and never bumps this.
+    /// not-yet-due revisits (hashed). The exact sorted list does no
+    /// deferred work and never bumps this.
     WheelCascades,
     /// Trace records logged through `TraceLog`.
     TraceRecords,
@@ -54,10 +54,6 @@ pub enum SimCounter {
     ClockPerturbations,
     /// Virtual nanoseconds advanced by the simulated kernels.
     SimTimeAdvancedNs,
-    /// Timers moved between per-CPU bases by a sharded backend (a re-arm
-    /// issued from a different simulated CPU than the base the timer
-    /// currently lives on).
-    WheelBaseMigrations,
     /// Retransmission-class timer expirations (TCP RTO, SYN retransmit,
     /// mass-table RTO, Vista wheel retransmit) — the events whose waited
     /// durations feed the fixed-vs-adaptive retransmit-latency figure.
@@ -83,7 +79,7 @@ pub enum SimCounter {
 impl SimCounter {
     /// Every counter, in stable export order. New counters are appended so
     /// existing counters' indices stay stable.
-    pub const ALL: [SimCounter; 21] = [
+    pub const ALL: [SimCounter; 20] = [
         SimCounter::WheelSchedules,
         SimCounter::WheelCascadeMoves,
         SimCounter::WheelExpirations,
@@ -99,7 +95,6 @@ impl SimCounter {
         SimCounter::NetFaultedSamples,
         SimCounter::ClockPerturbations,
         SimCounter::SimTimeAdvancedNs,
-        SimCounter::WheelBaseMigrations,
         SimCounter::AdaptiveRtoExpirations,
         SimCounter::AdaptiveRtoWaitNs,
         SimCounter::AdaptiveLearnedArms,
@@ -125,7 +120,6 @@ impl SimCounter {
             SimCounter::NetFaultedSamples => "net_faulted_samples_total",
             SimCounter::ClockPerturbations => "clock_perturbations_total",
             SimCounter::SimTimeAdvancedNs => "sim_time_advanced_ns_total",
-            SimCounter::WheelBaseMigrations => "wheel_base_migrations_total",
             SimCounter::AdaptiveRtoExpirations => "adaptive_rto_expirations_total",
             SimCounter::AdaptiveRtoWaitNs => "adaptive_rto_wait_ns_total",
             SimCounter::AdaptiveLearnedArms => "adaptive_learned_arms_total",
@@ -148,10 +142,6 @@ pub enum SimGauge {
     /// once — the streaming pipeline's whole memory footprint, bounded by
     /// the chunk size regardless of trace length.
     AnalysisResidentEventsHigh,
-    /// Largest pending-count spread between the fullest and emptiest base
-    /// of a sharded backend — 0 unless shards are in use (or perfectly
-    /// balanced).
-    WheelBaseImbalanceMax,
     /// Most timer nodes a backend slab arena ever held live at once — the
     /// arena's whole memory footprint, which the free list keeps from
     /// growing past the workload's peak concurrency.
@@ -161,12 +151,11 @@ pub enum SimGauge {
 impl SimGauge {
     /// Every gauge, in stable export order. New gauges are appended so
     /// existing gauges' indices stay stable.
-    pub const ALL: [SimGauge; 6] = [
+    pub const ALL: [SimGauge; 5] = [
         SimGauge::WheelPendingHigh,
         SimGauge::RingBytesHigh,
         SimGauge::StringTableSize,
         SimGauge::AnalysisResidentEventsHigh,
-        SimGauge::WheelBaseImbalanceMax,
         SimGauge::ArenaNodesHigh,
     ];
 
@@ -177,7 +166,6 @@ impl SimGauge {
             SimGauge::RingBytesHigh => "trace_ring_bytes_high_watermark",
             SimGauge::StringTableSize => "trace_string_table_size",
             SimGauge::AnalysisResidentEventsHigh => "analysis_resident_events_high_watermark",
-            SimGauge::WheelBaseImbalanceMax => "wheel_base_imbalance_max",
             SimGauge::ArenaNodesHigh => "arena_nodes_high_watermark",
         }
     }

@@ -47,14 +47,6 @@ pub enum KernelLoadLevel {
     Desktop,
 }
 
-impl VistaConfig {
-    /// The number of per-processor timer tables this configuration
-    /// simulates (1 unless the backend is sharded).
-    pub fn shards(&self) -> u16 {
-        self.backend.shards()
-    }
-}
-
 impl Default for VistaConfig {
     fn default() -> Self {
         VistaConfig {

@@ -25,7 +25,7 @@
 //! * The sim-plane bumps for schedules/cancels/expirations replicate
 //!   [`ActiveSet`](crate::api::ActiveSet) exactly (a re-arm of a live
 //!   timer counts a cancel and a schedule), keeping the conservation
-//!   identity and the cross-backend uniform counters unchanged.
+//!   identity and the counters shared by every structure unchanged.
 
 use std::collections::HashMap;
 
@@ -54,11 +54,11 @@ pub struct NodeHandle {
     pub generation: u64,
 }
 
-/// Slab arena for single-base timer-queue backends.
+/// Slab arena for the timing wheels.
 ///
-/// Drop-in replacement for the counted single-base
-/// [`ActiveSet`](crate::api::ActiveSet): same sim-plane counter semantics,
-/// but liveness checks during slot processing are array reads.
+/// Drop-in replacement for [`ActiveSet`](crate::api::ActiveSet): same
+/// sim-plane counter semantics, but liveness checks during slot
+/// processing are array reads.
 #[derive(Debug, Default)]
 pub struct NodeArena {
     nodes: Vec<Node>,
@@ -186,7 +186,7 @@ impl NodeArena {
             .min()
     }
 
-    /// Builds the backend-uniform [`QueueSnapshot`] body (single base).
+    /// The [`QueueSnapshot`] of the live nodes at tick `now`.
     pub fn snapshot_at(&self, now: Tick) -> QueueSnapshot {
         let mut entries: Vec<SnapshotEntry> = self
             .nodes
@@ -195,17 +195,10 @@ impl NodeArena {
             .map(|n| SnapshotEntry {
                 expires: n.expires,
                 id: n.id,
-                base: 0,
             })
             .collect();
         entries.sort_unstable();
-        QueueSnapshot {
-            now,
-            entries,
-            base_pending: vec![self.index.len() as u64],
-            migrations: 0,
-            imbalance: 0,
-        }
+        QueueSnapshot { now, entries }
     }
 }
 
@@ -261,7 +254,6 @@ mod tests {
         let snap = arena.snapshot_at(7);
         assert_eq!(snap.now, 7);
         assert_eq!(snap.pending_multiset(), vec![(50, 1), (90, 3)]);
-        assert_eq!(snap.base_pending, vec![2]);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Both kernels studied in the paper multiplex an unbounded set of software
 //! timers onto a single hardware tick using a variant of *timing wheels*
-//! (Varghese & Lauck, SOSP'87). This crate implements the data structures
-//! underneath the two simulated kernels, plus two baselines, behind one
+//! (Varghese & Lauck, SOSP'87). This crate implements the two structures
+//! underneath the simulated kernels, plus a reference baseline, behind one
 //! [`TimerQueue`] trait:
 //!
 //! * [`HierarchicalWheel`] — the Linux `kernel/timer.c` design: a 256-slot
@@ -12,40 +12,28 @@
 //!   O(1) per-tick processing.
 //! * [`HashedWheel`] — Varghese & Lauck "scheme 6": a single wheel of `N`
 //!   slots hashed by expiry tick, with entries that may need several
-//!   revolutions before firing.
-//! * [`HeapQueue`] — a binary min-heap with lazy deletion, the textbook
-//!   priority-queue alternative (O(log n) set).
+//!   revolutions before firing. Vista's KTIMER table and TCP wheel.
 //! * [`SortedList`] — a sorted vector, the historical BSD `callout` list
-//!   baseline (O(n) set, O(1) pop).
+//!   (O(n) set, O(1) pop): the exact reference `tests/equivalence.rs`
+//!   checks both wheels against.
 //!
-//! All four are deterministic and share one exact firing-order contract:
+//! All three are deterministic and share one exact firing-order contract:
 //! a timer fires at its effective tick, and timers due on the same tick
-//! fire in (armed expiry, insertion) order. Because the contract is exact,
-//! the structures are interchangeable at runtime via [`Backend`], which the
-//! simulated kernels use to take their timer queue from the experiment
-//! spec instead of hard-wiring it.
-//!
-//! [`ShardedQueue`] splits any of the four into N per-CPU bases with
-//! deterministic placement and cross-base migration — the topology the
-//! paper's SMP kernels actually run — while preserving the same exact
-//! firing-order contract.
+//! fire in (armed expiry, insertion) order. Each simulated subsystem
+//! builds its native wheel through [`Backend`].
 
 pub mod api;
 pub mod arena;
 pub mod backend;
 pub mod hashed;
-pub mod heap;
 pub mod hierarchical;
-pub mod sharded;
 pub mod snapshot;
 pub mod sortedlist;
 
 pub use api::{Tick, TimerId, TimerQueue};
 pub use arena::{NodeArena, NodeHandle};
-pub use backend::{Backend, InnerBackend};
+pub use backend::Backend;
 pub use hashed::HashedWheel;
-pub use heap::HeapQueue;
 pub use hierarchical::HierarchicalWheel;
-pub use sharded::ShardedQueue;
 pub use snapshot::{QueueListing, TimerListCapture, TimerListEntry};
 pub use sortedlist::SortedList;

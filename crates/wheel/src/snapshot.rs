@@ -6,7 +6,7 @@
 //! sanity-check its traces, so the simulation reproduces it: at chosen
 //! sim instants, each kernel dumps a [`TimerListCapture`] — one
 //! [`QueueListing`] per timer structure it runs — built from the uniform
-//! [`QueueSnapshot`](crate::api::QueueSnapshot) every backend implements.
+//! [`QueueSnapshot`](crate::api::QueueSnapshot) every queue implements.
 //!
 //! # Plan / capture protocol
 //!
@@ -19,16 +19,15 @@
 //! collects everything with [`take_captures`] afterwards. Kernels always
 //! run on the calling thread, so thread-locals are safe.
 //!
-//! # Determinism and cross-backend equivalence
+//! # Determinism and cross-structure equivalence
 //!
 //! A capture is a pure function of the kernel's state at the drained
 //! instant, which is itself a pure function of the spec; renders are
-//! therefore byte-identical across repeated runs. Because every backend
-//! snapshot reports *armed expiries* from the shared
-//! [`ActiveSet`](crate::api::ActiveSet) bookkeeping (never
-//! structure-internal slot positions), the pending `(expiry, id)`
-//! multiset at any instant is identical across all backends and shard
-//! widths — `tests/timer_list.rs` pins this.
+//! therefore byte-identical across repeated runs. Because every queue
+//! snapshot reports *armed expiries* from its per-timer bookkeeping
+//! (never structure-internal slot positions), the pending `(expiry, id)`
+//! multiset at any instant is identical whichever wheel a spec forces —
+//! `tests/timer_list.rs` pins this.
 
 use std::cell::RefCell;
 
@@ -41,8 +40,6 @@ pub struct TimerListEntry {
     pub expires_tick: Tick,
     /// The queue-level timer id (handle index).
     pub id: TimerId,
-    /// The per-CPU base holding the entry (0 on flat queues).
-    pub base: u32,
     /// Resolved provenance label.
     pub origin: String,
     /// Owning process (0 for the kernel).
@@ -58,18 +55,12 @@ pub struct QueueListing {
     pub now_tick: Tick,
     /// Nanoseconds per tick of this queue's clock.
     pub tick_nanos: u64,
-    /// Pending entries, sorted by (expiry, id, base).
+    /// Pending entries, sorted by (expiry, id).
     pub entries: Vec<TimerListEntry>,
-    /// Pending count per per-CPU base.
-    pub base_pending: Vec<u64>,
-    /// Cross-base migrations performed so far.
-    pub migrations: u64,
-    /// Current spread between the fullest and emptiest base.
-    pub imbalance: u64,
 }
 
 impl QueueListing {
-    /// Builds a listing from a backend snapshot, resolving each timer id
+    /// Builds a listing from a queue snapshot, resolving each timer id
     /// to its `(origin label, pid)` through `resolve`.
     pub fn from_snapshot(
         name: &str,
@@ -85,7 +76,6 @@ impl QueueListing {
                 TimerListEntry {
                     expires_tick: e.expires,
                     id: e.id,
-                    base: e.base,
                     origin,
                     pid,
                 }
@@ -96,15 +86,11 @@ impl QueueListing {
             now_tick: snap.now,
             tick_nanos,
             entries,
-            base_pending: snap.base_pending.clone(),
-            migrations: snap.migrations,
-            imbalance: snap.imbalance,
         }
     }
 
-    /// The backend-invariant pending view: the `(expiry tick, id)`
-    /// multiset, sorted. Base placement is excluded — it legitimately
-    /// differs across shard widths.
+    /// The structure-invariant pending view: the `(expiry tick, id)`
+    /// multiset, sorted.
     pub fn pending_multiset(&self) -> Vec<(Tick, TimerId)> {
         let mut v: Vec<(Tick, TimerId)> = self
             .entries
@@ -141,24 +127,20 @@ impl TimerListCapture {
         ));
         for q in &self.queues {
             out.push_str(&format!(
-                "queue: {} (tick {} ns), now tick {}, pending {}, bases {}, migrations {}, imbalance {}\n",
+                "queue: {} (tick {} ns), now tick {}, pending {}\n",
                 q.name,
                 q.tick_nanos,
                 q.now_tick,
                 q.entries.len(),
-                q.base_pending.len(),
-                q.migrations,
-                q.imbalance
             ));
             for (i, e) in q.entries.iter().enumerate() {
                 let ns = e.expires_tick.saturating_mul(q.tick_nanos);
                 out.push_str(&format!(
-                    " #{i}: expires tick {} ({}.{:09} s), id {}, base {}, pid {}, origin {}\n",
+                    " #{i}: expires tick {} ({}.{:09} s), id {}, pid {}, origin {}\n",
                     e.expires_tick,
                     ns / 1_000_000_000,
                     ns % 1_000_000_000,
                     e.id,
-                    e.base,
                     e.pid,
                     e.origin
                 ));
@@ -215,7 +197,7 @@ pub fn take_captures() -> Vec<TimerListCapture> {
 mod tests {
     use super::*;
     use crate::api::TimerQueue;
-    use crate::heap::HeapQueue;
+    use crate::sortedlist::SortedList;
 
     #[test]
     fn plan_drains_in_order_and_once() {
@@ -231,7 +213,7 @@ mod tests {
     #[test]
     fn captures_round_trip_and_render_deterministically() {
         install_plan(vec![1_000_000_000]);
-        let mut q = HeapQueue::new();
+        let mut q = SortedList::new();
         q.schedule(7, 42);
         q.schedule(3, 42);
         let listing = QueueListing::from_snapshot("base", 4_000_000, &q.snapshot(), |id| {

@@ -3,8 +3,9 @@
 //! Early Unix kernels (including the 6th Edition code the paper cites as
 //! the unchanged ancestor of today's interfaces) kept pending timeouts in a
 //! single list sorted by expiry. Insertion is O(n), cancellation O(log n)
-//! plus the shift, and expiry is a batched prefix drain. It is included as
-//! the baseline the timing wheels were invented to replace.
+//! plus the shift, and expiry is a batched prefix drain. It is the baseline
+//! the timing wheels were invented to replace, and the exact reference
+//! `tests/equivalence.rs` checks both wheels against.
 //!
 //! The list is *exact*: every mutation maintains full sorted order with no
 //! lazy deletion. Removals locate their entry by binary search on the full
@@ -128,7 +129,7 @@ impl TimerQueue for SortedList {
     }
 
     fn snapshot(&self) -> crate::api::QueueSnapshot {
-        self.active.snapshot_at(self.current, 0)
+        self.active.snapshot_at(self.current)
     }
 }
 

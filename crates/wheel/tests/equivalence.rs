@@ -1,9 +1,9 @@
-//! Property tests: all four timer-queue implementations are observationally
-//! equivalent — *exactly*, including fire order — under arbitrary
-//! schedule / re-arm / cancel / advance sequences.
+//! Property tests: both timing wheels are observationally equivalent to
+//! the exact [`SortedList`] reference — *exactly*, including fire order —
+//! under arbitrary schedule / re-arm / cancel / advance sequences.
 //!
 //! The firing-order contract (`wheel::api`, "Firing order") says every
-//! backend fires a timer at its effective tick and, within one tick, in
+//! queue fires a timer at its effective tick and, within one tick, in
 //! (armed expiry, insertion) order. These tests compare full fire
 //! sequences with **no normalisation**: any divergence in order is a
 //! contract violation, because the simulated kernels consume fire
@@ -11,9 +11,7 @@
 //! draws and therefore whole traces.
 
 use proptest::prelude::*;
-use wheel::{
-    Backend, HashedWheel, HeapQueue, HierarchicalWheel, SortedList, Tick, TimerId, TimerQueue,
-};
+use wheel::{HashedWheel, HierarchicalWheel, SortedList, Tick, TimerId, TimerQueue};
 
 /// One operation in a randomly generated trace.
 #[derive(Debug, Clone)]
@@ -28,7 +26,7 @@ enum Op {
     Cancel { id: TimerId },
     /// Cancel then immediately reschedule — the kernel's
     /// `del_timer; mod_timer` idiom, which must behave exactly like a
-    /// plain re-arm despite the backends' lazy-deletion stale entries.
+    /// plain re-arm despite the wheels' lazy-deletion stale entries.
     CancelReschedule { id: TimerId, delta: u64 },
     /// Move time forward, firing everything due.
     Advance { delta: u64 },
@@ -74,33 +72,33 @@ fn run(queue: &mut dyn TimerQueue, ops: &[Op]) -> Vec<(Tick, TimerId, Tick)> {
     fired
 }
 
-/// The four concrete backends, built through the same factory the
-/// simulated kernels use.
-fn all_backends() -> Vec<(Backend, Box<dyn TimerQueue>)> {
-    Backend::FORCED
-        .into_iter()
-        .map(|b| (b, b.build(Backend::Hierarchical, 64)))
-        .collect()
+/// The reference list first, then both wheels.
+fn all_queues() -> Vec<(&'static str, Box<dyn TimerQueue>)> {
+    vec![
+        ("sortedlist", Box::new(SortedList::new())),
+        ("hierarchical", Box::new(HierarchicalWheel::new())),
+        ("hashed", Box::new(HashedWheel::new(64))),
+    ]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The heart of the backend-swap safety argument: the full fire
-    /// sequence — order included — is identical across all four
+    /// The heart of the wheel-swap safety argument: the full fire
+    /// sequence — order included — is identical across all three
     /// structures for any interleaving of operations.
     #[test]
     fn all_queues_exactly_equivalent(ops in proptest::collection::vec(op_strategy(), 0..120)) {
         let mut reference: Option<Vec<(Tick, TimerId, Tick)>> = None;
-        for (backend, mut queue) in all_backends() {
+        for (name, mut queue) in all_queues() {
             let fired = run(queue.as_mut(), &ops);
             match &reference {
                 None => reference = Some(fired),
                 Some(expected) => prop_assert_eq!(
                     expected,
                     &fired,
-                    "backend {} diverged from hierarchical",
-                    backend.label()
+                    "{} diverged from the sorted list",
+                    name
                 ),
             }
         }
@@ -110,7 +108,6 @@ proptest! {
     fn pending_state_agrees(ops in proptest::collection::vec(op_strategy(), 0..80)) {
         let mut hier = HierarchicalWheel::new();
         let mut hashed = HashedWheel::new(64);
-        let mut heap = HeapQueue::new();
         let mut list = SortedList::new();
         let mut now = 0u64;
         for op in &ops {
@@ -118,23 +115,19 @@ proptest! {
                 Op::Schedule { id, delta } | Op::Rearm { id, delta } => {
                     hier.schedule(id, now + delta);
                     hashed.schedule(id, now + delta);
-                    heap.schedule(id, now + delta);
                     list.schedule(id, now + delta);
                 }
                 Op::Cancel { id } => {
                     let r = hier.cancel(id);
                     prop_assert_eq!(r, hashed.cancel(id));
-                    prop_assert_eq!(r, heap.cancel(id));
                     prop_assert_eq!(r, list.cancel(id));
                 }
                 Op::CancelReschedule { id, delta } => {
                     let r = hier.cancel(id);
                     prop_assert_eq!(r, hashed.cancel(id));
-                    prop_assert_eq!(r, heap.cancel(id));
                     prop_assert_eq!(r, list.cancel(id));
                     hier.schedule(id, now + delta);
                     hashed.schedule(id, now + delta);
-                    heap.schedule(id, now + delta);
                     list.schedule(id, now + delta);
                 }
                 Op::Advance { delta } => {
@@ -142,43 +135,33 @@ proptest! {
                     let mut n1 = 0u32;
                     let mut n2 = 0u32;
                     let mut n3 = 0u32;
-                    let mut n4 = 0u32;
                     hier.advance_to(now, &mut |_, _| n1 += 1);
                     hashed.advance_to(now, &mut |_, _| n2 += 1);
-                    heap.advance_to(now, &mut |_, _| n3 += 1);
-                    list.advance_to(now, &mut |_, _| n4 += 1);
+                    list.advance_to(now, &mut |_, _| n3 += 1);
                     prop_assert_eq!(n1, n2);
                     prop_assert_eq!(n1, n3);
-                    prop_assert_eq!(n1, n4);
                 }
             }
             prop_assert_eq!(hier.len(), hashed.len());
-            prop_assert_eq!(hier.len(), heap.len());
             prop_assert_eq!(hier.len(), list.len());
             prop_assert_eq!(hier.next_expiry(), hashed.next_expiry());
-            prop_assert_eq!(hier.next_expiry(), heap.next_expiry());
             prop_assert_eq!(hier.next_expiry(), list.next_expiry());
         }
     }
 }
 
-/// Runs `setup` on a fresh queue of every backend and asserts each
+/// Runs `setup` on a fresh queue of every structure and asserts each
 /// produces exactly `expected` when advanced to `horizon`.
 fn assert_all_fire(
     setup: impl Fn(&mut dyn TimerQueue),
     horizon: Tick,
     expected: &[(TimerId, Tick)],
 ) {
-    for (backend, mut queue) in all_backends() {
+    for (name, mut queue) in all_queues() {
         setup(queue.as_mut());
         let mut fired = Vec::new();
         queue.advance_to(horizon, &mut |id, exp| fired.push((id, exp)));
-        assert_eq!(
-            fired,
-            expected,
-            "backend {} fired in the wrong order",
-            backend.label()
-        );
+        assert_eq!(fired, expected, "{name} fired in the wrong order");
     }
 }
 
@@ -186,7 +169,7 @@ fn assert_all_fire(
 /// effective tick with timers armed exactly for it, and must be ordered
 /// by (armed expiry, insertion) — *not* by insertion or slot position.
 /// Before the ordering fix the wheels fired `x` first (slot insertion
-/// order) and heap/list ordered past-due entries by generation.
+/// order) and the list ordered past-due entries by generation.
 #[test]
 fn same_tick_orders_past_due_by_expiry() {
     assert_all_fire(
@@ -256,7 +239,7 @@ fn rearm_same_expiry_moves_to_back() {
 /// Deterministic regression: a dense periodic + timeout mix drains fully.
 #[test]
 fn mixed_workload_drains() {
-    for (_, mut q) in all_backends() {
+    for (_, mut q) in all_queues() {
         // 100 periodic timers re-armed 50 times each from the callback
         // would need callback re-entry; emulate by scheduling all rounds.
         let mut id = 0;

@@ -45,7 +45,7 @@ pub enum Workload {
     /// The lived-in desktop with Outlook and a browser (Figure 1).
     Outlook,
     /// Apache scaled to ~10⁶ concurrent keep-alive connections (the
-    /// sharded per-CPU timer-base stress workload).
+    /// timer-base stress workload).
     ApacheScale,
 }
 
@@ -91,34 +91,22 @@ pub fn run_linux_faulted(
     sink: Box<dyn TraceSink>,
     net: NetFault,
 ) -> linuxsim::LinuxKernel {
-    run_linux_backend(workload, seed, duration, sink, net, wheel::Backend::Native)
-}
-
-/// [`run_linux_faulted`] with the kernel's timer queue taken from
-/// `backend` (`Native` keeps the hierarchical cascading wheel).
-pub fn run_linux_backend(
-    workload: Workload,
-    seed: u64,
-    duration: SimDuration,
-    sink: Box<dyn TraceSink>,
-    net: NetFault,
-    backend: wheel::Backend,
-) -> linuxsim::LinuxKernel {
     run_linux_configured(
         workload,
         seed,
         duration,
         sink,
         net,
-        backend,
+        wheel::Backend::Native,
         adaptive::AdaptivePolicy::Off,
     )
 }
 
-/// [`run_linux_backend`] with the workload-timeout policy selected:
-/// `Off`/`Fixed` keep every historical constant (and must replay
-/// byte-identically), `Learned` drives the same timers from the learned
-/// distributions of §5.1.
+/// [`run_linux_faulted`] with the kernel's timer queue taken from
+/// `backend` (`Native` keeps the hierarchical cascading wheel) and the
+/// workload-timeout policy selected: `Off`/`Fixed` keep every historical
+/// constant (and must replay byte-identically), `Learned` drives the same
+/// timers from the learned distributions of §5.1.
 #[allow(clippy::too_many_arguments)]
 pub fn run_linux_configured(
     workload: Workload,
@@ -163,31 +151,20 @@ pub fn run_vista_faulted(
     sink: Box<dyn TraceSink>,
     net: NetFault,
 ) -> vistasim::VistaKernel {
-    run_vista_backend(workload, seed, duration, sink, net, wheel::Backend::Native)
-}
-
-/// [`run_vista_faulted`] with the kernel's timer queues taken from
-/// `backend` (`Native` keeps the hashed KTIMER ring and TCP wheel).
-pub fn run_vista_backend(
-    workload: Workload,
-    seed: u64,
-    duration: SimDuration,
-    sink: Box<dyn TraceSink>,
-    net: NetFault,
-    backend: wheel::Backend,
-) -> vistasim::VistaKernel {
     run_vista_configured(
         workload,
         seed,
         duration,
         sink,
         net,
-        backend,
+        wheel::Backend::Native,
         adaptive::AdaptivePolicy::Off,
     )
 }
 
-/// [`run_vista_backend`] with the workload-timeout policy selected.
+/// [`run_vista_faulted`] with the kernel's timer queues taken from
+/// `backend` (`Native` keeps the hashed KTIMER ring and TCP wheel) and
+/// the workload-timeout policy selected.
 #[allow(clippy::too_many_arguments)]
 pub fn run_vista_configured(
     workload: Workload,
@@ -205,8 +182,8 @@ pub fn run_vista_configured(
         Workload::Webserver => vista::webserver::run(seed, duration, sink, net, backend, policy),
         Workload::Outlook => vista::outlook::run(seed, duration, sink, backend, policy),
         Workload::ApacheScale => {
-            // The sharded-base stress workload targets the Linux model;
-            // on Vista it degrades to the paper's webserver run.
+            // The timer-base stress workload targets the Linux model; on
+            // Vista it degrades to the paper's webserver run.
             vista::webserver::run(seed, duration, sink, net, backend, policy)
         }
     }

@@ -4,18 +4,13 @@
 //! scales the same per-connection timer pattern — a 15 s application
 //! watchdog endlessly re-set by activity, plus one kernel retransmit
 //! timer — to a million concurrent connections, the load a modern
-//! front-end webserver actually carries. It exists to exercise the
-//! sharded per-CPU timer bases (`wheel::sharded`): every connection is
-//! pinned to a deterministic simulated CPU, activity waves rotate that
-//! CPU, and each rotated re-arm migrates the live watchdog between bases
-//! exactly as `__mod_timer` re-homes timers onto the arming CPU's
-//! `tvec_base`.
+//! front-end webserver actually carries: two live timers per connection,
+//! a working set far beyond the caches.
 //!
-//! Everything is deterministic: connection placement, wave membership,
-//! and loss selection come from hashes of the connection key, never the
-//! RNG, so runs are byte-identical across shard counts.
+//! Everything is deterministic: wave membership and loss selection come
+//! from the connection's position and the wave number, never the RNG.
 
-use netsim::{ClientPool, NetFault};
+use netsim::NetFault;
 use simtime::{SimDuration, SimInstant, SimRng};
 use trace::TraceSink;
 
@@ -41,14 +36,11 @@ pub fn connection_target(duration: SimDuration) -> u64 {
     ((duration.as_secs_f64() * CONNS_PER_SECOND as f64) as u64).clamp(MIN_CONNS, MAX_CONNS)
 }
 
-/// Workload state: the open connection set and its address pool.
+/// Workload state: the open connection set.
 pub struct MassWorld {
-    /// Every opened connection with its collision-free address key.
-    conns: Vec<(MassId, u64)>,
-    pool: ClientPool,
+    /// Every opened connection.
+    conns: Vec<MassId>,
     target: u64,
-    /// Simulated CPU count (the sharded backend's base count).
-    shards: u32,
     /// Activity-wave sequence number.
     wave: u64,
 }
@@ -60,48 +52,30 @@ impl LinuxWorld for MassWorld {
     }
 }
 
-/// splitmix64: deterministic placement/selection hash (no RNG draws).
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// The simulated CPU serving connection `key` during `wave`.
-fn cpu_of(key: u64, wave: u64, shards: u32) -> u32 {
-    (mix(key ^ wave.wrapping_mul(0x517c_c1b7_2722_0a95)) % shards as u64) as u32
-}
-
 /// Opens one ramp batch of connections.
 fn open_batch(driver: &mut LinuxDriver<MassWorld>, count: u64) {
     for _ in 0..count {
         if driver.world.conns.len() as u64 >= driver.world.target {
             return;
         }
-        let key = driver.world.pool.allocate().key();
-        let cpu = cpu_of(key, 0, driver.world.shards);
-        let id = driver.kernel.mass_open(pids::APACHE, cpu);
-        driver.world.conns.push((id, key));
+        let id = driver.kernel.mass_open(pids::APACHE);
+        driver.world.conns.push(id);
     }
 }
 
-/// One activity wave: every open connection refreshes its watchdog from
-/// its (rotated) serving CPU — migrating it between bases — and either
-/// goes idle acknowledged or, for a rotating ~1 % subset, retransmits
-/// into loss so its RTO genuinely fires.
+/// One activity wave: every open connection refreshes its watchdog and
+/// either goes idle acknowledged or, for a rotating ~1 % subset,
+/// retransmits into loss so its RTO genuinely fires.
 fn run_wave(driver: &mut LinuxDriver<MassWorld>) {
     driver.world.wave += 1;
     let wave = driver.world.wave;
-    let shards = driver.world.shards;
     let conns = std::mem::take(&mut driver.world.conns);
-    for (idx, &(id, key)) in conns.iter().enumerate() {
-        let cpu = cpu_of(key, wave, shards);
-        driver.kernel.mass_activity(id, cpu);
+    for (idx, &id) in conns.iter().enumerate() {
+        driver.kernel.mass_activity(id);
         if (idx as u64).wrapping_add(wave).is_multiple_of(101) {
-            driver.kernel.mass_transmit(id, cpu);
+            driver.kernel.mass_transmit(id);
         } else {
-            driver.kernel.mass_ack(id, cpu);
+            driver.kernel.mass_ack(id);
         }
     }
     driver.world.conns = conns;
@@ -125,7 +99,7 @@ fn schedule_waves(driver: &mut LinuxDriver<MassWorld>, close_at: SimInstant) {
 /// timers is part of the acceptance for this workload).
 fn close_all(driver: &mut LinuxDriver<MassWorld>) {
     let conns = std::mem::take(&mut driver.world.conns);
-    for &(id, _) in &conns {
+    for &id in &conns {
         driver.kernel.mass_close(id);
     }
     driver.world.conns = conns;
@@ -148,15 +122,12 @@ pub fn run(
         policy,
         ..LinuxConfig::default()
     };
-    let shards = cfg.shards() as u32;
     let mut kernel = LinuxKernel::new(cfg, sink);
     kernel.register_process(pids::APACHE, "apache2");
     let target = connection_target(duration);
     let world = MassWorld {
         conns: Vec::with_capacity(target as usize),
-        pool: ClientPool::sized_for(target),
         target,
-        shards: shards.max(1),
         wave: 0,
     };
     let rng = SimRng::new(seed ^ 0xa9ac);

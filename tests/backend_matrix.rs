@@ -1,28 +1,37 @@
-//! Figure-level cross-backend oracle: forcing every simulated subsystem
-//! onto any of the four timer-queue structures — flat or split across
-//! per-CPU sharded bases — must leave each rendered table and figure —
+//! Figure-level cross-wheel oracle: forcing every simulated subsystem
+//! onto either timing wheel must leave each rendered table and figure —
 //! and its CSV payload — byte-identical to the native run's. This is the
-//! end-to-end half of the equivalence matrix; the structure-level halves
-//! are `crates/wheel/tests/equivalence.rs` and
-//! `crates/wheel/tests/sharding_equivalence.rs`.
+//! end-to-end half of the equivalence argument; the structure-level half
+//! is `crates/wheel/tests/equivalence.rs`.
 //!
-//! Sim metrics are deliberately *not* asserted identical: the backends
+//! Sim metrics are deliberately *not* asserted identical: the wheels
 //! agree on every observable the figures are built from, but their
-//! internal-churn counter (`wheel_cascades_total`) is backend-specific.
+//! internal-churn counter (`wheel_cascades_total`) is wheel-specific.
 
+use adaptive::AdaptivePolicy;
 use simtime::SimDuration;
 use telemetry::SimCounter;
-use timerstudy::figures::reproduce_all_backend_with_results;
-use timerstudy::Backend;
+use timerstudy::figures::{reproduce_all_adaptive_with_results, Artifact};
+use timerstudy::{Backend, ExperimentResult, FaultSpec};
 
 const SECS: u64 = 12;
 const SEED: u64 = 7;
 
+/// The nine paper experiments with `backend` forced onto every subsystem.
+fn reproduce(duration: SimDuration, backend: Backend) -> (Vec<ExperimentResult>, Vec<Artifact>) {
+    reproduce_all_adaptive_with_results(
+        duration,
+        SEED,
+        FaultSpec::none(),
+        backend,
+        AdaptivePolicy::Off,
+    )
+}
+
 #[test]
 fn all_backends_render_byte_identical_figures() {
     let duration = SimDuration::from_secs(SECS);
-    let (native_results, native) =
-        reproduce_all_backend_with_results(duration, SEED, Backend::Native);
+    let (native_results, native) = reproduce(duration, Backend::Native);
     let native_counter =
         |c: SimCounter| -> u64 { native_results.iter().map(|r| r.metrics.counter(c)).sum() };
     assert!(
@@ -30,8 +39,8 @@ fn all_backends_render_byte_identical_figures() {
         "the wheel counters must be live for the matrix to mean anything"
     );
 
-    for backend in Backend::FORCED.into_iter().chain(Backend::SHARDED_MATRIX) {
-        let (results, artifacts) = reproduce_all_backend_with_results(duration, SEED, backend);
+    for backend in [Backend::Hierarchical, Backend::Hashed] {
+        let (results, artifacts) = reproduce(duration, backend);
         assert_eq!(
             native.len(),
             artifacts.len(),
@@ -83,30 +92,13 @@ fn all_backends_render_byte_identical_figures() {
 #[test]
 fn forced_backend_results_carry_backend_in_spec() {
     let duration = SimDuration::from_secs(2);
-    let (results, _) = reproduce_all_backend_with_results(duration, SEED, Backend::SortedList);
+    let (results, _) = reproduce(duration, Backend::Hashed);
     assert!(!results.is_empty());
     for r in &results {
-        assert_eq!(r.spec.backend, Backend::SortedList);
+        assert_eq!(r.spec.backend, Backend::Hashed);
         assert!(
-            timerstudy::spec_label(&r.spec).ends_with("backend=sortedlist"),
+            timerstudy::spec_label(&r.spec).ends_with("backend=hashed"),
             "label must name the forced backend: {}",
-            timerstudy::spec_label(&r.spec)
-        );
-    }
-}
-
-#[test]
-fn sharded_backend_results_carry_shard_count_in_spec() {
-    let duration = SimDuration::from_secs(2);
-    let backend = Backend::Hashed.with_shards(4);
-    let (results, _) = reproduce_all_backend_with_results(duration, SEED, backend);
-    assert!(!results.is_empty());
-    for r in &results {
-        assert_eq!(r.spec.backend, backend);
-        assert_eq!(r.spec.backend.shards(), 4);
-        assert!(
-            timerstudy::spec_label(&r.spec).ends_with("backend=sharded:4:hashed"),
-            "label must name the sharded backend and base count: {}",
             timerstudy::spec_label(&r.spec)
         );
     }

@@ -2,20 +2,16 @@
 //!
 //! The `ApacheScale` workload holds ~10⁶ concurrent connections — one
 //! keepalive watchdog plus one TCP retransmit timer each — on the
-//! sharded per-CPU timer bases. CI runs a scaled-down population that
-//! still crosses the 2¹⁶ boundary where a port-only connection identity
-//! would collide; set `MILLION_CONN_FULL=1` to run the full million
-//! (about 500 simulated seconds).
+//! kernel's native timer base. CI runs a scaled-down population that
+//! still crosses the 2¹⁶ boundary; set `MILLION_CONN_FULL=1` to run the
+//! full million (about 500 simulated seconds).
 //!
 //! What the smoke pins down, at either scale:
 //! - the run builds exactly its target population and drains it — zero
 //!   leaked timers, expressed as the conservation identity
 //!   `schedules == cancels + expirations + still-pending`;
-//! - activity waves migrate live watchdogs between bases (the migration
-//!   counter is hot) while keeping every connection alive (no watchdog
-//!   closes, no retransmit giveups);
-//! - the per-CPU bases stay balanced (the imbalance high-watermark is a
-//!   small fraction of the per-base population);
+//! - activity waves re-arm live watchdogs while keeping every connection
+//!   alive (no watchdog closes, no retransmit giveups);
 //! - the streaming analysis path keeps its bounded-memory guarantee at
 //!   this scale (`analysis_resident_events_high_watermark` never exceeds
 //!   one chunk).
@@ -23,7 +19,7 @@
 use simtime::SimDuration;
 use telemetry::{SimCounter, SimGauge};
 use timerstudy::experiment::ANALYSIS_CHUNK_EVENTS;
-use timerstudy::{Backend, ExperimentSpec, Os};
+use timerstudy::{ExperimentSpec, Os};
 use trace::NullSink;
 use workloads::linux::apache::connection_target;
 use workloads::Workload;
@@ -41,24 +37,16 @@ fn smoke_duration() -> SimDuration {
 }
 
 #[test]
-fn mass_population_builds_migrates_and_drains_clean() {
+fn mass_population_builds_and_drains_clean() {
     let duration = smoke_duration();
     let target = connection_target(duration);
     assert!(
         target > u64::from(u16::MAX),
-        "the smoke must cross the 2^16 connection-identity boundary"
+        "the smoke population must cross 2^16 connections"
     );
 
-    let backend = Backend::Native.with_shards(4);
     let (kernel, metrics) = telemetry::sim::scoped(|| {
-        workloads::run_linux_backend(
-            Workload::ApacheScale,
-            SEED,
-            duration,
-            Box::new(NullSink),
-            netsim::NetFault::none(),
-            backend,
-        )
+        workloads::run_linux(Workload::ApacheScale, SEED, duration, Box::new(NullSink))
     });
 
     // The population reached its target and every connection survived
@@ -70,7 +58,7 @@ fn mass_population_builds_migrates_and_drains_clean() {
     assert_eq!(mass.rto_giveups(), 0, "a connection exhausted its RTO");
     assert_eq!(mass.open_count(), 0, "the close wave leaked connections");
 
-    // Zero leaked timers, as conservation across all bases: every
+    // Zero leaked timers, as conservation: every
     // schedule is matched by a cancel, an expiration, or a timer still
     // legitimately pending (background kernel/LAN population only —
     // the mass table's own timers are all cancelled by the drain).
@@ -88,32 +76,15 @@ fn mass_population_builds_migrates_and_drains_clean() {
         schedules > 2 * target,
         "the mass population's timer traffic must dominate the run"
     );
-
-    // Waves re-arm from rotated CPUs: cross-base migration is hot.
-    let migrations = metrics.counter(SimCounter::WheelBaseMigrations);
-    assert!(
-        migrations > target,
-        "expected at least one migration per connection, got {migrations}"
-    );
-
-    // Balanced bases: the worst observed spread between the fullest and
-    // emptiest base stays a small fraction of the per-base population.
-    let imbalance = metrics.gauge(SimGauge::WheelBaseImbalanceMax);
-    let per_base = metrics.gauge(SimGauge::WheelPendingHigh) / u64::from(backend.shards());
-    assert!(
-        imbalance < per_base / 10,
-        "bases unbalanced: spread {imbalance} vs ~{per_base} timers per base"
-    );
 }
 
 #[test]
 fn streaming_analysis_stays_bounded_at_scale() {
     // The full experiment pipeline (workload → streaming analyzer →
-    // report) at a population past 2¹⁶, on sharded bases: the resident
-    // buffer must stay chunk-bounded no matter how many events the mass
-    // population emits.
+    // report) at a population past 2¹⁶: the resident buffer must stay
+    // chunk-bounded no matter how many events the mass population emits.
     let duration = SimDuration::from_secs(40);
-    let spec = ExperimentSpec::new(Os::Linux, Workload::ApacheScale, duration, SEED).with_shards(4);
+    let spec = ExperimentSpec::new(Os::Linux, Workload::ApacheScale, duration, SEED);
     let result = timerstudy::experiment::run_experiment(spec);
     let peak = result.metrics.gauge(SimGauge::AnalysisResidentEventsHigh);
     assert!(peak > 0, "the analyzer saw no events");
