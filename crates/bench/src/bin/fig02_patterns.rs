@@ -1,9 +1,7 @@
 //! Figure 2: common Linux timer usage patterns, with an optional
 //! `--sweep` of the classifier's jitter tolerance (a DESIGN.md ablation).
 use analysis::PatternClass;
-use timerstudy::experiment::{
-    analyzer_config, repro_duration, run_experiment_with, run_table_workloads,
-};
+use timerstudy::experiment::{analyzer_config, run_experiment_with, run_table_workloads};
 use timerstudy::{figures, ExperimentSpec, Os, Workload};
 
 fn main() {
@@ -14,7 +12,7 @@ fn main() {
     );
     let mut out = bench::Stdout::default();
     let started = std::time::Instant::now();
-    let duration = repro_duration();
+    let duration = bench::repro_duration();
     let results = run_table_workloads(Os::Linux, duration, 7);
     writeln!(out, "{}", figures::fig02(&results).printable());
     bench::print_stage_summary("fig02", &results, started);

@@ -1,5 +1,4 @@
 //! Figure 4: dot plot of X timer usage via select.
-use timerstudy::experiment::repro_duration;
 use timerstudy::{cache, figures, ExperimentSpec, Os, Workload};
 
 fn main() {
@@ -9,7 +8,7 @@ fn main() {
     let result = cache::global().get_or_run(ExperimentSpec::new(
         Os::Linux,
         Workload::Idle,
-        repro_duration(),
+        bench::repro_duration(),
         7,
     ));
     writeln!(out, "{}", figures::fig04(&result).printable());

@@ -3,8 +3,11 @@
 //! Full 30-minute traces by default; set `REPRO_SECONDS` to scale down.
 //! The nine distinct experiments run in parallel through the experiment
 //! cache (thread count: `REPRO_THREADS`, default = available cores);
-//! `--serial` forces the uncached single-threaded reference path, which
-//! produces bit-identical output. With `--artifacts DIR`, each artifact
+//! `REPRO_THREADS=1` runs them one after another, the serial reference
+//! every other mode's output is byte-identical to (`tests/mode_matrix.rs`).
+//! Either variable set to anything but a positive integer, or a
+//! `REPRO_SECONDS` past the simulated clock's range, is a usage error
+//! (exit 2). With `--artifacts DIR`, each artifact
 //! is also written to `DIR` as a text rendering plus CSV data where
 //! applicable. `--faults SPEC` attaches a deterministic fault plane to
 //! every experiment (`SPEC` is a comma list of `drops[=PERMILLE]`,
@@ -17,9 +20,9 @@
 //! spans and counters, plus `run_trace.chrome.json`, a Chrome
 //! trace-event profile of the run's stage spans (loadable in Perfetto /
 //! `chrome://tracing`). The sim section — including the per-origin
-//! attribution tables — is bit-identical across `--serial`, parallel
-//! and cached runs of the same parameters; see the Observability
-//! section of the README.
+//! attribution tables — is bit-identical across thread counts and
+//! cached runs of the same parameters; see the Observability section of
+//! the README.
 //!
 //! `--top-origins[=N]` prints the paper-Table-3-style "top timer users"
 //! table (default N = 10): per origin, total sets with expired/cancelled
@@ -41,33 +44,30 @@
 //! `--adaptive[=off|fixed|learned]` selects the workload-timeout policy
 //! (the paper's §5 "timeouts should be learned"). `fixed` keeps every
 //! historical constant with the adaptive plumbing live — its output is
-//! byte-identical to the default run's, the plumbing-is-inert guarantee
-//! CI `cmp`s. `learned` (what the bare flag means) runs every experiment
+//! byte-identical to the default run's, which CI `cmp`s. `learned` (what
+//! the bare flag means) runs every experiment
 //! *twice* on the same seeded trace — historical constants vs learned
 //! timeouts — and appends three counterfactual figures: spurious timer
 //! expirations avoided per origin (riding the attribution plane), the
 //! dynticks sleep-residency histogram (the energy proxy), and
 //! retransmit-latency deltas (most visible under `--faults`). Composes
-//! with `--faults`; incompatible with `--serial` (it runs on the cached
-//! parallel path).
+//! with `--faults`.
 //!
 //! Any other argument, or a flag missing its value, is a usage error
 //! (exit 2). A closed stdout (`repro_all | head`) ends the output: the
 //! run still finishes its stderr summary, metrics and checks.
 
 use bench::{Stdout, Takes};
-use timerstudy::experiment::repro_duration;
-use timerstudy::{Backend, FaultSpec};
+use timerstudy::FaultSpec;
 
 const SEED: u64 = 7;
 
-const USAGE: &str = "usage: repro_all [--serial] [--artifacts DIR] \
+const USAGE: &str = "usage: repro_all [--artifacts DIR] \
      [--metrics[=DIR]] [--top-origins[=N]] [--timer-list SECS[,SECS...]] [--scale N] \
      [--assert-peak-resident-below N] [--faults SPEC] [--adaptive[=off|fixed|learned]]";
 
 /// Every flag, spelled the way its parser below reads it.
-const FLAGS: [(&str, Takes); 9] = [
-    ("--serial", Takes::Nothing),
+const FLAGS: [(&str, Takes); 8] = [
     ("--metrics", Takes::Inline),
     ("--top-origins", Takes::Inline),
     ("--adaptive", Takes::Inline),
@@ -211,7 +211,6 @@ fn main() {
         .position(|a| a == "--artifacts")
         .and_then(|i| args.get(i + 1))
         .cloned();
-    let serial = args.iter().any(|a| a == "--serial");
     let metrics = metrics_dir(&args);
     let top_n = top_origins(&args);
     let timer_list = timer_list_instants(&args);
@@ -264,13 +263,7 @@ fn main() {
         None => FaultSpec::none(),
     };
     let policy = adaptive_policy(&args);
-    if policy.is_active() && serial {
-        eprintln!(
-            "--adaptive runs on the cached parallel path; it cannot be combined with --serial"
-        );
-        std::process::exit(2);
-    }
-    let base_duration = repro_duration();
+    let base_duration = bench::repro_duration();
     let Some(duration) = base_duration.checked_mul(scale) else {
         eprintln!(
             "--scale {scale}: {} s x {scale} is past the simulated clock's range",
@@ -278,47 +271,22 @@ fn main() {
         );
         std::process::exit(2);
     };
-    let threads = if serial {
-        1
-    } else {
-        timerstudy::parallel::default_threads(9)
-    };
+    let threads = timerstudy::parallel::default_threads(9);
     eprintln!(
-        "running all experiments at {} simulated seconds per trace ({}, faults: {}, adaptive: {})...",
+        "running all experiments at {} simulated seconds per trace (up to {threads} threads, faults: {}, adaptive: {})...",
         duration.as_secs(),
-        if serial {
-            "serial reference path".to_owned()
-        } else {
-            format!("parallel, up to {threads} threads")
-        },
         faults.label(),
         policy.label(),
     );
     let started = std::time::Instant::now();
-    // A fault plane runs on the cached path even under --serial.
-    let (mode, (results, artifacts)) = if serial && faults.is_none() {
-        (
-            "serial",
-            timerstudy::figures::reproduce_all_serial_with_results(duration, SEED),
-        )
+    let mode = if !faults.is_none() {
+        "faulted"
+    } else if policy.is_learned() {
+        "adaptive"
     } else {
-        (
-            if !faults.is_none() {
-                "faulted"
-            } else if policy.is_learned() {
-                "adaptive"
-            } else {
-                "parallel"
-            },
-            timerstudy::figures::reproduce_all_adaptive_with_results(
-                duration,
-                SEED,
-                faults,
-                Backend::Native,
-                policy,
-            ),
-        )
+        "parallel"
     };
+    let (results, artifacts) = timerstudy::figures::reproduce(duration, SEED, faults, policy);
     let wall = started.elapsed();
     eprintln!(
         "all experiments finished in {:.2} s wall-clock",

@@ -3,6 +3,7 @@
 use std::io::Write;
 use std::time::Instant;
 
+use simtime::SimDuration;
 use timerstudy::ExperimentResult;
 
 /// How a flag takes its value.
@@ -44,6 +45,41 @@ pub fn check_args<S: AsRef<str>>(
         };
         if !ok {
             eprintln!("bad argument `{arg}`; {usage}");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// The trace length every reproduction binary runs: `REPRO_SECONDS`, or
+/// the paper's 30 minutes when it is unset. Exits 2 with one stderr line
+/// naming the variable when `REPRO_SECONDS` or `REPRO_THREADS` (the
+/// worker count the pool reads) is set to anything but a positive
+/// integer, or when `REPRO_SECONDS` is past the simulated clock's range:
+/// a typo must never silently run a different reproduction.
+pub fn repro_duration() -> SimDuration {
+    positive_env("REPRO_THREADS");
+    let Some(secs) = positive_env("REPRO_SECONDS") else {
+        return timerstudy::PAPER_DURATION;
+    };
+    SimDuration::from_secs(1)
+        .checked_mul(secs)
+        .unwrap_or_else(|| {
+            eprintln!("REPRO_SECONDS={secs}: past the simulated clock's range");
+            std::process::exit(2);
+        })
+}
+
+/// The value of environment variable `name` when set; exits 2 unless it
+/// is a positive integer.
+fn positive_env(name: &str) -> Option<u64> {
+    let value = std::env::var_os(name)?;
+    match value.to_str().and_then(|v| v.parse::<u64>().ok()) {
+        Some(n) if n >= 1 => Some(n),
+        _ => {
+            eprintln!(
+                "{name}={}: expected a positive integer",
+                value.to_string_lossy()
+            );
             std::process::exit(2);
         }
     }

@@ -1,9 +1,10 @@
 //! Command-line behaviour of the reproduction binaries on ordinary
-//! misuse (a bad or retired flag, an out-of-range value, a reader that
-//! closes stdout early) and the record count `repro_all`'s run summary
-//! reports.
+//! misuse (a bad or retired flag, an out-of-range value, a malformed
+//! `REPRO_*` variable, a reader that closes stdout early) and the record
+//! count `repro_all`'s run summary reports.
 
 use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 use simtime::SimDuration;
 
@@ -23,8 +24,8 @@ macro_rules! bins {
     };
 }
 
-/// Every `fig*`, `table*` and `ext_*` reproduction binary.
-const FIGURE_BINS: [Bin; 15] = bins!(
+/// Every `fig*` and `table*` binary: the ones that read `REPRO_*`.
+const FIGURE_BINS: [Bin; 11] = bins!(
     "fig01_vista_rates",
     "fig02_patterns",
     "fig03_values",
@@ -36,6 +37,10 @@ const FIGURE_BINS: [Bin; 15] = bins!(
     "table1_linux_summary",
     "table2_vista_summary",
     "table3_origins",
+);
+
+/// The `ext_*` extension binaries, which run fixed-length experiments.
+const EXT_BINS: [Bin; 4] = bins!(
     "ext_adaptive",
     "ext_adaptive_kernel",
     "ext_layering",
@@ -55,19 +60,36 @@ fn run(args: &[&str]) -> Output {
 /// Asserts `bin args` exits 2 with one stderr line and no stdout, and
 /// returns that line.
 fn assert_rejected(bin: Bin, args: &[&str]) -> String {
+    assert_rejected_by(bin, command(bin, args), &format!("{args:?}"))
+}
+
+/// Asserts `cmd`, which runs `bin`, exits 2 with one stderr line and no
+/// stdout, and returns that line. A rejection is immediate, so a child
+/// still running after a minute is killed: it is running the
+/// reproduction it should have refused.
+fn assert_rejected_by(bin: Bin, mut cmd: Command, what: &str) -> String {
     let (name, _) = bin;
-    let out = command(bin, args).output().expect("spawn binary");
+    let mut child = cmd
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn binary");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while child.try_wait().expect("poll binary").is_none() {
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            panic!("{name} {what}: still running instead of exiting 2");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().expect("collect output");
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-    assert_eq!(
-        out.status.code(),
-        Some(2),
-        "{name} {args:?}: stderr {stderr}"
-    );
+    assert_eq!(out.status.code(), Some(2), "{name} {what}: stderr {stderr}");
     assert!(
         out.stdout.is_empty(),
-        "{name} {args:?} must not run the reproduction"
+        "{name} {what} must not run the reproduction"
     );
-    assert_eq!(stderr.lines().count(), 1, "{name} {args:?}: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{name} {what}: {stderr}");
     stderr
 }
 
@@ -84,6 +106,7 @@ fn assert_usage_error(bin: Bin, args: &[&str]) {
 fn unknown_flag_is_a_usage_error() {
     for bin in std::iter::once(REPRO_ALL)
         .chain(FIGURE_BINS)
+        .chain(EXT_BINS)
         .chain([BENCH_ALL])
     {
         assert_usage_error(bin, &["--bogus-flag"]);
@@ -99,6 +122,31 @@ fn retired_flags_are_usage_errors() {
     assert_usage_error(REPRO_ALL, &["--collected"]);
     assert_usage_error(REPRO_ALL, &["--wheel-backend=heap"]);
     assert_usage_error(REPRO_ALL, &["--shards=4"]);
+    assert_usage_error(REPRO_ALL, &["--serial"]);
+}
+
+#[test]
+fn malformed_repro_variables_are_rejected() {
+    // Each of these used to run a different reproduction and exit 0: the
+    // first three a full 30-minute trace, the last two on every core.
+    // 18446744074 s is just past u64::MAX nanoseconds.
+    for (var, value) in [
+        ("REPRO_SECONDS", "2s"),
+        ("REPRO_SECONDS", "0"),
+        ("REPRO_SECONDS", "18446744074"),
+        ("REPRO_THREADS", "one"),
+        ("REPRO_THREADS", "0"),
+    ] {
+        for bin in std::iter::once(REPRO_ALL).chain(FIGURE_BINS) {
+            let mut cmd = command(bin, &[]);
+            cmd.env(var, value);
+            let stderr = assert_rejected_by(bin, cmd, &format!("with {var}={value}"));
+            assert!(
+                stderr.starts_with(&format!("{var}={value}: ")),
+                "the error must name {var}: {stderr}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -125,7 +173,10 @@ fn flag_missing_its_value_is_a_usage_error() {
 
 #[test]
 fn closed_stdout_ends_the_output_cleanly() {
-    for bin in std::iter::once(REPRO_ALL).chain(FIGURE_BINS) {
+    for bin in std::iter::once(REPRO_ALL)
+        .chain(FIGURE_BINS)
+        .chain(EXT_BINS)
+    {
         let (name, _) = bin;
         // Close the read end before the binary prints its first line.
         let (reader, writer) = std::io::pipe().expect("create pipe");

@@ -403,18 +403,6 @@ pub fn run_table_workloads(os: Os, duration: SimDuration, seed: u64) -> Vec<Expe
     crate::cache::global().run_all(&table_specs(os, duration, seed))
 }
 
-/// The duration knob shared by reproduction binaries: full paper length
-/// by default, scaled down via the `REPRO_SECONDS` environment variable.
-pub fn repro_duration() -> SimDuration {
-    match std::env::var("REPRO_SECONDS")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-    {
-        Some(secs) if secs > 0 => SimDuration::from_secs(secs),
-        _ => crate::PAPER_DURATION,
-    }
-}
-
 /// Boot instant re-export for binaries.
 pub fn boot() -> SimInstant {
     SimInstant::BOOT

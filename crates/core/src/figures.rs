@@ -257,59 +257,34 @@ pub fn paper_specs(duration: simtime::SimDuration, seed: u64) -> Vec<ExperimentS
     specs
 }
 
-/// [`paper_specs`] with every orthogonal knob applied to every
-/// experiment: a fault plane and a timer-queue backend (`Native` keeps
-/// each kernel's own wheel). Both are part of the experiment cache key,
-/// so configured runs never alias differently-configured ones.
-pub fn paper_specs_configured(
-    duration: simtime::SimDuration,
-    seed: u64,
-    faults: crate::FaultSpec,
-    backend: wheel::Backend,
-) -> Vec<ExperimentSpec> {
-    paper_specs(duration, seed)
-        .into_iter()
-        .map(|s| s.with_faults(faults).with_backend(backend))
-        .collect()
-}
-
-/// [`paper_specs_configured`] with the adaptive timeout policy applied on
-/// top — the `repro_all --adaptive` spec set. The policy is part of the
-/// cache key like every other knob; `Fixed` specs cache separately from
-/// `Off` ones even though their results are byte-identical (that identity
-/// is an asserted property, not an aliasing shortcut).
-pub fn paper_specs_adaptive(
-    duration: simtime::SimDuration,
-    seed: u64,
-    faults: crate::FaultSpec,
-    backend: wheel::Backend,
-    policy: adaptive::AdaptivePolicy,
-) -> Vec<ExperimentSpec> {
-    paper_specs_configured(duration, seed, faults, backend)
-        .into_iter()
-        .map(|s| s.with_adaptive(policy))
-        .collect()
-}
-
-/// The full reproduction under one adaptive timeout policy, composed with
-/// every other knob (the `repro_all --adaptive` path).
+/// Runs everything the paper reports under one fault plane and one
+/// adaptive timeout policy, returning the experiment results and the
+/// artifacts in paper order. This is the `repro_all` entry point: the
+/// nine distinct experiments run in parallel through the process-wide
+/// cache, so a binary that already ran some of them never re-simulates a
+/// spec.
 ///
 /// `Off` and `Fixed` run the nine paper specs once and return the paper
-/// artifacts (byte-identical to each other — the differential guarantee).
+/// artifacts (byte-identical to each other — `tests/mode_matrix.rs`).
 /// `Learned` runs each spec **twice** on the same seeded trace — once
 /// clamped to the historical constants, once learned — returning the
 /// fixed run's paper artifacts followed by the three counterfactual
 /// figures, with both runs' results concatenated (fixed first) so run
-/// reports carry both sides of the comparison.
-pub fn reproduce_all_adaptive_with_results(
+/// reports carry both sides of the comparison. The fault plane and the
+/// policy are part of the experiment cache key, so differently
+/// configured runs never alias.
+pub fn reproduce(
     duration: simtime::SimDuration,
     seed: u64,
     faults: crate::FaultSpec,
-    backend: wheel::Backend,
     policy: adaptive::AdaptivePolicy,
 ) -> (Vec<ExperimentResult>, Vec<Artifact>) {
-    let run = |p| {
-        crate::cache::global().run_all(&paper_specs_adaptive(duration, seed, faults, backend, p))
+    let run = |policy| {
+        let specs: Vec<ExperimentSpec> = paper_specs(duration, seed)
+            .into_iter()
+            .map(|s| s.with_faults(faults).with_adaptive(policy))
+            .collect();
+        crate::cache::global().run_all(&specs)
     };
     if !policy.is_learned() {
         let results = run(policy);
@@ -325,16 +300,6 @@ pub fn reproduce_all_adaptive_with_results(
     let mut results = fixed;
     results.extend(learned);
     (results, artifacts)
-}
-
-/// [`paper_specs`] with a fault plane attached to every experiment
-/// (the `repro_all --faults` path).
-pub fn paper_specs_faulted(
-    duration: simtime::SimDuration,
-    seed: u64,
-    faults: crate::FaultSpec,
-) -> Vec<ExperimentSpec> {
-    paper_specs_configured(duration, seed, faults, wheel::Backend::Native)
 }
 
 /// Assembles the paper's artifacts from results laid out as
@@ -366,37 +331,4 @@ pub fn assemble(results: &[ExperimentResult]) -> Vec<Artifact> {
         artifacts.push(fig_scatter(l, v, 8 + i as u32));
     }
     artifacts
-}
-
-/// Runs everything the paper reports and returns the artifacts in paper
-/// order. This is the `repro_all` entry point: the nine distinct
-/// experiments run in parallel through the process-wide cache, so a
-/// binary that already ran some of them (or calls this twice) never
-/// re-simulates a spec.
-pub fn reproduce_all(duration: simtime::SimDuration, seed: u64) -> Vec<Artifact> {
-    reproduce_all_with_results(duration, seed).1
-}
-
-/// [`reproduce_all`], also returning the experiment results so callers
-/// (e.g. `repro_all --metrics`) can aggregate per-experiment telemetry
-/// snapshots into a run report.
-pub fn reproduce_all_with_results(
-    duration: simtime::SimDuration,
-    seed: u64,
-) -> (Vec<ExperimentResult>, Vec<Artifact>) {
-    let results = crate::cache::global().run_all(&paper_specs(duration, seed));
-    let artifacts = assemble(&results);
-    (results, artifacts)
-}
-
-/// The strictly serial, uncached equivalent of
-/// [`reproduce_all_with_results`] — the reference path the determinism
-/// harness compares against.
-pub fn reproduce_all_serial_with_results(
-    duration: simtime::SimDuration,
-    seed: u64,
-) -> (Vec<ExperimentResult>, Vec<Artifact>) {
-    let results = crate::experiment::run_experiments(&paper_specs(duration, seed));
-    let artifacts = assemble(&results);
-    (results, artifacts)
 }

@@ -44,10 +44,7 @@ pub use experiment::{
 };
 pub use faults::FaultSpec;
 pub use metrics::{run_report, spec_label};
-pub use parallel::{
-    default_threads_for, run_experiments_parallel, run_experiments_parallel_with, run_trials,
-};
-pub use wheel::Backend;
+pub use parallel::{default_threads_for, run_experiments_parallel, run_experiments_parallel_with};
 pub use workloads::Workload;
 
 /// The paper's trace length: 30 minutes.

@@ -42,9 +42,10 @@ pub fn spec_label(spec: &ExperimentSpec) -> String {
 
 /// Builds the run report for one batch of results.
 ///
-/// `mode` names the execution path (`"serial"`, `"parallel"`,
-/// `"faulted"`); `duration_secs`/`seed` echo the run parameters; `threads`
-/// and `wall` describe this process and land in the wall plane only.
+/// `mode` names the execution path (`repro_all` writes `"parallel"`,
+/// `"faulted"` or `"adaptive"`); `duration_secs`/`seed` echo the run
+/// parameters; `threads` and `wall` describe this process and land in the
+/// wall plane only.
 pub fn run_report(
     results: &[ExperimentResult],
     mode: &str,

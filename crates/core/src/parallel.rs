@@ -5,9 +5,8 @@
 //! inside [`run_experiment`] and owned exclusively by the run (sinks are
 //! `Send` and never shared — see `trace::TraceSink`). Fanning specs out
 //! over a scoped thread pool therefore changes wall-clock time and
-//! nothing else; `tests/parallel_determinism.rs` enforces bit-for-bit
-//! equality against the serial path in
-//! [`crate::experiment::run_experiments`].
+//! nothing else; `tests/mode_matrix.rs` enforces bit-for-bit equality
+//! against the serial path in [`crate::experiment::run_experiments`].
 //!
 //! Workers pull spec indices from a shared atomic counter (work
 //! stealing), send `(index, result)` pairs over a channel, and the
@@ -125,12 +124,4 @@ pub fn run_experiments_parallel_with(
         .into_iter()
         .map(|slot| slot.expect("every spec index was claimed by exactly one worker"))
         .collect()
-}
-
-/// Runs `trials` independent repetitions of `spec` in parallel, one per
-/// derived trial seed (see [`ExperimentSpec::for_trial`]). Results come
-/// back in trial order.
-pub fn run_trials(spec: ExperimentSpec, trials: u32) -> Vec<ExperimentResult> {
-    let specs: Vec<ExperimentSpec> = (0..trials).map(|t| spec.for_trial(t)).collect();
-    run_experiments_parallel(&specs)
 }

@@ -1,58 +1,18 @@
 //! Differential tests for the adaptive-timeout plane.
 //!
-//! The contract the `--adaptive` mode rests on:
-//! * `Fixed` keeps the plumbing live but every decision clamped to the
-//!   historical constant — its artifacts must be byte-identical to a run
-//!   with the policy `Off` (the plumbing-is-inert guarantee).
-//! * `Learned` changes timeout *values* only, never the replay machinery
-//!   — its artifacts (including the counterfactual figures) must be
-//!   byte-identical whichever wheel a spec forces.
-//! * The policy is part of the experiment cache key: two specs differing
-//!   only in policy must never alias to the same cached result.
+//! The policy is part of the experiment cache key: two specs differing
+//! only in policy must never alias to the same cached result. The other
+//! two contracts the `--adaptive` mode rests on — `Fixed` is
+//! byte-identical to `Off`, and `Learned` artifacts (counterfactual
+//! figures included) do not depend on the wheel — are rows of
+//! `tests/mode_matrix.rs`.
 
 use adaptive::AdaptivePolicy;
 use simtime::SimDuration;
-use timerstudy::figures::{reproduce_all_adaptive_with_results, Artifact};
-use timerstudy::{spec_label, Backend, ExperimentSpec, FaultSpec, Os, Workload};
+use timerstudy::{spec_label, ExperimentSpec, Os, Workload};
 
 const DUR: SimDuration = SimDuration::from_secs(4);
 const SEED: u64 = 11;
-
-fn artifacts(policy: AdaptivePolicy, backend: Backend) -> Vec<Artifact> {
-    reproduce_all_adaptive_with_results(DUR, SEED, FaultSpec::none(), backend, policy).1
-}
-
-fn assert_identical(a: &[Artifact], b: &[Artifact], what: &str) {
-    assert_eq!(a.len(), b.len(), "{what}: artifact counts differ");
-    for (x, y) in a.iter().zip(b) {
-        assert_eq!(x.title, y.title, "{what}: titles diverge");
-        assert_eq!(x.text, y.text, "{what}: '{}' text diverges", x.title);
-        assert_eq!(x.csv, y.csv, "{what}: '{}' csv diverges", x.title);
-    }
-}
-
-#[test]
-fn fixed_policy_is_byte_identical_to_off() {
-    let off = artifacts(AdaptivePolicy::Off, Backend::Native);
-    let fixed = artifacts(AdaptivePolicy::Fixed, Backend::Native);
-    assert_identical(&off, &fixed, "fixed-vs-off");
-}
-
-#[test]
-fn learned_artifacts_are_invariant_across_backends() {
-    let native = artifacts(AdaptivePolicy::Learned, Backend::Native);
-    let hashed = artifacts(AdaptivePolicy::Learned, Backend::Hashed);
-    // The learned run appends the three counterfactual figures to the
-    // paper's 14 artifacts.
-    assert_eq!(native.len(), 17);
-    let counterfactuals: Vec<&str> = native
-        .iter()
-        .filter(|a| a.title.starts_with("Counterfactual"))
-        .map(|a| a.title.as_str())
-        .collect();
-    assert_eq!(counterfactuals.len(), 3, "got {counterfactuals:?}");
-    assert_identical(&native, &hashed, "learned-across-backends");
-}
 
 #[test]
 fn policy_is_part_of_the_cache_key() {

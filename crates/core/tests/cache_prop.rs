@@ -5,7 +5,8 @@ use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;
 use simtime::SimDuration;
-use timerstudy::{Backend, ExperimentSpec, FaultSpec, Os, Workload};
+use timerstudy::{ExperimentResult, ExperimentSpec, FaultSpec, Os, Workload};
+use wheel::Backend;
 use workloads::trial_seed;
 
 fn os_strategy() -> BoxedStrategy<Os> {
@@ -236,57 +237,27 @@ proptest! {
     }
 }
 
-fn backend_strategy() -> BoxedStrategy<Backend> {
-    prop_oneof![
-        Just(Backend::Native),
-        Just(Backend::Hierarchical),
-        Just(Backend::Hashed),
-    ]
-    .boxed()
-}
-
-// These properties actually run experiments, so they use short traces and
-// few cases — the structure (not the volume) is what's random here.
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    /// Identical specs replay bit-identical through the cache: the second
-    /// run is a hit, and both the cached result and a fresh uncached run
-    /// serialize to the same report bytes and carry the same sim metrics.
-    #[test]
-    fn identical_specs_replay_bit_identical(
-        os in os_strategy(),
-        seed in any::<u64>(),
-        backend in backend_strategy(),
-    ) {
-        let spec = ExperimentSpec::new(os, Workload::Idle, SimDuration::from_secs(2), seed)
-            .with_backend(backend);
-        let cache = timerstudy::cache::ExperimentCache::new();
-        let first = cache.run_all(std::slice::from_ref(&spec));
-        let second = cache.run_all(std::slice::from_ref(&spec));
-        prop_assert_eq!(cache.hits(), 1, "second run must be served from cache");
-        let fresh = timerstudy::experiment::run_experiment(spec);
-        let want = serde_json::to_string(&first[0].report).unwrap();
-        prop_assert_eq!(&want, &serde_json::to_string(&second[0].report).unwrap());
-        prop_assert_eq!(&want, &serde_json::to_string(&fresh.report).unwrap());
-        prop_assert_eq!(&first[0].metrics, &second[0].metrics);
-        prop_assert_eq!(&first[0].metrics, &fresh.metrics);
-    }
-
-    /// A forced wheel's cache entry is independent of the native one:
-    /// running both through one cache yields two misses, never a hit, and
-    /// each replays its own result.
-    #[test]
-    fn forced_backend_does_not_reuse_native_entry(
-        os in os_strategy(),
-        seed in any::<u64>(),
-    ) {
-        let native = ExperimentSpec::new(os, Workload::Idle, SimDuration::from_secs(2), seed);
-        let forced = native.with_backend(Backend::Hashed);
-        let cache = timerstudy::cache::ExperimentCache::new();
-        cache.run_all(std::slice::from_ref(&native));
-        cache.run_all(std::slice::from_ref(&forced));
-        prop_assert_eq!(cache.hits(), 0, "backend change must miss the cache");
-        prop_assert_eq!(cache.misses(), 2);
+/// Trial 0 of a multi-trial run is the plain run of its base spec, and
+/// the other trials' distinct seeds give distinct traces.
+#[test]
+fn trial_zero_is_the_base_run_and_other_trials_differ() {
+    let base = ExperimentSpec::new(Os::Linux, Workload::Skype, SimDuration::from_secs(20), 42);
+    let specs: Vec<ExperimentSpec> = (0..4).map(|t| base.for_trial(t)).collect();
+    let trials = timerstudy::run_experiments_parallel(&specs);
+    let report = |r: &ExperimentResult| serde_json::to_string(&r.report).unwrap();
+    let counters = |r: &ExperimentResult| (r.records, r.wakeups, r.busy, r.logging_overhead);
+    let single = timerstudy::run_experiment(base);
+    assert_eq!(trials[0].spec, single.spec);
+    assert_eq!(report(&trials[0]), report(&single), "trial 0 report");
+    assert_eq!(counters(&trials[0]), counters(&single), "trial 0 counters");
+    for (i, a) in trials.iter().enumerate() {
+        for b in &trials[i + 1..] {
+            assert_ne!(a.spec.seed, b.spec.seed, "trials must get distinct seeds");
+            assert_ne!(
+                report(a),
+                report(b),
+                "distinct trials should produce distinct traces"
+            );
+        }
     }
 }

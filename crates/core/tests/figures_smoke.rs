@@ -1,9 +1,10 @@
 //! Artifact-generation smoke tests: every table/figure driver renders
 //! non-trivially from scaled-down runs.
 
+use adaptive::AdaptivePolicy;
 use simtime::SimDuration;
 use timerstudy::experiment::{run_experiment, run_table_workloads, ExperimentSpec};
-use timerstudy::{figures, Os, Workload};
+use timerstudy::{figures, FaultSpec, Os, Workload};
 
 #[test]
 fn all_artifacts_render() {
@@ -49,8 +50,13 @@ fn all_artifacts_render() {
 }
 
 #[test]
-fn reproduce_all_is_complete() {
-    let artifacts = figures::reproduce_all(SimDuration::from_secs(30), 5);
+fn reproduce_is_complete() {
+    let (_, artifacts) = figures::reproduce(
+        SimDuration::from_secs(30),
+        5,
+        FaultSpec::none(),
+        AdaptivePolicy::Off,
+    );
     // 1 rate figure + 3 tables + 6 value/pattern/dot figures + 4 scatter.
     assert_eq!(artifacts.len(), 14);
     let titles: Vec<&str> = artifacts.iter().map(|a| a.title.as_str()).collect();

@@ -6,7 +6,8 @@
 //! wheel a spec forces.
 
 use simtime::SimDuration;
-use timerstudy::{run_experiment_with_timer_list, Backend, ExperimentSpec, Os, Workload};
+use timerstudy::{run_experiment_with_timer_list, ExperimentSpec, Os, Workload};
+use wheel::Backend;
 
 const INSTANTS: [u64; 2] = [1_500_000_000, 3_000_000_000];
 

@@ -257,7 +257,16 @@ pub fn export_json() -> String {
 mod tests {
     use super::*;
     use crate::json::{parse, Value};
+    use std::sync::MutexGuard;
     use std::time::Duration;
+
+    /// Serialises the tests that drive the process-wide capture flag and
+    /// buffer: run concurrently, one test's `reset()` or captured spans
+    /// would land in the other's assertions.
+    fn exclusive() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     fn ts_of(e: &Value) -> f64 {
         e.get("ts").and_then(Value::as_f64).unwrap()
@@ -265,6 +274,7 @@ mod tests {
 
     #[test]
     fn capture_and_export_balance() {
+        let _capture = exclusive();
         reset();
         set_capture(true);
         register_thread_name("chrome-test-main");
@@ -310,6 +320,7 @@ mod tests {
 
     #[test]
     fn capture_off_records_nothing() {
+        let _capture = exclusive();
         reset();
         set_capture(false);
         record_span("ignored", Instant::now(), Instant::now());

@@ -11,7 +11,7 @@
 //!   spec, recorded into a thread-local accumulator while the experiment
 //!   runs and snapshotted per run. They are **bit-identical** across
 //!   serial, parallel and cached execution, which the differential test
-//!   `tests/telemetry_determinism.rs` enforces.
+//!   `tests/mode_matrix.rs` enforces.
 //! * **Wall plane** ([`registry`], [`span`]) — wall-clock span timings
 //!   (`std::time::Instant`) and process-lifetime counters (cache hits,
 //!   worker utilisation). These describe *this process*, legitimately
@@ -57,4 +57,24 @@ pub fn set_enabled(on: bool) {
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
+}
+
+/// Serialises unit tests around the process-wide recording switch: run
+/// concurrently, a test that switches recording off would silently drop
+/// what another test records and then asserts on.
+#[cfg(test)]
+pub(crate) mod switch_lock {
+    use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+    static SWITCH: RwLock<()> = RwLock::new(());
+
+    /// Held by a test that switches recording off and back on.
+    pub(crate) fn flips_recording() -> RwLockWriteGuard<'static, ()> {
+        SWITCH.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Held by a test while it records what it asserts on.
+    pub(crate) fn needs_recording() -> RwLockReadGuard<'static, ()> {
+        SWITCH.read().unwrap_or_else(PoisonError::into_inner)
+    }
 }

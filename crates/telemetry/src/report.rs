@@ -40,7 +40,8 @@ pub struct ExperimentMetrics {
 /// A frozen report for one complete run.
 #[derive(Debug, Clone)]
 pub struct RunReport {
-    /// Execution mode: `"serial"`, `"parallel"` or `"faulted"`.
+    /// Execution mode, e.g. `repro_all`'s `"parallel"`, `"faulted"` or
+    /// `"adaptive"`.
     pub mode: String,
     /// Per-experiment virtual duration, in seconds.
     pub duration_secs: u64,
@@ -428,11 +429,13 @@ mod tests {
     use std::time::Duration;
 
     fn sample_report() -> RunReport {
+        let on = crate::switch_lock::needs_recording();
         let ((), snap) = sim::scoped(|| {
             sim::add(SimCounter::WheelSchedules, 12);
             sim::add(SimCounter::TraceRecords, 100);
             sim::observe(SimHist::NetRttMicros, 130_000);
         });
+        drop(on);
         let mut row = crate::attr::OriginRow::new("tcp:rto".into());
         row.sets = 12;
         row.expirations = 3;

@@ -345,6 +345,7 @@ mod tests {
 
     #[test]
     fn scoped_isolates_and_restores() {
+        let _on = crate::switch_lock::needs_recording();
         reset();
         add(SimCounter::WheelSchedules, 3);
         let ((), inner) = scoped(|| {
@@ -364,6 +365,7 @@ mod tests {
 
     #[test]
     fn nested_scopes_compose() {
+        let _on = crate::switch_lock::needs_recording();
         reset();
         let ((), outer) = scoped(|| {
             add(SimCounter::TraceRecords, 1);
@@ -376,6 +378,7 @@ mod tests {
 
     #[test]
     fn merge_adds_counters_and_maxes_gauges() {
+        let _on = crate::switch_lock::needs_recording();
         let mut a = SimSnapshot::empty();
         let ((), b) = scoped(|| {
             add(SimCounter::NetSegmentsSent, 4);
@@ -389,6 +392,7 @@ mod tests {
 
     #[test]
     fn disabled_records_nothing() {
+        let _switch = crate::switch_lock::flips_recording();
         reset();
         crate::set_enabled(false);
         add(SimCounter::WheelSchedules, 1);

@@ -60,6 +60,7 @@ mod tests {
 
     #[test]
     fn span_records_on_drop() {
+        let _on = crate::switch_lock::needs_recording();
         {
             let _g = span("test.span_records");
         }
@@ -70,6 +71,7 @@ mod tests {
 
     #[test]
     fn disabled_span_is_inert() {
+        let _switch = crate::switch_lock::flips_recording();
         crate::set_enabled(false);
         let g = span("test.span_disabled");
         assert_eq!(g.elapsed_ns(), 0);

@@ -1,30 +1,22 @@
-//! Fault-matrix integration tests: experiments under an *active* fault
+//! Fault-plane integration tests: experiments under an *active* fault
 //! plane stay deterministic, account for every lost record exactly, and
 //! surface the damage in the rendered tables.
 //!
-//! The CI fault-matrix job runs this suite repeatedly with `FAULT_MODE`
-//! ∈ {drops, net-burst, clock-jitter} × `FAULT_SEED` ∈ {1, 2, 3}; without
-//! the env vars it defaults to 1 % ring drops with seed 1, so a plain
-//! `cargo test` still crosses the injected path.
+//! The two `matrix_mode_*` tests are rows of the mode matrix
+//! (`tests/matrix/mod.rs`) for 1 % ring drops under fault seed 1; the
+//! matrix's table in `tests/mode_matrix.rs` crosses every fault mode
+//! with fault seeds 1, 2 and 3.
+
+mod matrix;
 
 use simtime::SimDuration;
 use timerstudy::experiment::{run_experiments, table_specs};
 use timerstudy::{render, ExperimentSpec, FaultSpec, Os, Workload};
 
-const SECS: u64 = 20;
+use matrix::Check::*;
+use matrix::{faults, mode_matrix, serial};
 
-/// The fault plane under test, from the CI matrix env (or the 1 % drop
-/// default).
-fn matrix_faults() -> FaultSpec {
-    let mode = std::env::var("FAULT_MODE").unwrap_or_else(|_| "drops".to_owned());
-    let seed: u64 = std::env::var("FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
-    FaultSpec::parse(&mode)
-        .unwrap_or_else(|e| panic!("bad FAULT_MODE {mode:?}: {e}"))
-        .with_seed(seed)
-}
+const SECS: u64 = 20;
 
 fn faulted_specs(faults: FaultSpec) -> Vec<ExperimentSpec> {
     let duration = SimDuration::from_secs(SECS);
@@ -90,54 +82,15 @@ fn summary_tables_surface_nonzero_drop_counts() {
     }
 }
 
-#[test]
-fn matrix_mode_is_deterministic_and_consistent() {
-    let faults = matrix_faults();
-    let first = run_experiments(&faulted_specs(faults));
-    let second = run_experiments(&faulted_specs(faults));
-    for (a, b) in first.iter().zip(&second) {
-        assert_eq!(
-            serde_json::to_string(&a.report).unwrap(),
-            serde_json::to_string(&b.report).unwrap(),
-            "faulted runs must be exactly reproducible ({:?}/{:?}, faults {})",
-            a.spec.os,
-            a.spec.workload,
-            faults.label()
-        );
-        // The analysis keeps its internal decomposition on every degraded
-        // trace.
-        let s = &a.report.summary;
-        assert_eq!(s.accesses, s.user_space + s.kernel);
-        assert_eq!(s.accesses + s.dropped_records, a.records);
-        assert!(s.set >= 1, "a degraded trace still carries sets");
-    }
-}
-
-#[test]
-fn matrix_mode_differs_from_clean_when_it_should() {
-    let faults = matrix_faults();
-    let faulted = run_experiments(&faulted_specs(faults));
-    let clean = run_experiments(
-        &faulted_specs(faults)
-            .into_iter()
-            .map(|s| s.with_faults(FaultSpec::none()))
-            .collect::<Vec<_>>(),
-    );
-    // At least one workload's report must actually feel the fault plane
-    // (drops/jitter touch every trace; a net burst only the networked
-    // workloads, but Skype is always among them).
-    let touched = faulted
-        .iter()
-        .zip(&clean)
-        .filter(|(f, c)| {
-            serde_json::to_string(&f.report).unwrap() != serde_json::to_string(&c.report).unwrap()
-        })
-        .count();
-    assert!(
-        touched >= 1,
-        "fault plane {} was a no-op across all workloads",
-        faults.label()
-    );
+mode_matrix! {
+    // row: base, spec transform, runner, checks;
+    // A second serial run reproduces the first exactly, and the analysis
+    // keeps its internal decomposition on every degraded trace.
+    matrix_mode_is_deterministic_and_consistent:
+        Faults, |s| s.with_faults(faults("drops", 1)), serial, &[Report, Counters, Conserved];
+    // At least one workload's report feels the fault plane.
+    matrix_mode_differs_from_clean_when_it_should:
+        Faults, |s| s.with_faults(faults("drops", 1)), serial, &[Degraded];
 }
 
 #[test]

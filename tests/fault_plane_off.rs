@@ -2,99 +2,50 @@
 //! an explicit `FaultSpec::none()` is *the same experiment* as one that
 //! never heard of faults — same cache key, bit-identical report, counters
 //! and rendered artifacts. This is what lets the fault machinery live on
-//! the main experiment path without threatening the determinism harness
-//! in `parallel_determinism.rs` or the committed `artifacts/`.
+//! the main experiment path without threatening the committed
+//! `artifacts/`.
+//!
+//! The `none_faults_*` tests are rows of the mode matrix
+//! (`tests/matrix/mod.rs`) that run the paper batch under
+//! `with_faults(FaultSpec::none())` against the serial reference, each
+//! checking one part of the contract.
+
+mod matrix;
 
 use simtime::SimDuration;
 use timerstudy::cache::ExperimentCache;
-use timerstudy::experiment::{run_experiments, table_specs};
-use timerstudy::figures::{assemble, paper_specs, paper_specs_faulted};
-use timerstudy::{ExperimentSpec, FaultSpec, Os, Workload};
+use timerstudy::figures::paper_specs;
+use timerstudy::{ExperimentResult, ExperimentSpec, FaultSpec, Os, Workload};
 
-const SECS: u64 = 20;
+use matrix::Check::*;
+use matrix::{mode_matrix, serial, PAPER_SEED, SECS};
 
-/// One spec per OS plus the Outlook desktop: enough to cross every
-/// workload runner's faulted entry point.
-fn specs_under_test() -> Vec<ExperimentSpec> {
-    let duration = SimDuration::from_secs(SECS);
-    let mut specs = table_specs(Os::Linux, duration, 77);
-    specs.extend(table_specs(Os::Vista, duration, 77));
-    specs.push(ExperimentSpec::new(
-        Os::Vista,
-        Workload::Outlook,
-        duration,
-        77,
-    ));
-    specs
+fn none_faults(spec: ExperimentSpec) -> ExperimentSpec {
+    spec.with_faults(FaultSpec::none())
 }
 
-#[test]
-fn none_faults_reports_are_bit_identical() {
-    let plain = specs_under_test();
-    let explicit: Vec<ExperimentSpec> = plain
-        .iter()
-        .map(|s| s.with_faults(FaultSpec::none()))
-        .collect();
-    let a = run_experiments(&plain);
-    let b = run_experiments(&explicit);
-    for (x, y) in a.iter().zip(&b) {
-        assert_eq!(x.spec, y.spec, "none() must not change the spec");
-        assert_eq!(
-            serde_json::to_string(&x.report).unwrap(),
-            serde_json::to_string(&y.report).unwrap(),
-            "report differs for {:?}/{:?}",
-            x.spec.os,
-            x.spec.workload
-        );
-        assert_eq!(x.records, y.records);
-        assert_eq!(x.wakeups, y.wakeups);
-        assert_eq!(x.busy, y.busy);
-        assert_eq!(x.logging_overhead, y.logging_overhead);
-        assert_eq!(x.report.summary.dropped_records, 0);
-        assert_eq!(x.report.summary.orphan_ends, 0);
-    }
-}
-
-#[test]
-fn none_faults_hits_the_same_cache_entry() {
-    let specs = specs_under_test();
+/// A cache warmed with the plain paper batch, then asked for `specs`:
+/// re-requesting through `with_faults(none())` must be all cache hits.
+fn cache_warmed_with_plain_specs(specs: &[ExperimentSpec]) -> Vec<Vec<ExperimentResult>> {
     let cache = ExperimentCache::new();
-    cache.run_all(&specs);
+    cache.run_all(&paper_specs(SimDuration::from_secs(SECS), PAPER_SEED));
     let misses = cache.misses();
-    // Re-requesting through with_faults(none()) must be all cache hits.
-    let explicit: Vec<ExperimentSpec> = specs
-        .iter()
-        .map(|s| s.with_faults(FaultSpec::none()))
-        .collect();
-    cache.run_all(&explicit);
+    let results = cache.run_all(specs);
     assert_eq!(
         cache.misses(),
         misses,
         "FaultSpec::none() forked the cache key"
     );
     assert_eq!(cache.hits(), specs.len() as u64);
+    vec![results]
 }
 
-#[test]
-fn none_faults_artifacts_match_the_clean_pipeline() {
-    let duration = SimDuration::from_secs(SECS);
-    let clean = assemble(&run_experiments(&paper_specs(duration, 7)));
-    let faulted_off = assemble(&run_experiments(&paper_specs_faulted(
-        duration,
-        7,
-        FaultSpec::none(),
-    )));
-    assert_eq!(clean.len(), faulted_off.len());
-    for (c, f) in clean.iter().zip(&faulted_off) {
-        assert_eq!(c.printable(), f.printable(), "artifact text differs");
-        assert_eq!(c.csv, f.csv, "artifact csv differs");
-        // No fault-accounting rows may leak into a clean rendering.
-        assert!(
-            !c.text.contains("Dropped records"),
-            "clean artifact mentions drops:\n{}",
-            c.text
-        );
-    }
+mode_matrix! {
+    // row: base, spec transform, runner, checks;
+    none_faults_reports_are_bit_identical: Paper, none_faults, serial, &[Report, Counters, Clean];
+    none_faults_hits_the_same_cache_entry:
+        Paper, none_faults, cache_warmed_with_plain_specs, &[Report, Clean];
+    none_faults_artifacts_match_the_clean_pipeline: Paper, none_faults, serial, &[Artifacts, Clean];
 }
 
 #[test]

@@ -9,8 +9,10 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
+use adaptive::AdaptivePolicy;
 use simtime::SimDuration;
-use timerstudy::figures::{reproduce_all, Artifact};
+use timerstudy::figures::{reproduce, Artifact};
+use timerstudy::FaultSpec;
 
 /// Indices (in paper order) whose artifacts carry CSV data.
 const CSV_INDICES: [usize; 7] = [0, 4, 5, 10, 11, 12, 13];
@@ -38,7 +40,13 @@ fn golden_artifacts() -> BTreeMap<usize, (String, String)> {
 
 fn generated_artifacts() -> Vec<Artifact> {
     // Short traces: the shape checks below are duration-independent.
-    reproduce_all(SimDuration::from_secs(20), 7)
+    let (_, artifacts) = reproduce(
+        SimDuration::from_secs(20),
+        7,
+        FaultSpec::none(),
+        AdaptivePolicy::Off,
+    );
+    artifacts
 }
 
 /// The first line, e.g. `=== Table 1: Linux trace summary ===`.
@@ -75,7 +83,7 @@ fn artifact_set_matches_the_committed_run() {
     assert_eq!(
         generated.len(),
         golden.len(),
-        "reproduce_all must emit one artifact per committed reference file"
+        "reproduce must emit one artifact per committed reference file"
     );
     for (index, artifact) in generated.iter().enumerate() {
         let (name, text) = golden.get(&index).expect("reference artifact exists");

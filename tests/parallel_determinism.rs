@@ -1,143 +1,26 @@
-//! Differential harness: parallel and cached execution must be
-//! bit-identical to the serial reference path.
+//! Parallel and cached execution render the serial reference's artifacts
+//! byte for byte: the text and CSV `repro_all` prints.
 //!
-//! Experiments are pure functions of their [`ExperimentSpec`], so the
-//! parallel runner and the memoising cache may change wall-clock time
-//! and nothing else. These tests pin that contract at every level the
-//! reproduction exposes: full `Report`s (compared through their stable
-//! serialization), the raw run counters (records, wakeups, busy time),
-//! and the rendered artifacts `repro_all` prints.
+//! A row of the mode matrix (`tests/matrix/mod.rs`); the matrix's pool
+//! and `fresh_cache` rows check every other plane.
 
-use simtime::SimDuration;
+mod matrix;
+
 use timerstudy::cache::ExperimentCache;
-use timerstudy::experiment::{run_experiments, table_specs};
-use timerstudy::figures::{assemble, paper_specs};
-use timerstudy::parallel::{run_experiments_parallel_with, run_trials};
-use timerstudy::{ExperimentResult, ExperimentSpec, Os, Workload};
+use timerstudy::parallel::run_experiments_parallel_with;
+use timerstudy::{ExperimentResult, ExperimentSpec};
 
-/// Short traces keep the suite fast; every workload still runs long
-/// enough to exercise thousands of timer operations.
-const SECS: u64 = 20;
+use matrix::mode_matrix;
+use matrix::Check::*;
 
-fn specs_under_test() -> Vec<ExperimentSpec> {
-    let duration = SimDuration::from_secs(SECS);
-    let mut specs = table_specs(Os::Linux, duration, 1234);
-    specs.extend(table_specs(Os::Vista, duration, 1234));
-    specs.push(ExperimentSpec::new(
-        Os::Vista,
-        Workload::Outlook,
-        duration,
-        1234,
-    ));
-    specs
+/// The 4-thread pool, then a fresh cache.
+fn pool_then_fresh_cache(specs: &[ExperimentSpec]) -> Vec<Vec<ExperimentResult>> {
+    let parallel = run_experiments_parallel_with(specs, 4);
+    let cached = ExperimentCache::new().run_all(specs);
+    vec![parallel, cached]
 }
 
-/// The strongest equality we can state: the full serialized report plus
-/// every raw counter the experiment produces.
-fn assert_results_identical(serial: &[ExperimentResult], other: &[ExperimentResult], what: &str) {
-    assert_eq!(serial.len(), other.len(), "{what}: result count differs");
-    for (s, o) in serial.iter().zip(other) {
-        assert_eq!(s.spec, o.spec, "{what}: results out of order");
-        assert_eq!(
-            serde_json::to_string(&s.report).unwrap(),
-            serde_json::to_string(&o.report).unwrap(),
-            "{what}: report differs for {:?}/{:?}",
-            s.spec.os,
-            s.spec.workload
-        );
-        assert_eq!(s.records, o.records, "{what}: record count differs");
-        assert_eq!(s.wakeups, o.wakeups, "{what}: wakeup count differs");
-        assert_eq!(s.busy, o.busy, "{what}: busy time differs");
-        assert_eq!(
-            s.logging_overhead, o.logging_overhead,
-            "{what}: logging overhead differs"
-        );
-    }
-}
-
-#[test]
-fn parallel_matches_serial_bit_for_bit() {
-    let specs = specs_under_test();
-    let serial = run_experiments(&specs);
-    for threads in [2, 4, 9] {
-        let parallel = run_experiments_parallel_with(&specs, threads);
-        assert_results_identical(&serial, &parallel, &format!("{threads} threads"));
-    }
-}
-
-#[test]
-fn cache_matches_serial_and_runs_each_distinct_spec_once() {
-    let specs = specs_under_test();
-    let serial = run_experiments(&specs);
-
-    // Request every spec twice, interleaved: 18 requests, 9 distinct.
-    let mut doubled = specs.clone();
-    doubled.extend(specs.iter().copied());
-    let cache = ExperimentCache::new();
-    let results = cache.run_all(&doubled);
-
-    assert_results_identical(&serial, &results[..specs.len()], "cache, first half");
-    assert_results_identical(&serial, &results[specs.len()..], "cache, second half");
-    assert_eq!(
-        cache.misses(),
-        specs.len() as u64,
-        "each distinct spec must run exactly once"
-    );
-    assert_eq!(
-        cache.hits(),
-        specs.len() as u64,
-        "each duplicate must be served from the cache"
-    );
-    assert_eq!(cache.len(), specs.len());
-
-    // A second batch is answered entirely from the cache.
-    let again = cache.run_all(&specs);
-    assert_results_identical(&serial, &again, "cache, warm rerun");
-    assert_eq!(cache.misses(), specs.len() as u64);
-    assert_eq!(cache.hits(), 2 * specs.len() as u64);
-}
-
-#[test]
-fn rendered_artifacts_identical_across_paths() {
-    let duration = SimDuration::from_secs(SECS);
-    let specs = paper_specs(duration, 7);
-
-    let serial = assemble(&run_experiments(&specs));
-    let parallel = assemble(&run_experiments_parallel_with(&specs, 4));
-    let cache = ExperimentCache::new();
-    let cached = assemble(&cache.run_all(&specs));
-
-    assert_eq!(serial.len(), parallel.len());
-    assert_eq!(serial.len(), cached.len());
-    for ((s, p), c) in serial.iter().zip(&parallel).zip(&cached) {
-        assert_eq!(s.printable(), p.printable(), "artifact text differs");
-        assert_eq!(s.csv, p.csv, "artifact csv differs");
-        assert_eq!(s.printable(), c.printable(), "cached artifact text differs");
-        assert_eq!(s.csv, c.csv, "cached artifact csv differs");
-    }
-}
-
-#[test]
-fn trials_are_order_independent_and_distinct() {
-    let base = ExperimentSpec::new(Os::Linux, Workload::Skype, SimDuration::from_secs(SECS), 42);
-    let trials = run_trials(base, 4);
-    assert_eq!(trials.len(), 4);
-    // Trial 0 is byte-identical to a plain single run of the base spec.
-    let single = run_experiments(&[base]);
-    assert_results_identical(&single, &trials[..1], "trial 0");
-    // Each trial saw an independent random stream: seeds all distinct,
-    // and reports genuinely differ.
-    for (i, a) in trials.iter().enumerate() {
-        for b in &trials[i + 1..] {
-            assert_ne!(a.spec.seed, b.spec.seed, "trials must get distinct seeds");
-            assert_ne!(
-                serde_json::to_string(&a.report).unwrap(),
-                serde_json::to_string(&b.report).unwrap(),
-                "distinct trials should produce distinct traces"
-            );
-        }
-    }
-    // Rerunning reproduces the same trials exactly.
-    let rerun = run_trials(base, 4);
-    assert_results_identical(&trials, &rerun, "trial rerun");
+mode_matrix! {
+    // row: base, spec transform, runner, checks;
+    rendered_artifacts_identical_across_paths: Paper, |s| s, pool_then_fresh_cache, &[Artifacts];
 }
