@@ -14,15 +14,14 @@
 //! `net-burst`, `clock-jitter`, `all`, `seed=N`); the summary tables then
 //! gain drop/degradation accounting rows.
 //!
-//! `--metrics[=DIR]` (default `artifacts/metrics`) writes the telemetry
-//! run report — `run_report.json` plus `run_report.prom` — aggregating
-//! each experiment's sim-plane snapshot with this process's wall-plane
-//! spans and counters, plus `run_trace.chrome.json`, a Chrome
-//! trace-event profile of the run's stage spans (loadable in Perfetto /
-//! `chrome://tracing`). The sim section — including the per-origin
-//! attribution tables — is bit-identical across thread counts and
-//! cached runs of the same parameters; see the Observability section of
-//! the README.
+//! `--metrics[=DIR]` (default `artifacts/metrics`) captures every
+//! wall-clock span of the run and writes two files: `run_report.json`,
+//! each experiment's sim-plane snapshot plus per-name span statistics,
+//! and `run_trace.chrome.json`, the same spans as a Chrome trace-event
+//! profile (loadable in Perfetto / `chrome://tracing`). The sim section —
+//! including the per-origin attribution tables — is bit-identical across
+//! thread counts and cached runs of the same parameters; see the
+//! Observability section of the README.
 //!
 //! `--top-origins[=N]` prints the paper-Table-3-style "top timer users"
 //! table (default N = 10): per origin, total sets with expired/cancelled
@@ -31,25 +30,19 @@
 //! `--timer-list=SIM_SECS[,SIM_SECS...]` runs one dedicated, uncached
 //! Linux and Vista webserver experiment and dumps a deterministic
 //! `/proc/timer_list`-style snapshot of every simulated timer queue at
-//! each requested sim instant.
+//! each requested sim instant. An instant past the simulated clock's
+//! range (about 584 years of nanoseconds) is a usage error.
 //!
-//! `--scale N` multiplies the trace duration by `N` (the webserver
-//! workloads scale their connection counts with duration, so this is the
-//! "10× longer Apache/httperf run" knob). `--assert-peak-resident-below N`
-//! exits nonzero if the `analysis_resident_events_high_watermark` gauge
-//! reached `N` or more in any experiment (the CI bounded-memory check).
-//! A trace length or snapshot instant past the simulated clock's range
-//! (about 584 years of nanoseconds) is a usage error.
+//! `--assert-peak-resident-below N` exits nonzero if the
+//! `analysis_resident_events_high_watermark` gauge reached `N` or more
+//! in any experiment (the CI bounded-memory check, run on
+//! `REPRO_SECONDS=300` traces).
 //!
-//! `--adaptive[=off|fixed|learned]` selects the workload-timeout policy
-//! (the paper's §5 "timeouts should be learned"). `fixed` keeps every
-//! historical constant with the adaptive plumbing live — its output is
-//! byte-identical to the default run's, which CI `cmp`s. `learned` (what
-//! the bare flag means) runs every experiment
-//! *twice* on the same seeded trace — historical constants vs learned
-//! timeouts — and appends three counterfactual figures: spurious timer
-//! expirations avoided per origin (riding the attribution plane), the
-//! dynticks sleep-residency histogram (the energy proxy), and
+//! `--adaptive` (the paper's §5 "timeouts should be learned") runs every
+//! experiment *twice* on the same seeded trace — historical constants vs
+//! learned timeouts — and appends three counterfactual figures: spurious
+//! timer expirations avoided per origin (riding the attribution plane),
+//! the dynticks sleep-residency histogram (the energy proxy), and
 //! retransmit-latency deltas (most visible under `--faults`). Composes
 //! with `--faults`.
 //!
@@ -63,40 +56,19 @@ use timerstudy::FaultSpec;
 const SEED: u64 = 7;
 
 const USAGE: &str = "usage: repro_all [--artifacts DIR] \
-     [--metrics[=DIR]] [--top-origins[=N]] [--timer-list SECS[,SECS...]] [--scale N] \
-     [--assert-peak-resident-below N] [--faults SPEC] [--adaptive[=off|fixed|learned]]";
+     [--metrics[=DIR]] [--top-origins[=N]] [--timer-list SECS[,SECS...]] \
+     [--assert-peak-resident-below N] [--faults SPEC] [--adaptive]";
 
 /// Every flag, spelled the way its parser below reads it.
-const FLAGS: [(&str, Takes); 8] = [
+const FLAGS: [(&str, Takes); 7] = [
     ("--metrics", Takes::Inline),
     ("--top-origins", Takes::Inline),
-    ("--adaptive", Takes::Inline),
+    ("--adaptive", Takes::Nothing),
     ("--artifacts", Takes::Next),
-    ("--scale", Takes::Next),
     ("--assert-peak-resident-below", Takes::Next),
     ("--faults", Takes::Next),
     ("--timer-list", Takes::Either),
 ];
-
-/// Parses `--adaptive` / `--adaptive=off|fixed|learned` (bare flag means
-/// `learned` — "run the counterfactual").
-fn adaptive_policy(args: &[String]) -> adaptive::AdaptivePolicy {
-    let mut policy = adaptive::AdaptivePolicy::Off;
-    for arg in args {
-        if arg == "--adaptive" {
-            policy = adaptive::AdaptivePolicy::Learned;
-        } else if let Some(v) = arg.strip_prefix("--adaptive=") {
-            match adaptive::AdaptivePolicy::parse(v) {
-                Some(p) => policy = p,
-                None => {
-                    eprintln!("--adaptive {v}: expected off, fixed, or learned");
-                    std::process::exit(2);
-                }
-            }
-        }
-    }
-    policy
-}
 
 /// Parses `--top-origins` / `--top-origins=N` (default 10).
 fn top_origins(args: &[String]) -> Option<usize> {
@@ -220,20 +192,6 @@ fn main() {
         telemetry::chrome::set_capture(true);
         telemetry::chrome::register_thread_name("main");
     }
-    let scale = match args
-        .iter()
-        .position(|a| a == "--scale")
-        .and_then(|i| args.get(i + 1))
-    {
-        Some(n) => match n.parse::<u64>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("--scale {n}: expected an integer >= 1");
-                std::process::exit(2);
-            }
-        },
-        None => 1,
-    };
     let resident_cap = match args
         .iter()
         .position(|a| a == "--assert-peak-resident-below")
@@ -262,15 +220,12 @@ fn main() {
         },
         None => FaultSpec::none(),
     };
-    let policy = adaptive_policy(&args);
-    let base_duration = bench::repro_duration();
-    let Some(duration) = base_duration.checked_mul(scale) else {
-        eprintln!(
-            "--scale {scale}: {} s x {scale} is past the simulated clock's range",
-            base_duration.as_secs()
-        );
-        std::process::exit(2);
+    let policy = if args.iter().any(|a| a == "--adaptive") {
+        adaptive::AdaptivePolicy::Learned
+    } else {
+        adaptive::AdaptivePolicy::Off
     };
+    let duration = bench::repro_duration();
     let threads = timerstudy::parallel::default_threads(9);
     eprintln!(
         "running all experiments at {} simulated seconds per trace (up to {threads} threads, faults: {}, adaptive: {})...",
@@ -351,15 +306,13 @@ fn main() {
         std::fs::create_dir_all(&dir).expect("create metrics dir");
         std::fs::write(format!("{dir}/run_report.json"), report.to_json())
             .expect("write run_report.json");
-        std::fs::write(format!("{dir}/run_report.prom"), report.to_prometheus())
-            .expect("write run_report.prom");
         std::fs::write(
             format!("{dir}/run_trace.chrome.json"),
             telemetry::chrome::export_json(),
         )
         .expect("write run_trace.chrome.json");
         eprintln!(
-            "telemetry run report written to {dir}/run_report.{{json,prom}} \
+            "telemetry run report written to {dir}/run_report.json \
              and {dir}/run_trace.chrome.json"
         );
     }

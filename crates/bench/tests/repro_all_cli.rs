@@ -123,6 +123,9 @@ fn retired_flags_are_usage_errors() {
     assert_usage_error(REPRO_ALL, &["--wheel-backend=heap"]);
     assert_usage_error(REPRO_ALL, &["--shards=4"]);
     assert_usage_error(REPRO_ALL, &["--serial"]);
+    assert_usage_error(REPRO_ALL, &["--scale", "10"]);
+    assert_usage_error(REPRO_ALL, &["--adaptive=fixed"]);
+    assert_usage_error(REPRO_ALL, &["--adaptive=learned"]);
 }
 
 #[test]
@@ -152,9 +155,9 @@ fn malformed_repro_variables_are_rejected() {
 #[test]
 fn sim_times_past_the_clock_range_are_rejected() {
     // 18446744074 s is just past u64::MAX nanoseconds: a wrapped product
-    // would quietly run (or snapshot at) about 0.29 s.
+    // would quietly snapshot at about 0.29 s. `REPRO_SECONDS` past the
+    // range is checked with the other malformed variables.
     for args in [
-        &["--scale", "18446744074"][..],
         &["--timer-list", "18446744074"][..],
         &["--timer-list=1.5,18446744073.8"][..],
     ] {
@@ -168,7 +171,7 @@ fn sim_times_past_the_clock_range_are_rejected() {
 
 #[test]
 fn flag_missing_its_value_is_a_usage_error() {
-    assert_usage_error(REPRO_ALL, &["--scale"]);
+    assert_usage_error(REPRO_ALL, &["--faults"]);
 }
 
 #[test]

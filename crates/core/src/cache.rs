@@ -9,32 +9,19 @@
 //! Tables 1-3 and the scatter plots instead of re-simulating them.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-
-use telemetry::Counter;
 
 use crate::experiment::{ExperimentResult, ExperimentSpec};
 use crate::parallel::run_experiments_parallel;
 
-/// A thread-safe memo table of completed experiments, keyed by spec.
-///
-/// Hit/miss counters are telemetry-backed (wall plane): the getters stay
-/// thin reads over this cache's own counts, while the registry aggregates
-/// every cache instance under `experiment_cache_{hits,misses}_total`.
+/// A thread-safe memo table of completed experiments, keyed by spec,
+/// counting its own hits and misses.
+#[derive(Default)]
 pub struct ExperimentCache {
     results: Mutex<HashMap<ExperimentSpec, Arc<ExperimentResult>>>,
-    hits: Counter,
-    misses: Counter,
-}
-
-impl Default for ExperimentCache {
-    fn default() -> Self {
-        ExperimentCache {
-            results: Mutex::new(HashMap::new()),
-            hits: Counter::new("experiment_cache_hits_total"),
-            misses: Counter::new("experiment_cache_misses_total"),
-        }
-    }
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 impl std::fmt::Debug for ExperimentCache {
@@ -59,7 +46,7 @@ impl ExperimentCache {
         if let Some(hit) = self.lookup(spec) {
             return hit;
         }
-        self.misses.inc();
+        self.misses.fetch_add(1, Ordering::Relaxed);
         let result = Arc::new(crate::experiment::run_experiment(spec));
         self.insert(spec, result)
     }
@@ -78,14 +65,14 @@ impl ExperimentCache {
             let results = self.results.lock().expect("experiment cache poisoned");
             for &spec in specs {
                 if results.contains_key(&spec) || seen.insert(spec, ()).is_some() {
-                    self.hits.inc();
+                    self.hits.fetch_add(1, Ordering::Relaxed);
                 } else {
                     todo.push(spec);
                 }
             }
         }
         if !todo.is_empty() {
-            self.misses.add(todo.len() as u64);
+            self.misses.fetch_add(todo.len() as u64, Ordering::Relaxed);
             let fresh = run_experiments_parallel(&todo);
             for (spec, result) in todo.into_iter().zip(fresh) {
                 self.insert(spec, Arc::new(result));
@@ -104,12 +91,12 @@ impl ExperimentCache {
 
     /// Cache hits so far (lookups answered without running).
     pub fn hits(&self) -> u64 {
-        self.hits.get()
+        self.hits.load(Ordering::Relaxed)
     }
 
     /// Cache misses so far (experiments actually run).
     pub fn misses(&self) -> u64 {
-        self.misses.get()
+        self.misses.load(Ordering::Relaxed)
     }
 
     /// Number of distinct specs cached.
@@ -128,7 +115,7 @@ impl ExperimentCache {
     fn lookup(&self, spec: ExperimentSpec) -> Option<Arc<ExperimentResult>> {
         let hit = self.peek(spec);
         if hit.is_some() {
-            self.hits.inc();
+            self.hits.fetch_add(1, Ordering::Relaxed);
         }
         hit
     }

@@ -1,7 +1,7 @@
 //! Fixed-vs-adaptive counterfactual figures (the paper's §5 "what if").
 //!
 //! `repro_all --adaptive` runs every experiment twice on the same seeded
-//! trace — once with the historical constants ([`adaptive::AdaptivePolicy::Fixed`])
+//! trace — once with the historical constants ([`adaptive::AdaptivePolicy::Off`])
 //! and once with learned timeouts ([`adaptive::AdaptivePolicy::Learned`]) —
 //! and these builders turn the two result sets into the three
 //! counterfactual artifacts §5 asks for:
@@ -306,7 +306,7 @@ mod tests {
 
     #[test]
     fn counterfactual_artifacts_render_all_three_figures() {
-        let fixed = vec![pair(AdaptivePolicy::Fixed)];
+        let fixed = vec![pair(AdaptivePolicy::Off)];
         let learned = vec![pair(AdaptivePolicy::Learned)];
         let artifacts = counterfactual_artifacts(&fixed, &learned);
         assert_eq!(artifacts.len(), 3);
@@ -325,7 +325,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "counterfactual pairs")]
     fn mismatched_pairs_are_rejected() {
-        let fixed = vec![pair(AdaptivePolicy::Fixed)];
+        let fixed = vec![pair(AdaptivePolicy::Off)];
         let mut other =
             ExperimentSpec::new(Os::Vista, Workload::Idle, SimDuration::from_secs(2), 7);
         other.adaptive = AdaptivePolicy::Learned;

@@ -51,11 +51,10 @@ pub struct ExperimentSpec {
     /// identical across wheels, but the sim-plane metrics snapshot
     /// (cascades vs revisits) is wheel-specific.
     pub backend: wheel::Backend,
-    /// Workload-timeout policy: `Off`/`Fixed` keep every historical
-    /// constant (`Fixed` with the adaptive plumbing live but clamped —
-    /// byte-identical to `Off`); `Learned` drives the same timers from
-    /// the learned distributions of §5.1. Part of the cache key: a
-    /// learned run's report is a different experiment outcome.
+    /// Workload-timeout policy: `Off` keeps every historical constant;
+    /// `Learned` drives the same timers from the learned distributions of
+    /// §5.1. Part of the cache key: a learned run's report is a different
+    /// experiment outcome.
     pub adaptive: adaptive::AdaptivePolicy,
 }
 
@@ -150,7 +149,9 @@ impl ChunkedAnalyzerSink {
     /// the whole run instead of reallocated per flush. Flush points are a
     /// pure function of the event stream, so the gauge and the reuse
     /// counter stay bit-identical across serial/parallel/cached
-    /// execution.
+    /// execution. The fold runs under the `stage.fold` span; every flush
+    /// but the tail one nests inside `stage.workload`, so the difference
+    /// of the two is the time spent in the kernel model and the workload.
     fn flush(&mut self) {
         if self.buf.is_empty() {
             return;
@@ -161,6 +162,7 @@ impl ChunkedAnalyzerSink {
         );
         telemetry::sim::add(telemetry::SimCounter::AnalysisChunkReuse, 1);
         if let Some(a) = self.analyzer.as_mut() {
+            let _fold_span = telemetry::span("stage.fold");
             a.push_chunk(&self.buf);
         }
         self.buf.clear();
@@ -294,7 +296,6 @@ pub fn run_experiment(spec: ExperimentSpec) -> ExperimentResult {
 /// the classifier-tolerance ablation).
 pub fn run_experiment_with(spec: ExperimentSpec, cfg: AnalyzerConfig) -> ExperimentResult {
     let _experiment_span = telemetry::span("stage.experiment");
-    telemetry::global().add("experiments_run_total", 1);
     // Everything sim-plane recorded below (wheel, trace, netsim, virtual
     // time) lands in a fresh scoped accumulator, so the snapshot is this
     // experiment's alone regardless of which worker thread ran it.

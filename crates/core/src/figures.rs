@@ -264,13 +264,14 @@ pub fn paper_specs(duration: simtime::SimDuration, seed: u64) -> Vec<ExperimentS
 /// cache, so a binary that already ran some of them never re-simulates a
 /// spec.
 ///
-/// `Off` and `Fixed` run the nine paper specs once and return the paper
-/// artifacts (byte-identical to each other — `tests/mode_matrix.rs`).
+/// `Off` runs the nine paper specs once and returns the paper artifacts.
 /// `Learned` runs each spec **twice** on the same seeded trace — once
-/// clamped to the historical constants, once learned — returning the
-/// fixed run's paper artifacts followed by the three counterfactual
-/// figures, with both runs' results concatenated (fixed first) so run
-/// reports carry both sides of the comparison. The fault plane and the
+/// with the historical constants (`Off`), once learned — returning the
+/// baseline run's paper artifacts followed by the three counterfactual
+/// figures, with both runs' results concatenated (baseline first) so run
+/// reports carry both sides of the comparison. The baseline half is a
+/// plain `Off` run: the same specs, cache entries and output
+/// (`tests/mode_matrix.rs`, row `fixed_policy`). The fault plane and the
 /// policy are part of the experiment cache key, so differently
 /// configured runs never alias.
 pub fn reproduce(
@@ -286,19 +287,15 @@ pub fn reproduce(
             .collect();
         crate::cache::global().run_all(&specs)
     };
-    if !policy.is_learned() {
-        let results = run(policy);
-        let artifacts = assemble(&results);
-        return (results, artifacts);
+    let mut results = run(adaptive::AdaptivePolicy::Off);
+    let mut artifacts = assemble(&results);
+    if policy.is_learned() {
+        let learned = run(adaptive::AdaptivePolicy::Learned);
+        artifacts.extend(crate::counterfactual::counterfactual_artifacts(
+            &results, &learned,
+        ));
+        results.extend(learned);
     }
-    let fixed = run(adaptive::AdaptivePolicy::Fixed);
-    let learned = run(adaptive::AdaptivePolicy::Learned);
-    let mut artifacts = assemble(&fixed);
-    artifacts.extend(crate::counterfactual::counterfactual_artifacts(
-        &fixed, &learned,
-    ));
-    let mut results = fixed;
-    results.extend(learned);
     (results, artifacts)
 }
 

@@ -68,7 +68,6 @@ pub fn run_experiments_parallel_with(
         return Vec::new();
     }
     let threads = threads.clamp(1, specs.len());
-    telemetry::global().gauge_max("parallel_threads", threads as u64);
     if threads == 1 {
         return crate::experiment::run_experiments(specs);
     }

@@ -1,17 +1,18 @@
-//! Chrome trace-event export of the wall plane.
+//! The wall plane's one record: captured span intervals, exported as a
+//! Chrome trace and folded into run-report span statistics.
 //!
-//! The registry's span statistics answer "how much time, in total" — but
-//! not *when*. This module captures individual timestamped span intervals
-//! and serializes them as Chrome trace-event JSON (the `traceEvents`
-//! array Perfetto and `chrome://tracing` load), turning the existing
-//! stage spans and queue-wait/worker-busy instrumentation into a
-//! zoomable timeline.
+//! Every completed [`crate::span()`] lands here as one timestamped
+//! interval on its thread's track, and everything the wall plane reports
+//! is derived from that buffer: [`export_json`] serializes it as Chrome
+//! trace-event JSON (the `traceEvents` array Perfetto and
+//! `chrome://tracing` load), and [`span_stats`] folds it into the
+//! per-name count, total, min and max a run report carries.
 //!
-//! Capture is off by default and costs one relaxed atomic load per span
-//! drop; `repro_all --metrics` switches it on for the duration of the run
-//! and writes `run_trace.chrome.json` next to the run report. Everything
-//! here is strictly wall-plane: timelines describe *this process* and are
-//! excluded from every determinism check.
+//! Capture is off by default, and a span then costs one relaxed atomic
+//! load; `repro_all --metrics` switches it on for the duration of the
+//! run and writes `run_trace.chrome.json` next to the run report.
+//! Everything here is strictly wall-plane: timelines describe *this
+//! process* and are excluded from every determinism check.
 //!
 //! # Serialization shape
 //!
@@ -25,6 +26,7 @@
 //! name. `validate_report --chrome` checks balance and per-track
 //! timestamp monotonicity.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -124,6 +126,49 @@ pub fn captured_len() -> usize {
     buffer().lock().unwrap().spans.len()
 }
 
+/// Wall-clock statistics of one span name, folded from its captured
+/// intervals.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpanStat {
+    /// Number of captured intervals.
+    pub count: u64,
+    /// Total length of the intervals, in nanoseconds.
+    pub total_ns: u64,
+    /// Shortest interval, in nanoseconds.
+    pub min_ns: u64,
+    /// Longest interval, in nanoseconds.
+    pub max_ns: u64,
+}
+
+/// Per-name statistics of every span interval captured so far.
+pub fn span_stats() -> BTreeMap<String, SpanStat> {
+    let buf = buffer()
+        .lock()
+        .expect("a thread panicked while capturing a span");
+    let mut stats: BTreeMap<String, SpanStat> = BTreeMap::new();
+    for span in &buf.spans {
+        let ns = span.end_ns - span.start_ns;
+        match stats.get_mut(&span.name) {
+            Some(stat) => {
+                stat.count += 1;
+                stat.total_ns = stat.total_ns.saturating_add(ns);
+                stat.min_ns = stat.min_ns.min(ns);
+                stat.max_ns = stat.max_ns.max(ns);
+            }
+            None => {
+                let first = SpanStat {
+                    count: 1,
+                    total_ns: ns,
+                    min_ns: ns,
+                    max_ns: ns,
+                };
+                stats.insert(span.name.clone(), first);
+            }
+        }
+    }
+    stats
+}
+
 /// Discards everything captured so far (tests).
 pub fn reset() {
     let mut buf = buffer().lock().unwrap();
@@ -132,10 +177,6 @@ pub fn reset() {
 }
 
 /// Serializes everything captured so far as Chrome trace-event JSON.
-///
-/// Also emits one `C` (counter) sample per wall-plane counter and gauge
-/// at the trace's end, so queue/worker gauges ride along with the span
-/// timelines.
 pub fn export_json() -> String {
     let buf = buffer().lock().unwrap();
     let mut spans = buf.spans.clone();
@@ -234,39 +275,24 @@ pub fn export_json() -> String {
             &mut out,
         );
     }
-    // Wall counters and gauges as counter samples at the trace end.
-    let wall = crate::registry::global().wall_snapshot();
-    let end_ts = events.iter().map(|(_, e)| ev_ts(e)).max().unwrap_or(0);
-    for (name, value) in wall.counters.iter().chain(wall.gauges.iter()) {
-        push_event(
-            format!(
-                "  {{\"ph\": \"C\", \"name\": {}, \"pid\": 1, \"tid\": 0, \"ts\": {}.{:03}, \
-                 \"args\": {{\"value\": {value}}}}}",
-                escape(name),
-                end_ts / 1_000,
-                end_ts % 1_000
-            ),
-            &mut out,
-        );
-    }
     out.push_str("\n], \"displayTimeUnit\": \"ms\"}\n");
     out
+}
+
+/// Held by every test that switches capture on or asserts on the
+/// buffer: run concurrently, one test's `reset()` or captured spans
+/// would land in another's assertions.
+#[cfg(test)]
+pub(crate) fn capture_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::json::{parse, Value};
-    use std::sync::MutexGuard;
     use std::time::Duration;
-
-    /// Serialises the tests that drive the process-wide capture flag and
-    /// buffer: run concurrently, one test's `reset()` or captured spans
-    /// would land in the other's assertions.
-    fn exclusive() -> MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
 
     fn ts_of(e: &Value) -> f64 {
         e.get("ts").and_then(Value::as_f64).unwrap()
@@ -274,7 +300,7 @@ mod tests {
 
     #[test]
     fn capture_and_export_balance() {
-        let _capture = exclusive();
+        let _capture = capture_lock();
         reset();
         set_capture(true);
         register_thread_name("chrome-test-main");
@@ -301,9 +327,10 @@ mod tests {
         let mut last_ts: HashMap<u64, f64> = HashMap::new();
         for e in events {
             let ph = e.get("ph").and_then(Value::as_str).unwrap();
-            if ph != "B" && ph != "E" {
+            if ph == "M" {
                 continue;
             }
+            assert!(ph == "B" || ph == "E", "unexpected phase {ph}");
             let tid = e.get("tid").and_then(Value::as_u64).unwrap();
             let ts = ts_of(e);
             let prev = last_ts.entry(tid).or_insert(0.0);
@@ -320,7 +347,7 @@ mod tests {
 
     #[test]
     fn capture_off_records_nothing() {
-        let _capture = exclusive();
+        let _capture = capture_lock();
         reset();
         set_capture(false);
         record_span("ignored", Instant::now(), Instant::now());

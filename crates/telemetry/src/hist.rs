@@ -14,9 +14,9 @@ pub const BUCKETS: usize = 64;
 
 /// A fixed-layout log-bucketed histogram with count and sum.
 ///
-/// Plain (non-atomic) storage: sim-plane histograms live in thread-local
-/// accumulators and wall-plane ones behind the registry lock, so the
-/// hot path is a bucket index plus three adds.
+/// Plain (non-atomic) storage: histograms live in the sim plane's
+/// thread-local accumulators, so the hot path is a bucket index plus
+/// three adds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LogHistogram {
     count: u64,

@@ -12,28 +12,29 @@
 //!   runs and snapshotted per run. They are **bit-identical** across
 //!   serial, parallel and cached execution, which the differential test
 //!   `tests/mode_matrix.rs` enforces.
-//! * **Wall plane** ([`registry`], [`span`]) — wall-clock span timings
-//!   (`std::time::Instant`) and process-lifetime counters (cache hits,
-//!   worker utilisation). These describe *this process*, legitimately
-//!   differ between runs and modes, and are explicitly excluded from all
+//! * **Wall plane** ([`span`](mod@span), [`chrome`]) — wall-clock span
+//!   intervals (`std::time::Instant`), kept once, in the capture buffer
+//!   of [`chrome`] while `repro_all --metrics` runs. The Chrome trace and
+//!   the run report's per-name span statistics are both built from that
+//!   one record. These describe *this process*, legitimately differ
+//!   between runs and modes, and are explicitly excluded from all
 //!   determinism checks.
 //!
-//! Both planes are exported together by [`report::RunReport`] as JSON and
-//! Prometheus text exposition; [`json`] carries the minimal parser the
-//! run-report schema validation (and CI drift check) is built on.
+//! Both planes are exported together by [`report::RunReport`] as JSON;
+//! [`json`] carries the minimal parser the run-report schema validation
+//! (and CI drift check) is built on.
 
 pub mod attr;
 pub mod chrome;
 pub mod hist;
 pub mod json;
-pub mod registry;
 pub mod report;
 pub mod sim;
 pub mod span;
 
 pub use attr::{OriginRow, OriginTable};
+pub use chrome::SpanStat;
 pub use hist::LogHistogram;
-pub use registry::{global, Counter, Gauge, Registry, SpanStat, WallSnapshot};
 pub use report::{stage_summary_line, ExperimentMetrics, RunReport};
 pub use sim::{SimCounter, SimGauge, SimHist, SimSnapshot};
 pub use span::{span, SpanGuard};
@@ -43,17 +44,18 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// Whether telemetry recording is enabled (default: yes).
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
-/// Globally enables or disables metric recording.
+/// Globally enables or disables sim-plane recording.
 ///
 /// Disabling is the "uninstrumented" baseline the `telemetry_overhead`
 /// benchmark compares against: hot-path recording calls become a single
-/// relaxed load. Instance-backed [`Counter`]s keep counting regardless,
-/// because component getters (e.g. `RingBuffer::dropped`) read them.
+/// relaxed load. Spans follow [`chrome::set_capture`] instead, and the
+/// plain counters behind component getters (e.g. `RingBuffer::dropped`)
+/// keep counting regardless.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Whether metric recording is currently enabled.
+/// Whether sim-plane recording is currently enabled.
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)

@@ -1,30 +1,29 @@
-//! Run reports: the JSON + Prometheus view over both planes.
+//! Run reports: the JSON view over both planes.
 //!
 //! A [`RunReport`] freezes one `repro_all` invocation: the sim-plane
-//! snapshot of every experiment (plus their merged totals) and a wall
-//! snapshot of the process registry. `to_json` hand-rolls real JSON (the
-//! vendored `serde_json` stand-in only renders Debug output) and
-//! `to_prometheus` renders the text exposition format with a
-//! `timerstudy_` prefix and a `plane` label separating deterministic
-//! series from wall-clock ones.
+//! snapshot of every experiment (plus their merged totals) and the
+//! per-name statistics of the wall-clock spans captured during the run.
+//! `to_json` hand-rolls real JSON (the vendored `serde_json` stand-in
+//! only renders Debug output).
 //!
-//! Schema contract (version 1): the `sim` section is a pure function of
+//! Schema contract (version 3): the `sim` section is a pure function of
 //! the experiment specs — CI parses two independent runs and asserts the
 //! canonical forms of their `sim` sections are byte-identical. The
-//! `wall` section carries timings and process counters and is never
-//! compared.
+//! `wall` section holds only `spans`, folded from the capture buffer of
+//! [`crate::chrome`], and is never compared.
 
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 use crate::attr::OriginTable;
-use crate::hist::LogHistogram;
+use crate::chrome::{self, SpanStat};
 use crate::json::{escape, Value};
-use crate::registry::{global, WallSnapshot};
 use crate::sim::{SimCounter, SimGauge, SimHist, SimSnapshot};
 
 /// Current run-report schema version (2 added the per-origin
-/// `attribution` table to every sim body).
-pub const SCHEMA_VERSION: u64 = 2;
+/// `attribution` table to every sim body; 3 cut the wall section down to
+/// the span statistics).
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// The sim-plane snapshot of one experiment, labelled for the report.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,13 +57,14 @@ pub struct RunReport {
     /// All experiment attribution tables merged by label — the paper's
     /// Table-3-style "top timer users" view of the whole run.
     pub attr_totals: OriginTable,
-    /// The wall-plane snapshot.
-    pub wall: WallSnapshot,
+    /// The wall plane: per-name statistics of the span intervals
+    /// captured during the run (empty unless capture was on).
+    pub spans: BTreeMap<String, SpanStat>,
 }
 
 impl RunReport {
     /// Builds a report from per-experiment metrics, merging the sim
-    /// totals and freezing the global wall-plane registry.
+    /// totals and folding the captured span intervals.
     pub fn new(
         mode: &str,
         duration_secs: u64,
@@ -88,11 +88,11 @@ impl RunReport {
             experiments,
             sim_totals,
             attr_totals,
-            wall: global().wall_snapshot(),
+            spans: chrome::span_stats(),
         }
     }
 
-    /// Renders the report as pretty-printed JSON (schema version 1).
+    /// Renders the report as pretty-printed JSON.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str("{\n");
@@ -117,22 +117,8 @@ impl RunReport {
         out.push_str("    ],\n    \"totals\": {");
         write_sim_body(&mut out, &self.sim_totals, &self.attr_totals);
         out.push_str("}\n  },\n");
-        out.push_str("  \"wall\": {\n    \"counters\": {");
-        for (i, (name, value)) in self.wall.counters.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("{}: {value}", escape(name)));
-        }
-        out.push_str("},\n    \"gauges\": {");
-        for (i, (name, value)) in self.wall.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("{}: {value}", escape(name)));
-        }
-        out.push_str("},\n    \"spans\": {");
-        for (i, (name, stat)) in self.wall.spans.iter().enumerate() {
+        out.push_str("  \"wall\": {\n    \"spans\": {");
+        for (i, (name, stat)) in self.spans.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
@@ -141,113 +127,11 @@ impl RunReport {
                 escape(name),
                 stat.count,
                 stat.total_ns,
-                if stat.count == 0 { 0 } else { stat.min_ns },
+                stat.min_ns,
                 stat.max_ns
             ));
         }
         out.push_str("}\n  }\n}\n");
-        out
-    }
-
-    /// Renders both planes in the Prometheus text exposition format.
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str(&format!(
-            "# Run report: mode={} duration={}s seed={} threads={}\n",
-            self.mode, self.duration_secs, self.seed, self.threads
-        ));
-        for c in SimCounter::ALL {
-            let name = format!("timerstudy_{}", c.name());
-            out.push_str(&format!("# TYPE {name} counter\n"));
-            out.push_str(&format!(
-                "{name}{{plane=\"sim\"}} {}\n",
-                self.sim_totals.counter(c)
-            ));
-        }
-        for g in SimGauge::ALL {
-            let name = format!("timerstudy_{}", g.name());
-            out.push_str(&format!("# TYPE {name} gauge\n"));
-            out.push_str(&format!(
-                "{name}{{plane=\"sim\"}} {}\n",
-                self.sim_totals.gauge(g)
-            ));
-        }
-        for h in SimHist::ALL {
-            let name = format!("timerstudy_{}", h.name());
-            let hist = self.sim_totals.hist(h);
-            out.push_str(&format!("# TYPE {name} histogram\n"));
-            let mut cumulative = 0u64;
-            for (index, count) in hist.nonzero() {
-                cumulative += count;
-                let (_, hi) = LogHistogram::bucket_bounds(index);
-                out.push_str(&format!(
-                    "{name}_bucket{{plane=\"sim\",le=\"{hi}\"}} {cumulative}\n"
-                ));
-            }
-            out.push_str(&format!(
-                "{name}_bucket{{plane=\"sim\",le=\"+Inf\"}} {}\n",
-                hist.count()
-            ));
-            out.push_str(&format!("{name}_sum{{plane=\"sim\"}} {}\n", hist.sum()));
-            out.push_str(&format!("{name}_count{{plane=\"sim\"}} {}\n", hist.count()));
-        }
-        for kind in ["sets", "cancels", "expirations"] {
-            let name = format!("timerstudy_timer_origin_{kind}_total");
-            out.push_str(&format!("# TYPE {name} counter\n"));
-            for row in &self.attr_totals.rows {
-                let value = match kind {
-                    "sets" => row.sets,
-                    "cancels" => row.cancels,
-                    _ => row.expirations,
-                };
-                out.push_str(&format!(
-                    "{name}{{plane=\"sim\",origin=\"{}\"}} {value}\n",
-                    row.label
-                ));
-            }
-        }
-        out.push_str("# TYPE timerstudy_timer_origin_timeout_ns histogram\n");
-        for row in &self.attr_totals.rows {
-            out.push_str(&format!(
-                "timerstudy_timer_origin_timeout_ns_sum{{plane=\"sim\",origin=\"{}\"}} {}\n",
-                row.label,
-                row.timeout_ns.sum()
-            ));
-            out.push_str(&format!(
-                "timerstudy_timer_origin_timeout_ns_count{{plane=\"sim\",origin=\"{}\"}} {}\n",
-                row.label,
-                row.timeout_ns.count()
-            ));
-        }
-        for (name, value) in &self.wall.counters {
-            let full = format!("timerstudy_{name}");
-            out.push_str(&format!("# TYPE {full} counter\n"));
-            out.push_str(&format!("{full}{{plane=\"wall\"}} {value}\n"));
-        }
-        for (name, value) in &self.wall.gauges {
-            let full = format!("timerstudy_{name}");
-            out.push_str(&format!("# TYPE {full} gauge\n"));
-            out.push_str(&format!("{full}{{plane=\"wall\"}} {value}\n"));
-        }
-        out.push_str("# TYPE timerstudy_span_total_ns counter\n");
-        for (name, stat) in &self.wall.spans {
-            out.push_str(&format!(
-                "timerstudy_span_count{{plane=\"wall\",span=\"{name}\"}} {}\n",
-                stat.count
-            ));
-            out.push_str(&format!(
-                "timerstudy_span_total_ns{{plane=\"wall\",span=\"{name}\"}} {}\n",
-                stat.total_ns
-            ));
-            out.push_str(&format!(
-                "timerstudy_span_max_ns{{plane=\"wall\",span=\"{name}\"}} {}\n",
-                stat.max_ns
-            ));
-        }
-        out.push_str(&format!(
-            "timerstudy_run_wall_seconds{{plane=\"wall\"}} {:.6}\n",
-            self.wall_seconds
-        ));
         out
     }
 }
@@ -291,7 +175,7 @@ fn write_sim_body(out: &mut String, sim: &SimSnapshot, attr: &OriginTable) {
     attr.write_json(out);
 }
 
-/// Validates a parsed run report against schema version 1.
+/// Validates a parsed run report against the current schema version.
 pub fn validate_value(v: &Value) -> Result<(), String> {
     let version = v
         .get("schema_version")
@@ -327,11 +211,18 @@ pub fn validate_value(v: &Value) -> Result<(), String> {
     }
     let totals = sim.get("totals").ok_or("missing sim.totals")?;
     validate_sim_body(totals).map_err(|e| format!("sim.totals: {e}"))?;
-    let wall = v.get("wall").ok_or("missing wall section")?;
-    for key in ["counters", "gauges", "spans"] {
-        wall.get(key)
-            .and_then(Value::as_obj)
-            .ok_or_else(|| format!("missing wall.{key}"))?;
+    let spans = v
+        .get("wall")
+        .ok_or("missing wall section")?
+        .get("spans")
+        .and_then(Value::as_obj)
+        .ok_or("missing wall.spans")?;
+    for (name, stat) in spans {
+        for key in ["count", "total_ns", "min_ns", "max_ns"] {
+            stat.get(key)
+                .and_then(Value::as_u64)
+                .ok_or_else(|| format!("wall span {name:?} missing {key}"))?;
+        }
     }
     Ok(())
 }
@@ -426,7 +317,7 @@ mod tests {
     use super::*;
     use crate::json;
     use crate::sim::{self, SimCounter, SimHist};
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     fn sample_report() -> RunReport {
         let on = crate::switch_lock::needs_recording();
@@ -478,6 +369,13 @@ mod tests {
         let mut other = report.clone();
         other.wall_seconds = 999.0;
         other.threads = 16;
+        let stat = SpanStat {
+            count: 1,
+            total_ns: 5,
+            min_ns: 5,
+            max_ns: 5,
+        };
+        other.spans.insert("stage.workload".into(), stat);
         let b = json::parse(&other.to_json()).unwrap();
         assert_eq!(
             sim_section_canonical(&a).unwrap(),
@@ -486,14 +384,49 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_has_both_planes() {
+    fn wall_spans_fold_the_captured_intervals() {
+        let _capture = chrome::capture_lock();
+        chrome::reset();
+        chrome::set_capture(true);
+        let t0 = Instant::now();
+        let ns = Duration::from_nanos;
+        chrome::record_span("test.fold", t0, t0 + ns(300));
+        chrome::record_span("test.fold", t0 + ns(1_000), t0 + ns(1_100));
+        chrome::record_span("test.fold", t0 + ns(2_000), t0 + ns(2_200));
+        // A zero-length interval is widened to 1 ns at capture.
+        chrome::record_span("test.instant", t0, t0);
+        chrome::set_capture(false);
         let report = sample_report();
-        let prom = report.to_prometheus();
-        assert!(prom.contains("timerstudy_wheel_schedules_total{plane=\"sim\"} 12"));
-        assert!(prom.contains("plane=\"wall\""));
-        assert!(prom.contains("timerstudy_net_rtt_us_bucket{plane=\"sim\",le=\"+Inf\"} 1"));
-        assert!(prom
-            .contains("timerstudy_timer_origin_sets_total{plane=\"sim\",origin=\"tcp:rto\"} 12"));
+        chrome::reset();
+        let parsed = json::parse(&report.to_json()).unwrap();
+        validate_value(&parsed).unwrap();
+        let wall = parsed.get("wall").and_then(Value::as_obj).unwrap();
+        assert_eq!(wall.len(), 1, "wall holds only spans");
+        let stat = |name: &str, key: &str| {
+            parsed
+                .get("wall")
+                .and_then(|w| w.get("spans"))
+                .and_then(|s| s.get(name))
+                .and_then(|s| s.get(key))
+                .and_then(Value::as_u64)
+                .unwrap()
+        };
+        assert_eq!(stat("test.fold", "count"), 3);
+        assert_eq!(stat("test.fold", "total_ns"), 600);
+        assert_eq!(stat("test.fold", "min_ns"), 100);
+        assert_eq!(stat("test.fold", "max_ns"), 300);
+        for key in ["count", "total_ns", "min_ns", "max_ns"] {
+            assert_eq!(stat("test.instant", key), 1, "{key}");
+        }
+    }
+
+    #[test]
+    fn validation_rejects_schema_2_and_a_wall_without_spans() {
+        let text = sample_report().to_json();
+        let schema_2 = text.replace("\"schema_version\": 3", "\"schema_version\": 2");
+        assert!(validate_value(&json::parse(&schema_2).unwrap()).is_err());
+        let no_spans = text.replace("\"spans\"", "\"counters\"");
+        assert!(validate_value(&json::parse(&no_spans).unwrap()).is_err());
     }
 
     #[test]

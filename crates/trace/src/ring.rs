@@ -8,29 +8,15 @@
 //! trace is complete.
 
 use crate::codec::RECORD_SIZE;
-use telemetry::{sim, Counter, SimCounter, SimGauge};
+use telemetry::{sim, SimCounter, SimGauge};
 
 /// A bounded append-only record buffer.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RingBuffer {
     data: Vec<u8>,
     capacity: usize,
-    /// Telemetry-backed drop counter: the instance getter stays a thin
-    /// read while the registry aggregates every ring under
-    /// `trace_ring_dropped_total`.
-    dropped: Counter,
-}
-
-impl Clone for RingBuffer {
-    fn clone(&self) -> Self {
-        // Preserve value-snapshot clone semantics: the copy's `dropped()`
-        // shows the same number, without double-counting in the registry.
-        RingBuffer {
-            data: self.data.clone(),
-            capacity: self.capacity,
-            dropped: self.dropped.detached_copy(),
-        }
-    }
+    /// Records dropped because the buffer was full.
+    dropped: u64,
 }
 
 impl RingBuffer {
@@ -49,7 +35,7 @@ impl RingBuffer {
         RingBuffer {
             data: Vec::new(),
             capacity,
-            dropped: Counter::with_sim("trace_ring_dropped_total", SimCounter::TraceRingDrops),
+            dropped: 0,
         }
     }
 
@@ -67,7 +53,8 @@ impl RingBuffer {
     pub fn push_record(&mut self, record: &[u8]) -> bool {
         assert_eq!(record.len(), RECORD_SIZE, "record must be fixed size");
         if self.data.len() + RECORD_SIZE > self.capacity {
-            self.dropped.inc();
+            self.dropped += 1;
+            sim::add(SimCounter::TraceRingDrops, 1);
             return false;
         }
         self.data.extend_from_slice(record);
@@ -83,7 +70,7 @@ impl RingBuffer {
 
     /// Number of records dropped because the buffer was full.
     pub fn dropped(&self) -> u64 {
-        self.dropped.get()
+        self.dropped
     }
 
     /// Bytes currently stored.
@@ -199,6 +186,22 @@ mod tests {
         let copy = ring.clone();
         assert_eq!(copy.partial_tail_bytes(), RECORD_SIZE / 2);
         assert_eq!(copy.bytes(), ring.bytes());
+    }
+
+    #[test]
+    fn clone_copies_the_drop_count_and_then_counts_alone() {
+        let rec = [5u8; RECORD_SIZE];
+        let mut ring = RingBuffer::new(RECORD_SIZE);
+        ring.push_record(&rec);
+        assert!(!ring.push_record(&rec));
+        assert!(!ring.push_record(&rec));
+        let mut copy = ring.clone();
+        assert_eq!(copy.dropped(), 2);
+        assert!(!copy.push_record(&rec));
+        assert_eq!((ring.dropped(), copy.dropped()), (2, 3));
+        assert!(!ring.push_record(&rec));
+        assert!(!ring.push_record(&rec));
+        assert_eq!((ring.dropped(), copy.dropped()), (4, 3));
     }
 
     #[test]

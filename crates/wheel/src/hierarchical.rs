@@ -16,7 +16,7 @@
 
 use crate::api::{Tick, TimerId, TimerQueue};
 use crate::arena::{NodeArena, NodeHandle};
-use telemetry::{sim, Counter, SimCounter, SimHist};
+use telemetry::{sim, SimCounter, SimHist};
 
 /// Bits of the base-level wheel (256 slots of one tick each).
 const TVR_BITS: u32 = 8;
@@ -48,9 +48,7 @@ pub struct HierarchicalWheel {
     /// The last tick fully processed.
     current: Tick,
     /// Cumulative number of entries moved by cascades (for benchmarks).
-    /// Telemetry-backed: the instance getter reads this handle while the
-    /// registry aggregates all wheels under `wheel_cascade_moves_total`.
-    cascade_moves: Counter,
+    cascade_moves: u64,
     /// Reused drain buffer for cascades and tick processing.
     drain_scratch: Vec<NodeHandle>,
     /// Reused due-set buffer for tick processing.
@@ -72,10 +70,7 @@ impl HierarchicalWheel {
             arena: NodeArena::new(),
             gen_counter: 0,
             current: 0,
-            cascade_moves: Counter::with_sim(
-                "wheel_cascade_moves_total",
-                SimCounter::WheelCascadeMoves,
-            ),
+            cascade_moves: 0,
             drain_scratch: Vec::new(),
             due_scratch: Vec::new(),
         }
@@ -83,7 +78,7 @@ impl HierarchicalWheel {
 
     /// Total entries moved by cascade operations so far.
     pub fn cascade_moves(&self) -> u64 {
-        self.cascade_moves.get()
+        self.cascade_moves
     }
 
     /// Inserts an entry into the level appropriate for its expiry.
@@ -149,7 +144,8 @@ impl HierarchicalWheel {
         entries.clear();
         self.drain_scratch = entries;
         if moved > 0 {
-            self.cascade_moves.add(moved);
+            self.cascade_moves += moved;
+            sim::add(SimCounter::WheelCascadeMoves, moved);
             sim::add(SimCounter::WheelCascades, moved);
         }
         if drained > 0 {
@@ -311,6 +307,23 @@ mod tests {
             ]
         );
         assert!(w.cascade_moves() > 0);
+    }
+
+    #[test]
+    fn cascade_moves_equal_the_sim_plane_count() {
+        let (w, snap) = telemetry::sim::scoped(|| {
+            let mut w = HierarchicalWheel::new();
+            for id in 0..64 {
+                w.schedule(id, 300 + id * 5_000);
+            }
+            collect_fired(&mut w, 200_000);
+            w
+        });
+        assert!(w.cascade_moves() > 0);
+        assert_eq!(
+            w.cascade_moves(),
+            snap.counter(SimCounter::WheelCascadeMoves)
+        );
     }
 
     #[test]

@@ -104,9 +104,9 @@ pub fn run_linux_faulted(
 
 /// [`run_linux_faulted`] with the kernel's timer queue taken from
 /// `backend` (`Native` keeps the hierarchical cascading wheel) and the
-/// workload-timeout policy selected: `Off`/`Fixed` keep every historical
-/// constant (and must replay byte-identically), `Learned` drives the same
-/// timers from the learned distributions of §5.1.
+/// workload-timeout policy selected: `Off` keeps every historical
+/// constant, `Learned` drives the same timers from the learned
+/// distributions of §5.1.
 #[allow(clippy::too_many_arguments)]
 pub fn run_linux_configured(
     workload: Workload,

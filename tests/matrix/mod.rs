@@ -5,9 +5,9 @@
 //! workload, so every mode the reproduction offers promises the serial
 //! reference run's output byte for byte: the worker pool, the experiment
 //! cache, the collect-everything analysis oracle, an explicit clean fault
-//! plane, the `Fixed` adaptive policy and a forced timer wheel. A fault
-//! plane changes the output, so each fault mode and seed is held to its
-//! own serial run instead.
+//! plane, the baseline half of an `--adaptive` run and a forced timer
+//! wheel. A fault plane changes the output, so each fault mode and seed
+//! is held to its own serial run instead.
 //!
 //! A row declares a mode once: the batch it starts from, how it rewrites
 //! each spec, how it runs the rewritten batch, and the checks its results
@@ -52,7 +52,7 @@ pub enum Base {
     /// `repro_all` prints at `REPRO_SECONDS=20`.
     Paper,
     /// The same nine under the `Learned` policy, held to
-    /// `figures::reproduce` on the native wheels: the nine fixed runs,
+    /// `figures::reproduce` on the native wheels: the nine baseline runs,
     /// then the nine learned ones, rendering the 14 paper artifacts and
     /// the three counterfactuals.
     Learned,
@@ -379,6 +379,13 @@ pub fn cache_twice_then_warm(specs: &[ExperimentSpec]) -> Vec<Vec<ExperimentResu
     assert_eq!(cache.misses(), n, "a warm batch runs nothing");
     assert_eq!(cache.hits(), 2 * n);
     vec![first, second, warm]
+}
+
+/// The baseline half of a learned `figures::reproduce`: the nine runs
+/// under the historical constants that the counterfactuals compare
+/// against.
+pub fn learned_baseline(specs: &[ExperimentSpec]) -> Vec<Vec<ExperimentResult>> {
+    vec![learned().results[..specs.len()].to_vec()]
 }
 
 pub fn collect_everything(specs: &[ExperimentSpec]) -> Vec<Vec<ExperimentResult>> {

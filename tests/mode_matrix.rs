@@ -8,7 +8,6 @@
 
 mod matrix;
 
-use adaptive::AdaptivePolicy;
 use simtime::SimDuration;
 use timerstudy::experiment::{run_experiments, table_specs};
 use timerstudy::{ExperimentResult, FaultSpec, Os, ANALYSIS_CHUNK_EVENTS};
@@ -16,8 +15,8 @@ use wheel::Backend;
 
 use matrix::Check::*;
 use matrix::{
-    cache_twice_then_warm, collect_all, collect_everything, faults, mode_matrix, pool, serial,
-    FAULTED, FULL, PAPER_SEED,
+    cache_twice_then_warm, collect_all, collect_everything, faults, learned_baseline, mode_matrix,
+    pool, serial, FAULTED, FULL, PAPER_SEED,
 };
 
 mode_matrix! {
@@ -29,7 +28,7 @@ mode_matrix! {
     collect_everything_oracle: Paper, |s| s, collect_everything, &[Report, Counters, Artifacts];
     explicit_clean_fault_plane:
         Paper, |s| s.with_faults(FaultSpec::none()), serial, &[Report, Counters, Sim, Artifacts, Clean];
-    fixed_policy: Paper, |s| s.with_adaptive(AdaptivePolicy::Fixed), serial, &[Artifacts];
+    fixed_policy: Paper, |s| s, learned_baseline, FULL;
     forced_hierarchical_wheel:
         Paper, |s| s.with_backend(Backend::Hierarchical), serial, &[Artifacts, Wheel];
     forced_hashed_wheel: Paper, |s| s.with_backend(Backend::Hashed), serial, &[Artifacts, Wheel];
