@@ -24,14 +24,13 @@
 //!   `round_jiffies`/deferrable generalisation);
 //! * [`usecase`] — §5.4's use-case-specific interfaces: drift-free
 //!   periodic tickers, RAII timeout guards (the Win32 auto-object idiom),
-//!   watchdogs and delays;
-//! * [`dispatch`] — §5.5's end-game: a unified dispatcher where
-//!   applications declare *what code to run when* and one schedule
-//!   subsumes every timer use case.
+//!   watchdogs and delays.
+//!
+//! §5.5's end-game, one dispatcher that subsumes every timer use case, is
+//! not built: no run of the reproduction would call it.
 
 pub mod backoff;
 pub mod deps;
-pub mod dispatch;
 pub mod estimator;
 pub mod policy;
 pub mod quantile;
@@ -40,7 +39,6 @@ pub mod timespec;
 pub mod usecase;
 
 pub use backoff::ExponentialBackoff;
-pub use dispatch::{Dispatch, Dispatcher, Intent, IntentId};
 pub use estimator::AdaptiveTimeout;
 pub use policy::AdaptivePolicy;
 pub use quantile::P2Quantile;

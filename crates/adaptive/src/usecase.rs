@@ -144,9 +144,8 @@ impl TimeoutGuard {
     /// Whether the scope has overrun its deadline by `now`.
     ///
     /// The deadline instant itself counts as expired — every timer in
-    /// this crate fires *at* its deadline (see [`Watchdog::expired`],
-    /// [`DelayTimer::poll`] and `Dispatcher::advance_to`, which share the
-    /// same inclusive boundary).
+    /// this crate fires *at* its deadline (see [`Watchdog::expired`] and
+    /// [`DelayTimer::poll`], which share the same inclusive boundary).
     pub fn expired(&self, now: SimInstant) -> bool {
         now >= self.deadline
     }
@@ -204,7 +203,7 @@ impl Watchdog {
     /// Returns `true` if the watchdog has fired by `now`.
     ///
     /// Inclusive at the boundary: the watchdog fires *at* its deadline,
-    /// matching [`TimeoutGuard::expired`] and `Dispatcher::advance_to`.
+    /// matching [`TimeoutGuard::expired`] and [`DelayTimer::poll`].
     pub fn expired(&self, now: SimInstant) -> bool {
         now >= self.deadline
     }
@@ -351,8 +350,8 @@ mod tests {
     fn guard_expires_exactly_at_its_deadline() {
         // Regression: TimeoutGuard used an exclusive boundary while
         // Watchdog/DelayTimer fired inclusively — a guard polled exactly
-        // at its deadline reported "still alive" even though the same
-        // deadline in the dispatcher had already fired.
+        // at its deadline reported "still alive" even though a watchdog
+        // with the same deadline had already fired.
         let reg = guard_registry();
         let g = TimeoutGuard::arm(&reg, at(0), SimDuration::from_secs(1));
         assert!(!g.expired(at(999)));

@@ -103,8 +103,9 @@ pub struct Report {
     /// Number of timers the countdown detector flagged (≥ 50 % countdown
     /// re-issues).
     pub countdown_timer_count: usize,
-    /// Detector-vs-ground-truth counts: (detected, flagged).
-    pub countdown_validation: (u64, u64),
+    /// Detector-vs-ground-truth counts, per set: (true positives,
+    /// detected, flagged).
+    pub countdown_validation: (u64, u64, u64),
 }
 
 /// The composed streaming analyzer.
@@ -162,9 +163,9 @@ impl TraceAnalyzer {
         }
     }
 
-    /// Accounts `n` records the trace layer could not decode (e.g. a
-    /// [`trace::MergeStats::lost_records`] total from the lossy per-CPU
-    /// merge). They surface as [`TraceSummary::decode_lost`].
+    /// Accounts `n` records the trace layer could not decode (e.g. the
+    /// damaged records and torn tail a lossy [`trace::RingReader`] pass
+    /// skipped). They surface as [`TraceSummary::decode_lost`].
     pub fn note_decode_lost(&mut self, n: u64) {
         self.decode_lost += n;
     }

@@ -230,11 +230,6 @@ impl Classifier {
         mix
     }
 
-    /// Number of clusters observed.
-    pub fn cluster_count(&self) -> usize {
-        self.keys.len()
-    }
-
     /// Total re-sets across all clusters whose timestamp preceded the
     /// previous episode's recorded end (clock skew / reordering).
     pub fn anomalous_rearms(&self) -> u64 {

@@ -69,6 +69,9 @@ pub struct CountdownDetector {
     /// timer (backwards or duplicated clock). Such a pair is excluded
     /// from countdown matching rather than scored as "zero elapsed".
     out_of_order_sets: u64,
+    /// Sets both detected as countdown re-issues and flagged as such by
+    /// the simulator: the validation's true positives.
+    true_positives: u64,
 }
 
 impl CountdownDetector {
@@ -82,6 +85,7 @@ impl CountdownDetector {
             dots: Vec::new(),
             max_dots: 200_000,
             out_of_order_sets: 0,
+            true_positives: 0,
         }
     }
 
@@ -122,6 +126,9 @@ impl CountdownDetector {
                     && prev_value > 0
                 {
                     state.stats.countdown_sets += 1;
+                    if event.flags.countdown {
+                        self.true_positives += 1;
+                    }
                 }
             }
         }
@@ -159,16 +166,18 @@ impl CountdownDetector {
         self.out_of_order_sets
     }
 
-    /// Aggregate detector-vs-ground-truth agreement over all timers with
-    /// any flagged sets: (detected, flagged).
-    pub fn validation_counts(&self) -> (u64, u64) {
+    /// Detector-vs-ground-truth agreement summed over every timer, per
+    /// set: (true positives, detected, flagged). A true positive is a set
+    /// both detected and flagged, so recall is true positives / flagged
+    /// and precision true positives / detected.
+    pub fn validation_counts(&self) -> (u64, u64, u64) {
         let mut detected = 0;
         let mut flagged = 0;
         for s in self.per_timer.values() {
             detected += s.stats.countdown_sets;
             flagged += s.stats.flagged_sets;
         }
-        (detected, flagged)
+        (self.true_positives, detected, flagged)
     }
 }
 
@@ -271,8 +280,11 @@ mod tests {
         e = set(1, 400, 600);
         e.flags.countdown = true;
         d.push(&e);
-        let (detected, flagged) = d.validation_counts();
+        // Detected but not flagged: a false positive.
+        d.push(&set(1, 500, 500));
+        let (true_positives, detected, flagged) = d.validation_counts();
+        assert_eq!(true_positives, 1);
+        assert_eq!(detected, 2);
         assert_eq!(flagged, 1);
-        assert_eq!(detected, 1);
     }
 }

@@ -32,9 +32,10 @@ pub struct TraceSummary {
     /// End events whose opening `Set` was lost — the lifecycle tracker's
     /// evidence of trace incompleteness. Zero on a complete trace.
     pub orphan_ends: u64,
-    /// Records present in the rings but undecodable (scribbled records,
-    /// torn tails) when read through the lossy merge. Zero on a healthy
-    /// trace.
+    /// Records present in a ring but undecodable (scribbled records,
+    /// torn tails) when read lossily, as
+    /// [`TraceAnalyzer::note_decode_lost`](crate::TraceAnalyzer::note_decode_lost)
+    /// reports them. Zero on a healthy trace.
     pub decode_lost: u64,
     /// Countdown-chain breaks: sets stamped at or before the previous set
     /// on the same timer (backwards/duplicated clock). Zero on a

@@ -9,10 +9,13 @@
 //! `REPRO_SECONDS` past the simulated clock's range, is a usage error
 //! (exit 2). With `--artifacts DIR`, each artifact
 //! is also written to `DIR` as a text rendering plus CSV data where
-//! applicable. `--faults SPEC` attaches a deterministic fault plane to
-//! every experiment (`SPEC` is a comma list of `drops[=PERMILLE]`,
-//! `net-burst`, `clock-jitter`, `all`, `seed=N`); the summary tables then
-//! gain drop/degradation accounting rows.
+//! applicable. `DIR`, like the `--metrics` directory, is created before
+//! any experiment runs: one that cannot be created exits 2, and a file
+//! that cannot be written after the run exits 1. `--faults SPEC`
+//! attaches a deterministic fault plane to every experiment (`SPEC` is
+//! a comma list of `drops[=PERMILLE]`, `net-burst`, `clock-jitter`,
+//! `all`, `seed=N`); the summary tables then gain drop/degradation
+//! accounting rows.
 //!
 //! `--metrics[=DIR]` (default `artifacts/metrics`) captures every
 //! wall-clock span of the run and writes two files: `run_report.json`,
@@ -162,6 +165,23 @@ fn print_top_origins(out: &mut Stdout, results: &[timerstudy::ExperimentResult],
     writeln!(out);
 }
 
+/// Creates `dir` for `flag`'s files before anything runs, so an unusable
+/// directory wastes no run: exits 2 with one stderr line when it cannot.
+fn create_output_dir(flag: &str, dir: &str) {
+    if let Err(e) = std::fs::create_dir_all(dir) {
+        eprintln!("{flag} {dir}: {e}");
+        std::process::exit(2);
+    }
+}
+
+/// Writes one output file; exits 1 with one stderr line when it cannot.
+fn write_output(path: &str, contents: impl AsRef<[u8]>) {
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("writing {path}: {e}");
+        std::process::exit(1);
+    }
+}
+
 /// Parses `--metrics` / `--metrics=DIR` into the report directory.
 fn metrics_dir(args: &[String]) -> Option<String> {
     for arg in args {
@@ -186,6 +206,12 @@ fn main() {
     let metrics = metrics_dir(&args);
     let top_n = top_origins(&args);
     let timer_list = timer_list_instants(&args);
+    if let Some(dir) = &artifacts_dir {
+        create_output_dir("--artifacts", dir);
+    }
+    if let Some(dir) = &metrics {
+        create_output_dir("--metrics", dir);
+    }
     if metrics.is_some() {
         // Chrome-trace profiling rides with the run report: capture every
         // wall-plane span from here on.
@@ -251,7 +277,6 @@ fn main() {
     for (index, artifact) in artifacts.iter().enumerate() {
         writeln!(out, "{}", artifact.printable());
         if let Some(dir) = &artifacts_dir {
-            std::fs::create_dir_all(dir).expect("create artifacts dir");
             let stem = artifact
                 .title
                 .split(':')
@@ -260,10 +285,9 @@ fn main() {
                 .to_lowercase()
                 .replace(' ', "_");
             let base = format!("{dir}/{index:02}_{stem}");
-            std::fs::write(format!("{base}.txt"), artifact.printable())
-                .expect("write artifact text");
+            write_output(&format!("{base}.txt"), artifact.printable());
             if let Some(csv) = &artifact.csv {
-                std::fs::write(format!("{base}.csv"), csv).expect("write artifact csv");
+                write_output(&format!("{base}.csv"), csv);
             }
         }
     }
@@ -303,14 +327,11 @@ fn main() {
     if let Some(dir) = metrics {
         let report =
             timerstudy::run_report(&results, mode, duration.as_secs(), SEED, threads, wall);
-        std::fs::create_dir_all(&dir).expect("create metrics dir");
-        std::fs::write(format!("{dir}/run_report.json"), report.to_json())
-            .expect("write run_report.json");
-        std::fs::write(
-            format!("{dir}/run_trace.chrome.json"),
+        write_output(&format!("{dir}/run_report.json"), report.to_json());
+        write_output(
+            &format!("{dir}/run_trace.chrome.json"),
             telemetry::chrome::export_json(),
-        )
-        .expect("write run_trace.chrome.json");
+        );
         eprintln!(
             "telemetry run report written to {dir}/run_report.json \
              and {dir}/run_trace.chrome.json"

@@ -1,4 +1,5 @@
-//! Benchmark and reproduction binaries for the paper.
+//! Shared command-line plumbing of the `repro_all` reproduction binary,
+//! the `ext_*` extension binaries and `bench_all`.
 
 use std::io::Write;
 use std::time::Instant;
@@ -50,8 +51,8 @@ pub fn check_args<S: AsRef<str>>(
     }
 }
 
-/// The trace length every reproduction binary runs: `REPRO_SECONDS`, or
-/// the paper's 30 minutes when it is unset. Exits 2 with one stderr line
+/// The trace length `repro_all` runs: `REPRO_SECONDS`, or the paper's
+/// 30 minutes when it is unset. Exits 2 with one stderr line
 /// naming the variable when `REPRO_SECONDS` or `REPRO_THREADS` (the
 /// worker count the pool reads) is set to anything but a positive
 /// integer, or when `REPRO_SECONDS` is past the simulated clock's range:
@@ -110,9 +111,9 @@ impl Stdout {
     }
 }
 
-/// Prints the one-line `[telemetry] stage=...` summary every reproduction
-/// binary emits when it finishes. Goes to stderr: stdout is reserved for
-/// the artifact text, which the golden-output tests compare byte-for-byte.
+/// Prints the one-line `[telemetry] stage=...` summary `repro_all` emits
+/// when it finishes. Goes to stderr: stdout is reserved for the artifact
+/// text, which the golden-output tests compare byte-for-byte.
 pub fn print_stage_summary<'a>(
     stage: &str,
     results: impl IntoIterator<Item = &'a ExperimentResult>,

@@ -1,8 +1,9 @@
 //! Command-line behaviour of the reproduction binaries on ordinary
 //! misuse (a bad or retired flag, an out-of-range value, a malformed
-//! `REPRO_*` variable, a reader that closes stdout early) and the record
-//! count `repro_all`'s run summary reports.
+//! `REPRO_*` variable, an unusable output directory, a reader that closes
+//! stdout early) and the record count `repro_all`'s run summary reports.
 
+use std::path::Path;
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
@@ -23,21 +24,6 @@ macro_rules! bins {
         [$(($name, env!(concat!("CARGO_BIN_EXE_", $name)))),*]
     };
 }
-
-/// Every `fig*` and `table*` binary: the ones that read `REPRO_*`.
-const FIGURE_BINS: [Bin; 11] = bins!(
-    "fig01_vista_rates",
-    "fig02_patterns",
-    "fig03_values",
-    "fig04_select_countdown",
-    "fig05_values_filtered",
-    "fig06_syscall_values",
-    "fig07_vista_values",
-    "fig08_11_scatter",
-    "table1_linux_summary",
-    "table2_vista_summary",
-    "table3_origins",
-);
 
 /// The `ext_*` extension binaries, which run fixed-length experiments.
 const EXT_BINS: [Bin; 4] = bins!(
@@ -105,7 +91,6 @@ fn assert_usage_error(bin: Bin, args: &[&str]) {
 #[test]
 fn unknown_flag_is_a_usage_error() {
     for bin in std::iter::once(REPRO_ALL)
-        .chain(FIGURE_BINS)
         .chain(EXT_BINS)
         .chain([BENCH_ALL])
     {
@@ -140,15 +125,13 @@ fn malformed_repro_variables_are_rejected() {
         ("REPRO_THREADS", "one"),
         ("REPRO_THREADS", "0"),
     ] {
-        for bin in std::iter::once(REPRO_ALL).chain(FIGURE_BINS) {
-            let mut cmd = command(bin, &[]);
-            cmd.env(var, value);
-            let stderr = assert_rejected_by(bin, cmd, &format!("with {var}={value}"));
-            assert!(
-                stderr.starts_with(&format!("{var}={value}: ")),
-                "the error must name {var}: {stderr}"
-            );
-        }
+        let mut cmd = command(REPRO_ALL, &[]);
+        cmd.env(var, value);
+        let stderr = assert_rejected_by(REPRO_ALL, cmd, &format!("with {var}={value}"));
+        assert!(
+            stderr.starts_with(&format!("{var}={value}: ")),
+            "the error must name {var}: {stderr}"
+        );
     }
 }
 
@@ -175,11 +158,29 @@ fn flag_missing_its_value_is_a_usage_error() {
 }
 
 #[test]
+fn unusable_output_directories_are_rejected_before_the_run() {
+    // No user can create a directory under a regular file; permission
+    // bits would not stop a run as root.
+    let file = Path::new(env!("CARGO_TARGET_TMPDIR")).join("a_regular_file");
+    std::fs::write(&file, b"").expect("create a regular file");
+    let dir = file.join("x");
+    let dir = dir.to_str().expect("UTF-8 target directory");
+    let metrics = format!("--metrics={dir}");
+    for (flag, args) in [
+        ("--artifacts", &["--artifacts", dir][..]),
+        ("--metrics", &[metrics.as_str()][..]),
+    ] {
+        let stderr = assert_rejected(REPRO_ALL, args);
+        assert!(
+            stderr.starts_with(&format!("{flag} {dir}: ")),
+            "the error must name {flag} and the directory: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn closed_stdout_ends_the_output_cleanly() {
-    for bin in std::iter::once(REPRO_ALL)
-        .chain(FIGURE_BINS)
-        .chain(EXT_BINS)
-    {
+    for bin in std::iter::once(REPRO_ALL).chain(EXT_BINS) {
         let (name, _) = bin;
         // Close the read end before the binary prints its first line.
         let (reader, writer) = std::io::pipe().expect("create pipe");

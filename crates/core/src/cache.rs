@@ -3,10 +3,13 @@
 //! Determinism makes experiments cacheable: two equal
 //! [`ExperimentSpec`]s always produce identical [`ExperimentResult`]s,
 //! so each distinct `(os, workload, duration, seed)` combination only
-//! ever needs to run once per process. The per-figure drivers and
-//! `repro_all` all route through [`global()`], which is what lets the
-//! full reproduction reuse the four table workloads across Figures 2-7,
-//! Tables 1-3 and the scatter plots instead of re-simulating them.
+//! ever needs to run once per process. [`figures::reproduce`], which
+//! `repro_all` calls, routes its batch through [`global()`]; the batch
+//! names each of the nine experiments once, and the four table
+//! workloads feed Figures 2-7, Tables 1-3 and the scatter plots from
+//! that one run.
+//!
+//! [`figures::reproduce`]: crate::figures::reproduce
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,17 +41,6 @@ impl ExperimentCache {
     /// Creates an empty cache.
     pub fn new() -> Self {
         ExperimentCache::default()
-    }
-
-    /// Returns the result for `spec`, running the experiment only if no
-    /// equal spec has been run through this cache before.
-    pub fn get_or_run(&self, spec: ExperimentSpec) -> Arc<ExperimentResult> {
-        if let Some(hit) = self.lookup(spec) {
-            return hit;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let result = Arc::new(crate::experiment::run_experiment(spec));
-        self.insert(spec, result)
     }
 
     /// Returns results for every spec in request order, running each
@@ -112,15 +104,8 @@ impl ExperimentCache {
         self.len() == 0
     }
 
-    fn lookup(&self, spec: ExperimentSpec) -> Option<Arc<ExperimentResult>> {
-        let hit = self.peek(spec);
-        if hit.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        hit
-    }
-
-    /// A lookup that does not touch the hit counter (internal plumbing).
+    /// The cached result for `spec`, if any; counts neither a hit nor a
+    /// miss.
     fn peek(&self, spec: ExperimentSpec) -> Option<Arc<ExperimentResult>> {
         self.results
             .lock()
@@ -131,14 +116,16 @@ impl ExperimentCache {
 
     /// First insert wins, so concurrent callers that raced on the same
     /// spec all observe one canonical result.
-    fn insert(&self, spec: ExperimentSpec, result: Arc<ExperimentResult>) -> Arc<ExperimentResult> {
+    fn insert(&self, spec: ExperimentSpec, result: Arc<ExperimentResult>) {
         let mut results = self.results.lock().expect("experiment cache poisoned");
-        results.entry(spec).or_insert(result).clone()
+        results.entry(spec).or_insert(result);
     }
 }
 
-/// The process-wide experiment cache shared by `repro_all` and the
-/// per-figure drivers.
+/// The process-wide experiment cache [`figures::reproduce`] runs its
+/// batch through.
+///
+/// [`figures::reproduce`]: crate::figures::reproduce
 pub fn global() -> &'static ExperimentCache {
     static GLOBAL: OnceLock<ExperimentCache> = OnceLock::new();
     GLOBAL.get_or_init(ExperimentCache::new)

@@ -1,7 +1,7 @@
 //! Running one workload × OS experiment end to end.
 
 use analysis::{AnalyzerConfig, Report, TraceAnalyzer};
-use simtime::{SimDuration, SimInstant};
+use simtime::SimDuration;
 use trace::{Event, FaultSink, TraceSink};
 use workloads::{pids, Workload};
 
@@ -402,9 +402,4 @@ pub fn table_specs(os: Os, duration: SimDuration, seed: u64) -> Vec<ExperimentSp
 /// same parameters reuse the cached reports).
 pub fn run_table_workloads(os: Os, duration: SimDuration, seed: u64) -> Vec<ExperimentResult> {
     crate::cache::global().run_all(&table_specs(os, duration, seed))
-}
-
-/// Boot instant re-export for binaries.
-pub fn boot() -> SimInstant {
-    SimInstant::BOOT
 }

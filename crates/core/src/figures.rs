@@ -1,8 +1,9 @@
 //! One driver per table and figure of the paper.
 //!
 //! Each function turns experiment results into a printable [`Artifact`]
-//! (text rendering plus CSV data). The `bench` crate's reproduction
-//! binaries are thin wrappers; `EXPERIMENTS.md` records a full run.
+//! (text rendering plus CSV data). [`reproduce`] runs the nine
+//! experiments and assembles every artifact for the `bench` crate's
+//! `repro_all` binary; `EXPERIMENTS.md` records a full run.
 
 use std::collections::BTreeMap;
 
@@ -261,8 +262,7 @@ pub fn paper_specs(duration: simtime::SimDuration, seed: u64) -> Vec<ExperimentS
 /// adaptive timeout policy, returning the experiment results and the
 /// artifacts in paper order. This is the `repro_all` entry point: the
 /// nine distinct experiments run in parallel through the process-wide
-/// cache, so a binary that already ran some of them never re-simulates a
-/// spec.
+/// cache.
 ///
 /// `Off` runs the nine paper specs once and returns the paper artifacts.
 /// `Learned` runs each spec **twice** on the same seeded trace — once

@@ -4,8 +4,9 @@
 //! through the analysis pipeline, and returns a [`Report`] with every
 //! table and figure's data; the [`render`] module turns reports into the
 //! paper's tables and ASCII figures, and [`figures`] packages one driver
-//! per table/figure of the paper (the `bench` crate's binaries are thin
-//! wrappers around these).
+//! per table/figure of the paper plus [`figures::reproduce`], the one
+//! entry point the `bench` crate's `repro_all` binary calls to run them
+//! all.
 //!
 //! ```
 //! use timerstudy::{run_experiment, ExperimentSpec, Os};

@@ -2,11 +2,14 @@
 
 use simtime::{SimDuration, SimInstant};
 
+/// The idle period after which resumed work counts as a wakeup.
+const DOZE_THRESHOLD: SimDuration = SimDuration::from_micros(1);
+
 /// Tracks how much virtual CPU time is spent busy and how often an idle
 /// CPU is woken.
 ///
 /// A *wakeup* is recorded whenever work arrives while the CPU has been
-/// idle for at least the doze threshold (default: one microsecond). This is
+/// idle for at least the one-microsecond doze threshold. This is
 /// the quantity the kernel's dynticks/deferrable-timer work (paper §2.1)
 /// and the "better notion of time" proposal (§5.3) try to minimise: each
 /// wakeup forces the processor out of a low-power mode.
@@ -15,7 +18,6 @@ pub struct CpuMeter {
     busy: SimDuration,
     wakeups: u64,
     busy_until: SimInstant,
-    doze_threshold: SimDuration,
     /// Whether any work has been charged yet (the first work after boot
     /// always counts as a wakeup — the CPU starts idle).
     started: bool,
@@ -30,23 +32,15 @@ impl Default for CpuMeter {
 }
 
 impl CpuMeter {
-    /// Creates a meter with the default 1 µs doze threshold.
+    /// Creates a meter for a CPU that starts idle.
     pub fn new() -> Self {
         CpuMeter {
             busy: SimDuration::ZERO,
             wakeups: 0,
             busy_until: SimInstant::BOOT,
-            doze_threshold: SimDuration::from_micros(1),
             started: false,
             wakeups_per_sec: Vec::new(),
         }
-    }
-
-    /// Overrides the idle period after which resumed work counts as a
-    /// wakeup.
-    pub fn with_doze_threshold(mut self, threshold: SimDuration) -> Self {
-        self.doze_threshold = threshold;
-        self
     }
 
     /// Charges `cost` of CPU work starting at `at`.
@@ -56,7 +50,7 @@ impl CpuMeter {
     /// setup which ran on one processor).
     pub fn on_work(&mut self, at: SimInstant, cost: SimDuration) {
         let was_idle =
-            at >= self.busy_until && (!self.started || at - self.busy_until >= self.doze_threshold);
+            at >= self.busy_until && (!self.started || at - self.busy_until >= DOZE_THRESHOLD);
         if was_idle {
             self.wakeups += 1;
             if self.started {

@@ -118,28 +118,7 @@ impl LinuxKernel {
         h
     }
 
-    /// `epoll_wait(2)` with a timeout.
-    pub fn sys_epoll_wait(
-        &mut self,
-        pid: Pid,
-        tid: Tid,
-        origin: &str,
-        timeout: SimDuration,
-    ) -> TimerHandle {
-        let h = self.user_timer(pid, tid, UserKind::EpollWait, origin);
-        self.charge_call(self.now);
-        self.base.mod_timer_in(
-            &mut self.log,
-            self.now,
-            h,
-            timeout,
-            SimDuration::ZERO,
-            EventFlags::default(),
-        );
-        h
-    }
-
-    /// Ends a blocking `poll`/`epoll_wait` early (fd became ready).
+    /// Ends a blocking `poll` early (fd became ready).
     pub fn sys_poll_return(&mut self, handle: TimerHandle) {
         self.charge_call(self.now);
         self.base.del_timer(&mut self.log, self.now, handle);

@@ -46,8 +46,6 @@ pub enum UserKind {
     Select,
     /// `poll`.
     Poll,
-    /// `epoll_wait`.
-    EpollWait,
     /// `alarm`.
     Alarm,
     /// POSIX `timer_settime`.

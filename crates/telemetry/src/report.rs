@@ -302,8 +302,8 @@ pub fn sim_section_canonical(v: &Value) -> Result<String, String> {
     Ok(v.get("sim").ok_or("missing sim section")?.canonical())
 }
 
-/// Formats the one-line per-stage summary the figure binaries print to
-/// stderr: `[telemetry] stage=<stage> k=v k=v ...`.
+/// Formats the one-line per-stage summary `repro_all` prints to stderr:
+/// `[telemetry] stage=<stage> k=v k=v ...`.
 pub fn stage_summary_line(stage: &str, fields: &[(&str, String)]) -> String {
     let mut line = format!("[telemetry] stage={stage}");
     for (key, value) in fields {

@@ -51,13 +51,6 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// Returns `true` for the kinds that represent an access to the timer
-    /// subsystem (everything; `Init` included), used by the Table 1/2
-    /// "accesses" row.
-    pub fn is_access(self) -> bool {
-        true
-    }
-
     /// Returns `true` if this kind arms a timer.
     pub fn is_set(self) -> bool {
         matches!(self, EventKind::Set)

@@ -22,12 +22,9 @@
 //! * [`logger`] — the [`TraceLog`] facade the simulated kernels call, and
 //!   the [`TraceSink`] abstraction that lets large experiments stream
 //!   events directly into analysis without materialising gigabytes.
-//! * [`percpu`] — per-CPU rings with timestamp-merged readout (the
-//!   relayfs/ETW deployment shape);
-//! * [`merge`] — the streaming k-way merge behind that readout: bounded
-//!   resident memory, with a lossy mode that accounts per-record decode
-//!   damage instead of discarding healthy CPUs' events;
-//! * [`reader`] — decodes a ring back into events.
+//! * [`reader`] — decodes a ring back into events, strictly
+//!   ([`reader::decode_all`] refuses a damaged ring) or record by record,
+//!   so a consumer can skip and count damaged records.
 //! * [`text`] — the offline binary→text converter of §3.2 (and its
 //!   parser), for external tooling.
 //! * [`faults`] — deterministic trace-plane fault injection: seeded
@@ -38,8 +35,6 @@ pub mod codec;
 pub mod event;
 pub mod faults;
 pub mod logger;
-pub mod merge;
-pub mod percpu;
 pub mod reader;
 pub mod ring;
 pub mod strings;
@@ -48,8 +43,6 @@ pub mod text;
 pub use event::{Event, EventFlags, EventKind, OriginId, Pid, Space, Tid, TimerAddr};
 pub use faults::{DropFault, FaultSink};
 pub use logger::{CollectSink, CountSink, EventCounts, NullSink, RingSink, TraceLog, TraceSink};
-pub use merge::{MergeStats, MergedReader};
-pub use percpu::PerCpuRings;
 pub use reader::RingReader;
 pub use ring::RingBuffer;
 pub use strings::StringTable;

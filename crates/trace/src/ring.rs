@@ -39,11 +39,6 @@ impl RingBuffer {
         }
     }
 
-    /// Creates the 512 MiB buffer used in the paper's Linux setup.
-    pub fn relayfs_default() -> Self {
-        RingBuffer::new(512 * 1024 * 1024)
-    }
-
     /// Appends one encoded record. Returns `false` (and counts a drop) if
     /// the buffer is full.
     ///

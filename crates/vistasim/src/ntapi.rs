@@ -22,13 +22,6 @@ pub struct NtTimers {
     next_slot: u32,
 }
 
-impl NtTimers {
-    /// Number of open NT timer handles.
-    pub fn open_count(&self) -> usize {
-        self.handles.len()
-    }
-}
-
 impl VistaKernel {
     /// `NtCreateTimer`: allocates a timer object, returning its handle
     /// slot.
@@ -117,10 +110,5 @@ impl VistaKernel {
             }
             None => false,
         }
-    }
-
-    /// Number of open NT timer handles (for tests).
-    pub fn nt_open_count(&self) -> usize {
-        self.nt.open_count()
     }
 }

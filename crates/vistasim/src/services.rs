@@ -21,13 +21,6 @@ pub struct KernelLoad {
     periods: HashMap<u64, SimDuration>,
 }
 
-impl KernelLoad {
-    /// Number of kernel periodic timers.
-    pub fn population(&self) -> usize {
-        self.periods.len()
-    }
-}
-
 /// The period mix for a load level: `(period, how many, origin)`.
 fn profile(level: KernelLoadLevel) -> Vec<(SimDuration, u32, &'static str)> {
     match level {
@@ -86,11 +79,6 @@ impl VistaKernel {
                 self.kt.ke_set_timer(&mut self.log, self.now, h, phase);
             }
         }
-    }
-
-    /// Number of kernel-internal periodic timers (for tests).
-    pub fn kernel_load_population(&self) -> usize {
-        self.kernel_load.population()
     }
 
     /// Expiry path: re-arm with the same period.

@@ -269,11 +269,6 @@ impl VistaKernel {
         self.vtcp.masked_ops
     }
 
-    /// Open wheel-managed connections.
-    pub fn vtcp_open_count(&self) -> usize {
-        self.vtcp.conns.len()
-    }
-
     /// Expiry path: the wheel tick fired — advance the wheel, process due
     /// entries, re-arm the tick.
     pub(crate) fn tcp_wheel_tick_fired(&mut self, handle: crate::ktimer::KtHandle, at: SimInstant) {

@@ -107,33 +107,6 @@ impl VistaKernel {
         id
     }
 
-    /// Cancels a threadpool timer (`SetThreadpoolTimer(…, NULL)`).
-    pub fn threadpool_cancel_timer(&mut self, pid: Pid, id: u32) -> bool {
-        let now = self.now;
-        let Some(pool) = self.pools.pools.get_mut(&pid) else {
-            return false;
-        };
-        let Some(t) = pool.timers.remove(&id) else {
-            return false;
-        };
-        let was_head = pool.ring.keys().next() == Some(&(t.due, id));
-        pool.ring.remove(&(t.due, id));
-        let kernel_timer = pool.kernel_timer;
-        if was_head {
-            let next = pool.ring.keys().next().map(|&(d, _)| d);
-            self.charge_call(now);
-            self.kt
-                .ke_cancel_timer(&mut self.log, now, kernel_timer, EventKind::Cancel);
-            if let Some(head) = next {
-                self.kt
-                    .ke_set_timer(&mut self.log, now, kernel_timer, head.duration_since(now));
-            }
-        } else {
-            pool.masked_ops += 1;
-        }
-        true
-    }
-
     /// User-level ring operations that never touched the kernel.
     pub fn threadpool_masked_ops(&self) -> u64 {
         self.pools.masked_ops()

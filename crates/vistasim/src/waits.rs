@@ -1,4 +1,4 @@
-//! Dispatcher-object waits with timeouts, and thread sleep.
+//! Waits on dispatcher objects with timeouts, and thread sleep.
 //!
 //! `WaitForSingleObject`/`WaitForMultipleObjects` accept an absolute or
 //! relative timeout; the timeout is implemented by a *dedicated KTIMER in
@@ -28,13 +28,6 @@ struct ThreadWait {
 #[derive(Debug, Default)]
 pub struct WaitTable {
     threads: HashMap<(Pid, Tid), ThreadWait>,
-}
-
-impl WaitTable {
-    /// Number of threads currently blocked in a timed wait.
-    pub fn waiting_count(&self) -> usize {
-        self.threads.values().filter(|w| w.waiting).count()
-    }
 }
 
 impl VistaKernel {

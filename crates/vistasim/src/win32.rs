@@ -28,13 +28,6 @@ pub struct Win32Timers {
     timers: HashMap<(Pid, u32), W32Timer>,
 }
 
-impl Win32Timers {
-    /// Number of live Win32 timers.
-    pub fn live_count(&self) -> usize {
-        self.timers.len()
-    }
-}
-
 impl VistaKernel {
     /// `SetTimer(hwnd, id, elapse)`: creates (or re-programs) a repeating
     /// GUI timer.
@@ -80,11 +73,6 @@ impl VistaKernel {
             }
             None => false,
         }
-    }
-
-    /// Number of live Win32 timers (for tests).
-    pub fn win32_live_count(&self) -> usize {
-        self.win32.live_count()
     }
 
     /// `CreateWaitableTimer`: the Win32 wrapper over `NtCreateTimer`

@@ -141,13 +141,6 @@ impl NodeArena {
         (node.generation == handle.generation).then_some(node.expires)
     }
 
-    /// The timer id stored in a node (valid for handles that just passed a
-    /// liveness check).
-    #[inline]
-    pub fn id_of(&self, node: NodeIndex) -> TimerId {
-        self.nodes[node as usize].id
-    }
-
     /// Fires the timer behind a live handle: frees the node, counts the
     /// expiration, and returns `(id, armed expiry)`. Stale handles return
     /// `None`.

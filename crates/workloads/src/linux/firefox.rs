@@ -176,8 +176,3 @@ pub fn run(
     schedule_lan(&mut driver, netsim::LanActivity::departmental());
     finish(driver, duration)
 }
-
-/// Number of Firefox poll threads (exposed for tests).
-pub fn poll_thread_count() -> u32 {
-    POLL_THREADS
-}

@@ -5,7 +5,7 @@
 //! dominance relation, a crossover, or the presence of a named value.
 
 use simtime::SimDuration;
-use timerstudy::experiment::run_table_workloads;
+use timerstudy::experiment::{analyzer_config, run_experiment_with, run_table_workloads};
 use timerstudy::{run_experiment, ExperimentSpec, Os, Workload};
 
 const RUN: SimDuration = SimDuration::from_secs(180);
@@ -221,6 +221,33 @@ fn idle_pattern_mix_is_periodic_heavy_webserver_uses_watchdogs() {
         web.percent(Watchdog),
         idle.percent(Watchdog)
     );
+}
+
+#[test]
+fn fig2_mix_does_not_hinge_on_a_sub_jiffy_tolerance() {
+    // Figure 2 rests on the classifier's 2 ms jitter tolerance. Linux
+    // timer values are jiffy-quantised (4 ms), so no tolerance below a
+    // jiffy may move any Linux mix; two jiffies (8 ms) does move Idle's
+    // on some seeds.
+    let run = SimDuration::from_secs(60);
+    let mix = |workload, tolerance_us| {
+        let mut cfg = analyzer_config(Os::Linux, workload);
+        cfg.tolerance = SimDuration::from_micros(tolerance_us);
+        run_experiment_with(ExperimentSpec::new(Os::Linux, workload, run, 3), cfg)
+            .report
+            .pattern_mix
+    };
+    for workload in Workload::TABLE_WORKLOADS {
+        let paper = mix(workload, 2_000);
+        for tolerance_us in [100, 500] {
+            let swept = mix(workload, tolerance_us);
+            assert_eq!(
+                (&swept.counts, swept.total),
+                (&paper.counts, paper.total),
+                "{workload:?}: the mix at {tolerance_us} us differs from the 2 ms one"
+            );
+        }
+    }
 }
 
 #[test]

@@ -4,7 +4,8 @@
 
 use analysis::{AnalyzerConfig, TraceAnalyzer};
 use simtime::{SimDuration, SimInstant};
-use trace::{Event, PerCpuRings, RingBuffer, RingReader, RingSink, TraceSink};
+use trace::codec::RECORD_SIZE;
+use trace::{Event, RingBuffer, RingReader, RingSink, TraceSink};
 use workloads::{run_linux, Workload};
 
 /// A sink that both streams into an analyzer and records into a ring.
@@ -82,66 +83,77 @@ fn ring_records_are_fixed_size() {
     assert_eq!(ring.capacity_bytes() % trace::codec::RECORD_SIZE, 0);
 }
 
-/// Satellite of the merged() error-path audit: damage on one CPU's ring
-/// must lose only the damaged records, and the loss must surface in the
-/// analysis summary's accounting (`decode_lost`), not silently discard
-/// healthy CPUs' events.
+/// Damage to a ring loses only the damaged records, and the loss
+/// surfaces in the analysis summary's accounting (`decode_lost`): the
+/// strict decoder refuses the ring, while a lossy pass keeps every
+/// healthy record and counts each one it could not decode.
 #[test]
 fn partial_decode_losses_flow_into_summary_accounting() {
-    let rings = PerCpuRings::new(3, 64 * 1024);
-    for i in 0..300u64 {
-        let e = Event::new(
-            SimInstant::BOOT + SimDuration::from_millis(i * 10),
-            if i % 2 == 0 {
-                trace::EventKind::Set
-            } else {
-                trace::EventKind::Expire
-            },
-            i / 2 % 7,
-            0,
-        )
-        .with_timeout(SimDuration::from_millis(10));
-        rings.log_on((i % 3) as usize, &e);
+    const RECORDS: usize = 300;
+    const SCRIBBLED: usize = 5;
+    let sent: Vec<Event> = (0..RECORDS as u64)
+        .map(|i| {
+            Event::new(
+                SimInstant::BOOT + SimDuration::from_millis(i * 10),
+                if i % 2 == 0 {
+                    trace::EventKind::Set
+                } else {
+                    trace::EventKind::Expire
+                },
+                i / 2 % 7,
+                0,
+            )
+            .with_timeout(SimDuration::from_millis(10))
+        })
+        .collect();
+    let mut sink = RingSink::new(RingBuffer::new(RECORDS * RECORD_SIZE));
+    for event in &sent {
+        sink.record(event);
     }
-    // Scribble a record on CPU 0 and tear CPU 2's tail.
-    rings.with_ring_mut(0, |r| {
-        r.overwrite(trace::codec::RECORD_SIZE * 5 + 8, &[0xEE])
-    });
-    rings.with_ring_mut(2, |r| {
-        let keep = r.record_count() * trace::codec::RECORD_SIZE - trace::codec::RECORD_SIZE / 2;
-        r.truncate_bytes(keep);
-    });
-    // The strict path refuses the whole readout…
-    assert!(rings.merged().is_err());
+    let mut ring = sink.into_ring();
+    // Scribble one record's kind byte and tear the last record in half.
+    ring.overwrite(RECORD_SIZE * SCRIBBLED + 8, &[0xEE]);
+    ring.truncate_bytes(ring.len_bytes() - RECORD_SIZE / 2);
 
-    // …the lossy streaming path keeps every healthy record and accounts
-    // both losses, which the analyzer folds into its summary.
-    let mut analyzer = TraceAnalyzer::new(AnalyzerConfig::linux());
-    let mut reader = rings.stream();
-    let mut buf = Vec::new();
-    let mut decoded = 0u64;
-    while reader.read_chunk(&mut buf, 64) > 0 {
-        decoded += buf.len() as u64;
-        analyzer.push_chunk(&buf);
+    // The strict path refuses the whole ring…
+    assert!(trace::reader::decode_all(&ring).is_err());
+
+    // …the lossy pass keeps every healthy record and counts both losses:
+    // the undecodable record and the torn tail.
+    let mut survivors = Vec::new();
+    let mut lost = u64::from(ring.has_partial_tail());
+    for record in RingReader::new(&ring) {
+        match record {
+            Ok(event) => survivors.push(event),
+            Err(_) => lost += 1,
+        }
     }
-    let stats = reader.into_stats();
-    assert_eq!(stats.lost_records, 2);
-    assert_eq!(decoded, 300 - 2);
-    analyzer.note_decode_lost(stats.lost_records);
-    let report = analyzer.finish(&trace::StringTable::new());
+    let healthy: Vec<Event> = sent
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| i != SCRIBBLED && i != RECORDS - 1)
+        .map(|(_, event)| *event)
+        .collect();
+    assert_eq!(lost, 2);
+    assert_eq!(survivors, healthy);
+
+    let mut chunked = TraceAnalyzer::new(AnalyzerConfig::linux());
+    for chunk in survivors.chunks(64) {
+        chunked.push_chunk(chunk);
+    }
+    chunked.note_decode_lost(lost);
+    let report = chunked.finish(&trace::StringTable::new());
     assert_eq!(report.summary.decode_lost, 2);
-    assert_eq!(report.summary.accesses, decoded);
+    assert_eq!(report.summary.accesses, 298);
 
-    // The surviving analysis equals analysing the surviving events
-    // directly — no healthy record was dropped or reordered.
-    let (survivors, stats2) = rings.merged_lossy();
-    assert_eq!(stats2, stats);
-    let mut direct = TraceAnalyzer::new(AnalyzerConfig::linux());
-    direct.push_chunk(&survivors);
-    direct.note_decode_lost(stats2.lost_records);
-    let direct_report = direct.finish(&trace::StringTable::new());
+    // Chunk boundaries carry no semantics: one chunk of every survivor
+    // gives the same report.
+    let mut whole = TraceAnalyzer::new(AnalyzerConfig::linux());
+    whole.push_chunk(&survivors);
+    whole.note_decode_lost(lost);
+    let whole_report = whole.finish(&trace::StringTable::new());
     assert_eq!(
         serde_json::to_string(&report).unwrap(),
-        serde_json::to_string(&direct_report).unwrap(),
+        serde_json::to_string(&whole_report).unwrap(),
     );
 }
