@@ -17,8 +17,7 @@
 //! number of concurrent timers. This module implements the bookkeeping,
 //! the elision rules, the rewrite, and provenance chains for debugging.
 
-use std::collections::{HashMap, HashSet};
-
+use simtime::fasthash::{FoldMap, FoldSet};
 use simtime::SimInstant;
 
 /// A timer identity within the dependency graph.
@@ -55,7 +54,7 @@ struct DepTimer {
 /// The provenance/dependency graph.
 #[derive(Debug, Default)]
 pub struct DepGraph {
-    timers: HashMap<DepId, DepTimer>,
+    timers: FoldMap<DepId, DepTimer>,
     relations: Vec<(DepId, DepId, Relation)>,
 }
 
@@ -114,8 +113,8 @@ impl DepGraph {
 
     /// The timers that actually need arming after applying the elision
     /// rules: rule (a) elides the inner timer, rule (b) elides the outer.
-    pub fn required_armed(&self) -> HashSet<DepId> {
-        let mut required: HashSet<DepId> = self.timers.keys().copied().collect();
+    pub fn required_armed(&self) -> FoldSet<DepId> {
+        let mut required: FoldSet<DepId> = self.timers.keys().copied().collect();
         for &(a, b, rel) in &self.relations {
             match rel {
                 Relation::Overlaps(OverlapKind::MaxMatters) => {
@@ -144,7 +143,7 @@ impl DepGraph {
     pub fn propagate_cancel(&self, id: DepId) -> Vec<DepId> {
         let mut out = Vec::new();
         let mut stack = vec![id];
-        let mut seen = HashSet::from([id]);
+        let mut seen = FoldSet::from_iter([id]);
         while let Some(cur) = stack.pop() {
             for &(a, b, rel) in &self.relations {
                 if rel == Relation::Overlaps(OverlapKind::Neither) {
@@ -197,7 +196,7 @@ impl DepGraph {
     pub fn trace_path(&self, id: DepId) -> Vec<String> {
         let mut path = Vec::new();
         let mut cur = Some(id);
-        let mut seen = HashSet::new();
+        let mut seen = FoldSet::default();
         while let Some(c) = cur {
             if !seen.insert(c) {
                 break;
@@ -295,7 +294,7 @@ mod tests {
         );
         // Dependent timers are not armed up front.
         let req = g.required_armed();
-        assert_eq!(req, HashSet::from([1]));
+        assert_eq!(req, FoldSet::from_iter([1]));
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! The composed streaming analyzer and its report.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
+use simtime::fasthash::FoldMap;
 use simtime::SimDuration;
 use trace::{Event, EventCounts, Pid, StringTable};
 
@@ -33,7 +32,7 @@ pub struct AnalyzerConfig {
     /// Cluster mode for pattern classification.
     pub cluster_mode: ClusterMode,
     /// Explicit pid → Figure 1 group labels.
-    pub rate_groups: HashMap<Pid, String>,
+    pub rate_groups: FoldMap<Pid, String>,
     /// Processes whose sets become Figure 4 dots (Xorg).
     pub dot_pids: Vec<Pid>,
     /// Processes filtered out of Figures 5/6 and the scatter plots
@@ -46,7 +45,7 @@ impl Default for AnalyzerConfig {
         AnalyzerConfig {
             tolerance: SimDuration::from_millis(2),
             cluster_mode: ClusterMode::ByAddress,
-            rate_groups: HashMap::new(),
+            rate_groups: FoldMap::default(),
             dot_pids: Vec::new(),
             exclude_pids: Vec::new(),
         }

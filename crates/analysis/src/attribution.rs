@@ -192,15 +192,4 @@ mod tests {
         assert_eq!(table.rows[0].expirations, 1);
         assert_eq!(table.rows[0].slack_ns.count(), 1);
     }
-
-    #[test]
-    fn disabled_telemetry_records_nothing() {
-        let mut log = TraceLog::new(Box::new(trace::NullSink));
-        let o = log.intern("x");
-        let mut t = AttributionTracker::new();
-        telemetry::set_enabled(false);
-        t.push(&set(0, o, 1));
-        telemetry::set_enabled(true);
-        assert_eq!(t.origin_count(), 0);
-    }
 }

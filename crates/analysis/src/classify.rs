@@ -21,9 +21,9 @@
 //! bound of §3.1/§4.1.1.
 
 use serde::{Deserialize, Serialize};
+use simtime::fasthash::FoldMap;
 use simtime::SimDuration;
 
-use crate::fasthash::FoldMap;
 use crate::lifecycle::{Outcome, Sample};
 
 /// The pattern classes of §4.1.1.

@@ -11,10 +11,9 @@
 //! validating the detector.
 
 use serde::{Deserialize, Serialize};
+use simtime::fasthash::FoldMap;
 use simtime::SimDuration;
 use trace::{Event, EventKind, Pid, TimerAddr};
-
-use crate::fasthash::FoldMap;
 
 /// Per-timer countdown statistics.
 #[derive(Debug, Default, Clone, Copy, Serialize, Deserialize)]

@@ -30,7 +30,6 @@ pub mod analyzer;
 pub mod attribution;
 pub mod classify;
 pub mod countdown;
-pub mod fasthash;
 pub mod lifecycle;
 pub mod provenance;
 pub mod scatter;

@@ -8,10 +8,9 @@
 //! size is bounded by timer concurrency (≤ 84 in the paper's traces) even
 //! on Vista where addresses are allocated dynamically.
 
+use simtime::fasthash::FoldMap;
 use simtime::{SimDuration, SimInstant};
 use trace::{Event, EventKind, OriginId, Pid, Space, Tid, TimerAddr};
-
-use crate::fasthash::FoldMap;
 
 /// How an episode ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -7,13 +7,11 @@
 //! call-site labels, which is exactly what the authors recovered from
 //! stack traces.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
+use simtime::fasthash::FoldMap;
 use trace::OriginId;
 
 use crate::classify::PatternClass;
-use crate::fasthash::FoldMap;
 use crate::lifecycle::Sample;
 
 /// Histogram bucket resolution: 0.1 ms (matches `values`).
@@ -69,7 +67,7 @@ impl ProvenanceTracker {
             return Vec::new();
         }
         // Regroup by value bucket.
-        let mut by_value: HashMap<u64, Vec<(OriginId, u64)>> = HashMap::new();
+        let mut by_value: FoldMap<u64, Vec<(OriginId, u64)>> = FoldMap::default();
         for (&(origin, bucket), &count) in &self.counts {
             by_value.entry(bucket).or_default().push((origin, count));
         }

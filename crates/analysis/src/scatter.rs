@@ -8,8 +8,8 @@
 //! the past are not plotted. … The figures are cut off above 250 %."
 
 use serde::{Deserialize, Serialize};
+use simtime::fasthash::FoldMap;
 
-use crate::fasthash::FoldMap;
 use crate::lifecycle::{Outcome, Sample};
 
 /// Maximum plotted percentage (the paper's cut-off).

@@ -1,11 +1,8 @@
 //! Trace summaries (Tables 1 and 2) and the timer-rate series (Figure 1).
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
+use simtime::fasthash::{FoldMap, FoldSet};
 use trace::{Event, EventCounts, EventKind, Pid, TimerAddr};
-
-use crate::fasthash::{FoldMap, FoldSet};
 
 /// One workload's trace summary — one column of Table 1 / Table 2.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -91,7 +88,7 @@ impl TimerPopulation {
 pub struct RateSeries {
     /// Explicit pid → group assignments; unlisted user pids fall into
     /// `default_group`, pid 0 into `kernel_group`.
-    groups: HashMap<Pid, String>,
+    groups: FoldMap<Pid, String>,
     default_group: String,
     kernel_group: String,
     /// Group names with at least one set, in first-seen order; `data` is
@@ -107,7 +104,7 @@ pub struct RateSeries {
 
 impl RateSeries {
     /// Creates a series with the given explicit groupings.
-    pub fn new(groups: HashMap<Pid, String>) -> Self {
+    pub fn new(groups: FoldMap<Pid, String>) -> Self {
         RateSeries {
             groups,
             default_group: "System".to_owned(),
@@ -201,7 +198,7 @@ mod tests {
 
     #[test]
     fn groups_and_rates() {
-        let mut groups = HashMap::new();
+        let mut groups = FoldMap::default();
         groups.insert(10, "Outlook".to_owned());
         let mut rs = RateSeries::new(groups);
         for sec in 0..10 {

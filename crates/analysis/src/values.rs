@@ -8,9 +8,8 @@
 //! for at least 2 % of sets.
 
 use serde::{Deserialize, Serialize};
+use simtime::fasthash::{FoldMap, FoldSet};
 use trace::{Event, EventKind, Pid, Space};
-
-use crate::fasthash::{FoldMap, FoldSet};
 
 /// Histogram bucket resolution: 0.1 ms.
 const BUCKET_NS: u64 = 100_000;

@@ -10,11 +10,10 @@
 //! new episodes, no new clusters" a provable invariant rather than a
 //! statistical tendency.
 
-use std::collections::HashMap;
-
 use analysis::lifecycle::LifecycleTracker;
 use analysis::{AnalyzerConfig, TraceAnalyzer};
 use proptest::prelude::*;
+use simtime::fasthash::{FoldMap, FoldSet};
 use simtime::{SimDuration, SimInstant};
 use trace::{Event, EventKind, Space, StringTable};
 
@@ -111,8 +110,8 @@ proptest! {
             let events = surviving(&raws, keep);
             let mut lt = LifecycleTracker::new();
             let mut samples = 0u64;
-            let mut sets_per_addr: HashMap<u64, u64> = HashMap::new();
-            let mut samples_per_addr: HashMap<u64, u64> = HashMap::new();
+            let mut sets_per_addr: FoldMap<u64, u64> = FoldMap::default();
+            let mut samples_per_addr: FoldMap<u64, u64> = FoldMap::default();
             let mut end_events = 0u64;
             for e in &events {
                 match e.kind {
@@ -188,7 +187,7 @@ proptest! {
 /// replay of `events` — the bookkeeping mirror of the tracker's Reset
 /// outcome, used to reconcile end-event accounting.
 fn resets(events: &[Event]) -> u64 {
-    let mut open: std::collections::HashSet<u64> = Default::default();
+    let mut open: FoldSet<u64> = FoldSet::default();
     let mut resets = 0u64;
     for e in events {
         match e.kind {

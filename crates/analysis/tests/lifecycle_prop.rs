@@ -4,6 +4,7 @@
 use analysis::lifecycle::LifecycleTracker;
 use analysis::{AnalyzerConfig, Outcome, TraceAnalyzer};
 use proptest::prelude::*;
+use simtime::fasthash::FoldSet;
 use simtime::{SimDuration, SimInstant};
 use trace::{Event, EventKind, Space, StringTable};
 
@@ -68,7 +69,7 @@ proptest! {
     fn lifecycle_invariants_hold(raws in proptest::collection::vec(arb_event(), 0..400)) {
         let mut lt = LifecycleTracker::new();
         let mut clock = 0u64;
-        let mut open_model: std::collections::HashSet<u64> = Default::default();
+        let mut open_model: FoldSet<u64> = FoldSet::default();
         for raw in &raws {
             // Timestamps monotone (traces are ordered).
             clock += raw.ts_ms % 50;

@@ -16,7 +16,7 @@
 //!   not percent-level noise. The rows the zero-copy refactor sped up
 //!   ≥2× carry a tighter 2× gate: their baseline was re-recorded after
 //!   the speedup, so even at 2× the gate holds the *old* cost as a hard
-//!   ceiling — losing the chunked fold, the fast hasher or the arena
+//!   ceiling — losing the chunked fold, the workspace hasher or the arena
 //!   would trip it on any machine;
 //! - with no flag it just prints the table.
 //!

@@ -14,6 +14,7 @@
 //!   a `traceEvents` array, every `B` matched by an `E` on the same
 //!   thread, and per-thread timestamps monotonically non-decreasing.
 
+use simtime::fasthash::FoldMap;
 use telemetry::json;
 use telemetry::report::{sim_section_canonical, validate_value};
 
@@ -83,8 +84,8 @@ fn check_chrome(path: &str) {
         eprintln!("{path}: missing traceEvents array");
         std::process::exit(1);
     };
-    let mut depth: std::collections::HashMap<u64, i64> = std::collections::HashMap::new();
-    let mut last_ts: std::collections::HashMap<u64, f64> = std::collections::HashMap::new();
+    let mut depth: FoldMap<u64, i64> = FoldMap::default();
+    let mut last_ts: FoldMap<u64, f64> = FoldMap::default();
     let mut spans = 0u64;
     for (i, ev) in events.iter().enumerate() {
         let ph = ev

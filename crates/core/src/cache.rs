@@ -11,9 +11,10 @@
 //!
 //! [`figures::reproduce`]: crate::figures::reproduce
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+
+use simtime::fasthash::FoldMap;
 
 use crate::experiment::{ExperimentResult, ExperimentSpec};
 use crate::parallel::run_experiments_parallel;
@@ -22,7 +23,7 @@ use crate::parallel::run_experiments_parallel;
 /// counting its own hits and misses.
 #[derive(Default)]
 pub struct ExperimentCache {
-    results: Mutex<HashMap<ExperimentSpec, Arc<ExperimentResult>>>,
+    results: Mutex<FoldMap<ExperimentSpec, Arc<ExperimentResult>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -53,7 +54,7 @@ impl ExperimentCache {
         // parallel batch is deterministic regardless of duplicates.
         let mut todo: Vec<ExperimentSpec> = Vec::new();
         {
-            let mut seen: HashMap<ExperimentSpec, ()> = HashMap::new();
+            let mut seen: FoldMap<ExperimentSpec, ()> = FoldMap::default();
             let results = self.results.lock().expect("experiment cache poisoned");
             for &spec in specs {
                 if results.contains_key(&spec) || seen.insert(spec, ()).is_some() {

@@ -91,6 +91,27 @@ impl ExperimentSpec {
         self
     }
 
+    /// A static estimate of this experiment's cost: the trace records
+    /// its (OS, workload) pair logs per simulated second, measured at
+    /// seed 7 (over 30 minutes; Outlook over 90 s, `ApacheScale` over
+    /// 45 s), times the duration in milliseconds. The pool starts the costliest experiments first; a
+    /// wrong estimate can cost wall time but never change a result.
+    pub(crate) fn cost_hint(&self) -> u64 {
+        let records_per_second: u64 = match (self.os, self.workload) {
+            (Os::Linux, Workload::Idle | Workload::Outlook) => 50,
+            (Os::Linux, Workload::Skype) => 225,
+            (Os::Linux, Workload::Firefox) => 1_558,
+            (Os::Linux, Workload::Webserver) => 307,
+            (Os::Linux, Workload::ApacheScale) => 30_183,
+            (Os::Vista, Workload::Idle) => 139,
+            (Os::Vista, Workload::Skype) => 1_255,
+            (Os::Vista, Workload::Firefox) => 3_197,
+            (Os::Vista, Workload::Webserver | Workload::ApacheScale) => 185,
+            (Os::Vista, Workload::Outlook) => 2_013,
+        };
+        records_per_second.saturating_mul(self.duration.as_millis())
+    }
+
     /// The spec for one trial of a multi-trial run: same parameters, with
     /// the seed derived via [`workloads::trial_seed`] (trial 0 keeps the
     /// base seed). Stable regardless of the order trials are launched in.

@@ -1,9 +1,8 @@
 //! Property tests for the experiment cache's keying invariants and the
 //! per-trial seed derivation they rest on.
 
-use std::collections::{HashMap, HashSet};
-
 use proptest::prelude::*;
+use simtime::fasthash::{FoldMap, FoldSet};
 use simtime::SimDuration;
 use timerstudy::{ExperimentResult, ExperimentSpec, FaultSpec, Os, Workload};
 use wheel::Backend;
@@ -85,7 +84,7 @@ proptest! {
     /// Every trial of one experiment sees an independent random stream.
     #[test]
     fn trial_seeds_are_distinct(base in any::<u64>(), trials in 2u32..200) {
-        let seeds: HashSet<u64> = (0..trials).map(|t| trial_seed(base, t)).collect();
+        let seeds: FoldSet<u64> = (0..trials).map(|t| trial_seed(base, t)).collect();
         prop_assert_eq!(seeds.len(), trials as usize);
     }
 
@@ -104,7 +103,7 @@ proptest! {
     /// (the derivation mixes, it does not merely offset).
     #[test]
     fn neighbouring_bases_do_not_collide(base in 0u64..u64::MAX - 8) {
-        let mut seen = HashSet::new();
+        let mut seen = FoldSet::default();
         for b in base..base + 8 {
             for t in 1..8u32 {
                 prop_assert!(
@@ -120,8 +119,8 @@ proptest! {
     /// derives keys deterministically.
     #[test]
     fn spec_keying_is_consistent(spec in spec_strategy(), trial in 0u32..32) {
-        // Hash/Eq agree: a HashMap keyed by spec finds the same spec.
-        let mut map: HashMap<ExperimentSpec, u32> = HashMap::new();
+        // Hash/Eq agree: a map keyed by spec finds the same spec.
+        let mut map: FoldMap<ExperimentSpec, u32> = FoldMap::default();
         map.insert(spec, 1);
         map.insert(spec, 2);
         prop_assert_eq!(map.len(), 1);
@@ -158,7 +157,7 @@ proptest! {
         let other_seed = ExperimentSpec { seed: spec.seed ^ 1, ..spec };
         let other_faults = spec.with_faults(FaultSpec::ring_drops());
         let other_backend = spec.with_backend(Backend::Hashed);
-        let mut map: HashMap<ExperimentSpec, &str> = HashMap::new();
+        let mut map: FoldMap<ExperimentSpec, &str> = FoldMap::default();
         map.insert(spec, "base");
         map.insert(other_os, "os");
         map.insert(other_duration, "duration");
@@ -175,7 +174,7 @@ proptest! {
     #[test]
     fn distinct_backends_never_collide(spec in spec_strategy()) {
         let forced = [Backend::Hierarchical, Backend::Hashed];
-        let mut map: HashMap<ExperimentSpec, Backend> = HashMap::new();
+        let mut map: FoldMap<ExperimentSpec, Backend> = FoldMap::default();
         map.insert(spec, Backend::Native);
         for b in forced {
             map.insert(spec.with_backend(b), b);
@@ -195,7 +194,7 @@ proptest! {
     fn native_backend_key_equals_plain_spec(spec in spec_strategy()) {
         let explicit = spec.with_backend(Backend::Native);
         prop_assert_eq!(explicit, spec);
-        let mut map: HashMap<ExperimentSpec, &str> = HashMap::new();
+        let mut map: FoldMap<ExperimentSpec, &str> = FoldMap::default();
         map.insert(spec, "plain");
         map.insert(explicit, "explicit");
         prop_assert_eq!(map.len(), 1);
@@ -214,7 +213,7 @@ proptest! {
         if a == b {
             return Ok(());
         }
-        let mut map: HashMap<ExperimentSpec, &str> = HashMap::new();
+        let mut map: FoldMap<ExperimentSpec, &str> = FoldMap::default();
         map.insert(spec.with_faults(a), "a");
         map.insert(spec.with_faults(b), "b");
         prop_assert_eq!(map.len(), 2);
@@ -229,7 +228,7 @@ proptest! {
     fn none_faults_key_equals_plain_spec(spec in spec_strategy()) {
         let explicit = spec.with_faults(FaultSpec::none());
         prop_assert_eq!(explicit, spec);
-        let mut map: HashMap<ExperimentSpec, &str> = HashMap::new();
+        let mut map: FoldMap<ExperimentSpec, &str> = FoldMap::default();
         map.insert(spec, "plain");
         map.insert(explicit, "explicit");
         prop_assert_eq!(map.len(), 1);

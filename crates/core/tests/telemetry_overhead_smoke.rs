@@ -2,53 +2,80 @@
 //!
 //! Runs the same experiment with metric recording enabled and disabled
 //! (`telemetry::set_enabled`) and asserts the instrumented path stays
-//! within 10% of the baseline. Minimum-of-N timings with interleaved
-//! runs keep the comparison robust against scheduler noise; the
-//! `telemetry_overhead` criterion bench gives the detailed numbers.
+//! within 10% of the baseline. The design follows the repository
+//! benchmark: the two modes alternate rep by rep (each pair swapping
+//! which runs first) for a fixed time budget, and each mode is timed by
+//! its fastest rep, so drift and scheduler noise hit both modes alike and
+//! only the cost floor of each is compared.
+//!
+//! The budget is a property of the optimized build users run, so the
+//! test runs only there (`cargo test --release`; CI has a step for it).
+//! Unoptimized counters cost relatively more: in a debug build this
+//! design reads 1.10–1.13 against 1.07–1.09 in release on a 2-vCPU VM.
 
 use std::time::{Duration, Instant};
 
 use simtime::SimDuration;
 use timerstudy::{run_experiment, ExperimentSpec, Os, Workload};
 
-fn timed(spec: ExperimentSpec) -> Duration {
+/// Host time each mode is measured for, at least.
+const BUDGET: Duration = Duration::from_secs(2);
+
+/// Pairs taken even when one rep outlasts the budget.
+const MIN_PAIRS: usize = 11;
+
+fn timed(spec: ExperimentSpec, instrumented: bool) -> Duration {
+    telemetry::set_enabled(instrumented);
     let started = Instant::now();
     let result = run_experiment(spec);
+    let elapsed = started.elapsed();
+    telemetry::set_enabled(true);
     assert!(result.records > 0);
-    started.elapsed()
+    elapsed
 }
 
 #[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "the budget applies to optimized builds: run with --release"
+)]
 fn instrumented_run_within_ten_percent_of_baseline() {
-    // 20 simulated seconds puts one run around half a millisecond of
-    // wall time — long enough that scheduler jitter cannot fake a
-    // double-digit percentage on its own (a 5 s run is ~180 µs, where
-    // it demonstrably can).
+    // One rep is about half a millisecond of host time, so the budget
+    // holds thousands of pairs and each mode's fastest rep is its floor.
     let spec = ExperimentSpec::new(Os::Linux, Workload::Idle, SimDuration::from_secs(20), 99);
 
     // Warm up allocator, code and branch caches for both modes.
-    for on in [false, true] {
-        telemetry::set_enabled(on);
-        timed(spec);
+    for instrumented in [false, true] {
+        timed(spec, instrumented);
     }
-    telemetry::set_enabled(true);
 
-    // Interleave the two modes so slow drift (thermal, other processes)
-    // hits both equally, and keep the minimum of each.
     let mut baseline = Duration::MAX;
     let mut instrumented = Duration::MAX;
-    for _ in 0..11 {
-        telemetry::set_enabled(false);
-        baseline = baseline.min(timed(spec));
-        telemetry::set_enabled(true);
-        instrumented = instrumented.min(timed(spec));
+    let started = Instant::now();
+    let mut pairs = 0;
+    while pairs < MIN_PAIRS || started.elapsed() < 2 * BUDGET {
+        let order = if pairs % 2 == 0 {
+            [false, true]
+        } else {
+            [true, false]
+        };
+        for on in order {
+            let t = timed(spec, on);
+            if on {
+                instrumented = instrumented.min(t);
+            } else {
+                baseline = baseline.min(t);
+            }
+        }
+        pairs += 1;
     }
 
     let ratio = instrumented.as_secs_f64() / baseline.as_secs_f64();
     assert!(
         ratio <= 1.10,
         "telemetry overhead {:.1}% exceeds the 10% budget \
-         (instrumented {instrumented:?} vs baseline {baseline:?})",
+         (fastest instrumented rep {instrumented:?} vs baseline {baseline:?}, \
+         {pairs} interleaved pairs)",
         (ratio - 1.0) * 100.0
     );
 }

@@ -1,8 +1,9 @@
 //! The pending-event calendar.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
+use simtime::fasthash::FoldMap;
 use simtime::SimInstant;
 
 /// A handle to a posted event, usable to cancel it.
@@ -18,7 +19,7 @@ pub struct Token(u64);
 #[derive(Debug)]
 pub struct Calendar<E> {
     heap: BinaryHeap<Reverse<(SimInstant, u64, u64)>>,
-    payloads: HashMap<u64, E>,
+    payloads: FoldMap<u64, E>,
     now: SimInstant,
     next_key: u64,
 }
@@ -34,7 +35,7 @@ impl<E> Calendar<E> {
     pub fn new() -> Self {
         Calendar {
             heap: BinaryHeap::new(),
-            payloads: HashMap::new(),
+            payloads: FoldMap::default(),
             now: SimInstant::BOOT,
             next_key: 0,
         }

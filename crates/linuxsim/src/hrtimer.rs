@@ -8,6 +8,7 @@
 
 use std::collections::BTreeMap;
 
+use simtime::fasthash::FoldMap;
 use simtime::{SimDuration, SimInstant};
 use trace::{Event, EventKind, OriginId, Pid, Space, Tid, TimerAddr, TraceLog};
 
@@ -39,7 +40,7 @@ pub struct HrFired {
 pub struct HrTimerBase {
     slots: Vec<HrSlot>,
     queue: BTreeMap<(SimInstant, u32), ()>,
-    pending: std::collections::HashMap<u32, SimInstant>,
+    pending: FoldMap<u32, SimInstant>,
 }
 
 impl HrTimerBase {

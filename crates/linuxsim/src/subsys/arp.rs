@@ -7,8 +7,7 @@
 //! and cancelled at random intervals by reachability confirmations from
 //! ambient LAN traffic.
 
-use std::collections::HashMap;
-
+use simtime::fasthash::FoldMap;
 use simtime::{SimDuration, SimInstant};
 use trace::{EventFlags, Space, TraceLog};
 
@@ -35,7 +34,7 @@ struct Neigh {
 pub struct ArpTable {
     gc: Option<TimerHandle>,
     periodic: Vec<TimerHandle>,
-    neighbors: HashMap<NeighId, Neigh>,
+    neighbors: FoldMap<NeighId, Neigh>,
     pool: Vec<TimerHandle>,
     next_id: u32,
 }

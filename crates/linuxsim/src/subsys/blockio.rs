@@ -6,8 +6,7 @@
 //! canonical *timeout* pattern — armed per request, almost always
 //! cancelled milliseconds later when the disk completes.
 
-use std::collections::HashMap;
-
+use simtime::fasthash::FoldMap;
 use simtime::{SimDuration, SimInstant};
 use trace::{EventFlags, Space, TraceLog};
 
@@ -24,7 +23,7 @@ pub const IDE_TIMEOUT: SimDuration = SimDuration::from_secs(30);
 #[derive(Debug, Default)]
 pub struct BlockLayer {
     unplug: Option<TimerHandle>,
-    requests: HashMap<ReqId, TimerHandle>,
+    requests: FoldMap<ReqId, TimerHandle>,
     pool: Vec<TimerHandle>,
     next_id: u32,
     /// Requests aborted by a fired command timeout.

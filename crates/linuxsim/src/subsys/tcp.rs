@@ -7,8 +7,7 @@
 //! directly: the 40 ms delayed-ACK timer, the 3 s initial SYN retransmit,
 //! and the famous 7200 s keepalive.
 
-use std::collections::HashMap;
-
+use simtime::fasthash::FoldMap;
 use simtime::{SimDuration, SimInstant};
 use trace::{EventFlags, Space, TraceLog};
 
@@ -86,7 +85,7 @@ impl TcpConn {
 /// for a 30000-connection webserver run.
 #[derive(Debug, Default)]
 pub struct TcpTable {
-    conns: HashMap<ConnId, TcpConn>,
+    conns: FoldMap<ConnId, TcpConn>,
     pool: Vec<SockTimers>,
     next_id: u32,
 }

@@ -12,8 +12,7 @@
 //! that updated value straight back in, producing the characteristic
 //! sawtooth of repeatedly counting-down timeouts.
 
-use std::collections::HashMap;
-
+use simtime::fasthash::FoldMap;
 use simtime::{SimDuration, SimInstant};
 use trace::{EventFlags, Pid, Space, Tid};
 
@@ -26,12 +25,12 @@ use crate::timers::{Callback, TimerHandle, UserKind};
 /// Linux select timers correlate with stable addresses).
 #[derive(Debug, Default)]
 pub struct SyscallTimers {
-    by_task: HashMap<(Pid, Tid, UserKind), TimerHandle>,
-    hr_by_task: HashMap<(Pid, Tid), HrHandle>,
+    by_task: FoldMap<(Pid, Tid, UserKind), TimerHandle>,
+    hr_by_task: FoldMap<(Pid, Tid), HrHandle>,
     /// POSIX interval timers by (pid, user timer id).
-    posix: HashMap<(Pid, u32), TimerHandle>,
+    posix: FoldMap<(Pid, u32), TimerHandle>,
     /// Auto-repeat intervals of armed POSIX timers (`it_interval`).
-    posix_intervals: HashMap<TimerHandle, SimDuration>,
+    posix_intervals: FoldMap<TimerHandle, SimDuration>,
 }
 
 impl LinuxKernel {

@@ -6,8 +6,6 @@
 //! `del_timer`/`del_timer_sync`), and per-tick processing corresponding to
 //! `__run_timers`.
 
-use std::collections::HashMap;
-
 use simtime::{Jiffies, JiffyClock, SimDuration, SimInstant, LINUX_HZ};
 use trace::{Event, EventFlags, EventKind, Pid, Space, Tid, TimerAddr, TraceLog};
 use wheel::{Backend, TimerQueue};
@@ -125,8 +123,6 @@ pub struct TimerBase {
     clock: JiffyClock,
     wheel: Box<dyn TimerQueue>,
     slots: Vec<TimerSlot>,
-    /// Armed expiry per pending handle (for deferrable-aware idle scans).
-    pending: HashMap<u32, Jiffies>,
     /// Maximum stale-now jitter applied to kernel-space sets (Section 3.1
     /// measures this at up to 2 ms).
     set_jitter_max: SimDuration,
@@ -146,7 +142,6 @@ impl TimerBase {
             clock: JiffyClock::new(LINUX_HZ),
             wheel: backend.build(Backend::Hierarchical, 256),
             slots: Vec::new(),
-            pending: HashMap::new(),
             set_jitter_max: SimDuration::from_millis(2),
         }
     }
@@ -252,7 +247,6 @@ impl TimerBase {
         let observed = self.clock.jiffies_to_duration(observed_jiffies.as_u64());
         self.log_set(log, now, handle, observed, expires, flags);
         self.wheel.schedule(handle.0 as u64, expires.as_u64());
-        self.pending.insert(handle.0, expires);
     }
 
     /// Logs one `Set` record.
@@ -309,7 +303,6 @@ impl TimerBase {
             // (paper 3.1): log the requested relative value exactly.
             self.log_set(log, now, handle, rel, expires, flags);
             self.wheel.schedule(handle.0 as u64, expires.as_u64());
-            self.pending.insert(handle.0, expires);
         } else {
             self.mod_timer(log, now, handle, expires, flags);
         }
@@ -321,7 +314,6 @@ impl TimerBase {
     /// pattern the paper notes is common in the kernel).
     pub fn del_timer(&mut self, log: &mut TraceLog, now: SimInstant, handle: TimerHandle) -> bool {
         let was_pending = self.wheel.cancel(handle.0 as u64);
-        self.pending.remove(&handle.0);
         if was_pending {
             let slot = &self.slots[handle.0 as usize];
             log.log(
@@ -343,9 +335,6 @@ impl TimerBase {
                 expires: Jiffies(expires),
             });
         });
-        for f in &fired {
-            self.pending.remove(&f.handle.0);
-        }
         fired
     }
 
@@ -362,18 +351,27 @@ impl TimerBase {
     /// Earliest pending expiry as an instant, optionally skipping
     /// deferrable timers (the dynticks idle path: `next_timer_interrupt`
     /// ignores deferrable timers so they cannot wake an idle CPU).
+    ///
+    /// The wheel is the one record of what is armed. Without skipping it
+    /// answers from its node slab; skipping walks its pending entries in
+    /// expiry order, which only the dynticks idle path asks for.
     pub fn next_expiry(&self, skip_deferrable: bool) -> Option<SimInstant> {
-        self.pending
-            .iter()
-            .filter(|(idx, _)| !skip_deferrable || !self.slots[**idx as usize].deferrable)
-            .map(|(_, &j)| j)
-            .min()
-            .map(|j| self.clock.instant_of(j))
+        let next = if skip_deferrable {
+            self.wheel
+                .snapshot()
+                .entries
+                .into_iter()
+                .find(|e| !self.slots[e.id as usize].deferrable)
+                .map(|e| e.expires)
+        } else {
+            self.wheel.next_expiry()
+        };
+        next.map(|j| self.clock.instant_of(Jiffies(j)))
     }
 
     /// The armed expiry of a pending timer.
     pub fn expiry_of(&self, handle: TimerHandle) -> Option<Jiffies> {
-        self.pending.get(&handle.0).copied()
+        self.wheel.expiry_of(handle.0 as u64).map(Jiffies)
     }
 
     /// The `/proc/timer_list` section for the standard base: every

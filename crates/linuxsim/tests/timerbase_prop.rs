@@ -9,19 +9,47 @@ use proptest::prelude::*;
 use simtime::{Jiffies, SimDuration, SimInstant};
 use trace::{EventFlags, Space, TraceLog};
 
+/// Slots `DEFERRABLE..SLOTS` carry the deferrable flag.
+const SLOTS: usize = 6;
+const DEFERRABLE: usize = 4;
+
 #[derive(Debug, Clone)]
 enum Op {
-    Mod { slot: usize, delta_ms: u64 },
-    Del { slot: usize },
-    Advance { ms: u64 },
+    Mod {
+        slot: usize,
+        delta_ms: u64,
+    },
+    /// `mod_timer` for an absolute jiffy `back` jiffies at or before the
+    /// current one: past due, it fires on the next processed jiffy.
+    ModPast {
+        slot: usize,
+        back: u64,
+    },
+    Del {
+        slot: usize,
+    },
+    Advance {
+        ms: u64,
+    },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0usize..6, 1u64..20_000).prop_map(|(slot, delta_ms)| Op::Mod { slot, delta_ms }),
-        (0usize..6).prop_map(|slot| Op::Del { slot }),
+        (0..SLOTS, 1u64..20_000).prop_map(|(slot, delta_ms)| Op::Mod { slot, delta_ms }),
+        (0..SLOTS, 0u64..3).prop_map(|(slot, back)| Op::ModPast { slot, back }),
+        (0..SLOTS).prop_map(|slot| Op::Del { slot }),
         (1u64..5_000).prop_map(|ms| Op::Advance { ms }),
     ]
+}
+
+/// A pending timer in the model.
+#[derive(Debug, Clone, Copy)]
+struct Armed {
+    /// The armed expiry jiffy.
+    expires: u64,
+    /// The jiffy it fires in: its expiry, or the next one the base
+    /// processes when armed at or before the last one processed.
+    fires: u64,
 }
 
 proptest! {
@@ -33,7 +61,7 @@ proptest! {
         let mut base = TimerBase::new();
         base.set_set_jitter_max(SimDuration::ZERO);
         let clock = base.clock();
-        let handles: Vec<TimerHandle> = (0..6)
+        let handles: Vec<TimerHandle> = (0..SLOTS)
             .map(|i| {
                 base.init_timer(
                     &mut log,
@@ -46,9 +74,14 @@ proptest! {
                 )
             })
             .collect();
-        // Reference: handle index → expiry jiffy.
-        let mut model: BTreeMap<usize, u64> = BTreeMap::new();
+        for &handle in &handles[DEFERRABLE..] {
+            base.set_deferrable(handle);
+        }
+        // Reference: handle index → armed timer.
+        let mut model: BTreeMap<usize, Armed> = BTreeMap::new();
         let mut now = SimInstant::BOOT;
+        // The last jiffy `run_timers` processed.
+        let mut processed = 0u64;
         for op in &ops {
             match *op {
                 Op::Mod { slot, delta_ms } => {
@@ -60,7 +93,13 @@ proptest! {
                         SimDuration::ZERO,
                         EventFlags::default(),
                     );
-                    model.insert(slot, expires.as_u64());
+                    let expires = expires.as_u64();
+                    model.insert(slot, Armed { expires, fires: expires.max(processed + 1) });
+                }
+                Op::ModPast { slot, back } => {
+                    let expires = clock.jiffies_at(now).as_u64().saturating_sub(back);
+                    base.mod_timer(&mut log, now, handles[slot], Jiffies(expires), EventFlags::default());
+                    model.insert(slot, Armed { expires, fires: expires.max(processed + 1) });
                 }
                 Op::Del { slot } => {
                     let was = base.del_timer(&mut log, now, handles[slot]);
@@ -69,33 +108,42 @@ proptest! {
                 Op::Advance { ms } => {
                     now += SimDuration::from_millis(ms);
                     let target = clock.jiffies_at(now).as_u64();
-                    let mut fired: Vec<usize> = base
+                    let mut fired: Vec<(usize, u64)> = base
                         .run_timers(now)
                         .iter()
-                        .map(|f| f.handle.0 as usize)
+                        .map(|f| (f.handle.0 as usize, f.expires.as_u64()))
                         .collect();
                     fired.sort_unstable();
-                    let mut expected: Vec<usize> = model
+                    let expected: Vec<(usize, u64)> = model
                         .iter()
-                        .filter(|&(_, &j)| j <= target)
-                        .map(|(&s, _)| s)
+                        .filter(|(_, a)| a.fires <= target)
+                        .map(|(&s, a)| (s, a.expires))
                         .collect();
-                    model.retain(|_, &mut j| j > target);
-                    expected.sort_unstable();
+                    model.retain(|_, a| a.fires > target);
                     prop_assert_eq!(fired, expected);
+                    processed = processed.max(target);
                 }
             }
-            // Pending bookkeeping agrees at every step.
+            // Pending bookkeeping agrees at every step, fired and
+            // cancelled timers included.
             prop_assert_eq!(base.pending_count(), model.len());
             for (slot, handle) in handles.iter().enumerate() {
                 prop_assert_eq!(base.is_pending(*handle), model.contains_key(&slot));
                 prop_assert_eq!(
                     base.expiry_of(*handle).map(|j| j.as_u64()),
-                    model.get(&slot).copied()
+                    model.get(&slot).map(|a| a.expires)
                 );
             }
-            let expected_next = model.values().min().map(|&j| clock.instant_of(Jiffies(j)));
-            prop_assert_eq!(base.next_expiry(false), expected_next);
+            let next = |skip_deferrable: bool| {
+                model
+                    .iter()
+                    .filter(|&(&slot, _)| !skip_deferrable || slot < DEFERRABLE)
+                    .map(|(_, a)| a.expires)
+                    .min()
+                    .map(|j| clock.instant_of(Jiffies(j)))
+            };
+            prop_assert_eq!(base.next_expiry(false), next(false));
+            prop_assert_eq!(base.next_expiry(true), next(true));
         }
     }
 }

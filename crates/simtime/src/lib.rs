@@ -16,9 +16,12 @@
 //! * [`dist`] — the latency/interarrival distributions used by the workload
 //!   and network models,
 //! * [`faults`] — deterministic clock perturbation (tick jitter, coarse
-//!   quantisation) for fault-injection experiments.
+//!   quantisation) for fault-injection experiments,
+//! * [`fasthash`] — the one hasher every map keyed by a simulated value
+//!   uses.
 
 pub mod dist;
+pub mod fasthash;
 pub mod faults;
 pub mod instant;
 pub mod jiffies;

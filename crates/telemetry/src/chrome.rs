@@ -299,6 +299,9 @@ mod tests {
     }
 
     #[test]
+    // This crate sits below simtime, so the workspace hasher is out of
+    // reach here.
+    #[allow(clippy::disallowed_types)]
     fn capture_and_export_balance() {
         let _capture = capture_lock();
         reset();

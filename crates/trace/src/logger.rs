@@ -7,10 +7,9 @@
 //! through the [`TraceSink`] trait, so memory stays bounded without losing
 //! any event.
 
-use std::collections::HashMap;
-
 use bytes::BytesMut;
 use serde::{Deserialize, Serialize};
+use simtime::fasthash::FoldMap;
 use simtime::SimDuration;
 
 use crate::codec;
@@ -157,7 +156,7 @@ pub const MODELED_RECORD_COST: SimDuration = SimDuration::from_nanos(89);
 /// The instrumentation facade: interning, process table, counters, sink.
 pub struct TraceLog {
     strings: StringTable,
-    processes: HashMap<Pid, OriginId>,
+    processes: FoldMap<Pid, OriginId>,
     counts: EventCounts,
     sink: Box<dyn TraceSink>,
     records_logged: u64,
@@ -179,7 +178,7 @@ impl TraceLog {
     pub fn new(sink: Box<dyn TraceSink>) -> Self {
         TraceLog {
             strings: StringTable::new(),
-            processes: HashMap::new(),
+            processes: FoldMap::default(),
             counts: EventCounts::default(),
             sink,
             records_logged: 0,
@@ -215,13 +214,6 @@ impl TraceLog {
         }
     }
 
-    /// The process table as `(pid, name)` pairs.
-    pub fn processes(&self) -> impl Iterator<Item = (Pid, &str)> {
-        self.processes
-            .iter()
-            .map(|(&pid, &id)| (pid, self.strings.resolve(id)))
-    }
-
     /// Logs one event.
     pub fn log(&mut self, event: Event) {
         self.counts.absorb(&event);
@@ -243,11 +235,6 @@ impl TraceLog {
     /// Total modeled CPU time spent logging (records × 89 ns).
     pub fn modeled_overhead(&self) -> SimDuration {
         MODELED_RECORD_COST * self.records_logged
-    }
-
-    /// Consumes the log, returning its parts (strings, sink).
-    pub fn into_parts(self) -> (StringTable, Box<dyn TraceSink>) {
-        (self.strings, self.sink)
     }
 
     /// Mutable access to the sink (e.g. to inspect a `CollectSink`).

@@ -6,16 +6,15 @@
 //! `"Xorg:select"`). Labels are interned so each binary record carries a
 //! 4-byte id instead of a string.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
+use simtime::fasthash::FoldMap;
 
 use crate::event::OriginId;
 
 /// A bidirectional string/id table.
 #[derive(Debug, Default, Clone, Serialize, Deserialize)]
 pub struct StringTable {
-    by_name: HashMap<String, OriginId>,
+    by_name: FoldMap<String, OriginId>,
     by_id: Vec<String>,
 }
 

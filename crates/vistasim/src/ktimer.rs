@@ -13,8 +13,7 @@
 //! allocator recycling) — this is the property that forces the Vista
 //! analysis to cluster by call-site instead of address (§3.3).
 
-use std::collections::HashMap;
-
+use simtime::fasthash::FoldMap;
 use simtime::{SimDuration, SimInstant};
 use trace::{Event, EventKind, OriginId, Pid, Space, Tid, TimerAddr, TraceLog};
 use wheel::{Backend, TimerQueue};
@@ -107,7 +106,7 @@ pub struct KtFired {
 /// The KTIMER table plus the hashed timer ring.
 #[derive(Debug)]
 pub struct KTimerTable {
-    timers: HashMap<u64, KTimer>,
+    timers: FoldMap<u64, KTimer>,
     ring: Box<dyn TimerQueue>,
     next_handle: u64,
     /// Pool-allocator address recycling: freed addresses are reused LIFO,
@@ -133,7 +132,7 @@ impl KTimerTable {
     /// the NT kernel's 256-slot hashed ring.
     pub fn with_backend(backend: Backend) -> Self {
         KTimerTable {
-            timers: HashMap::new(),
+            timers: FoldMap::default(),
             ring: backend.build(Backend::Hashed, 256),
             next_handle: 1,
             free_addrs: Vec::new(),

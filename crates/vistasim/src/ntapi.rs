@@ -5,8 +5,7 @@
 //! handle table and delivering expiry through asynchronous procedure calls
 //! (§2.2). The Win32 waitable-timer API is a thin wrapper over this.
 
-use std::collections::HashMap;
-
+use simtime::fasthash::FoldMap;
 use simtime::SimDuration;
 use trace::{EventKind, Pid, Space};
 
@@ -16,9 +15,9 @@ use crate::ktimer::{KtAction, KtHandle};
 /// NT timer objects by (process, handle slot).
 #[derive(Debug, Default)]
 pub struct NtTimers {
-    handles: HashMap<(Pid, u32), KtHandle>,
+    handles: FoldMap<(Pid, u32), KtHandle>,
     /// Auto-repeat periods (`NtSetTimer`'s `Period` argument).
-    periods: HashMap<(Pid, u32), SimDuration>,
+    periods: FoldMap<(Pid, u32), SimDuration>,
     next_slot: u32,
 }
 

@@ -11,8 +11,7 @@
 //! pushes out by the constant idle window; when accesses pause long
 //! enough, it fires and the cached handles are closed.
 
-use std::collections::HashMap;
-
+use simtime::fasthash::FoldMap;
 use simtime::{SimDuration, SimInstant};
 use trace::{Pid, Space};
 
@@ -25,7 +24,7 @@ pub const LAZY_CLOSE_IDLE: SimDuration = SimDuration::from_secs(5);
 /// Per-process lazy-close state.
 #[derive(Debug, Default)]
 pub struct RegistryLazyClose {
-    timers: HashMap<Pid, KtHandle>,
+    timers: FoldMap<Pid, KtHandle>,
     /// Completed lazy closes (handle flushes).
     pub closes: u64,
 }

@@ -7,8 +7,7 @@
 //! that as a configurable population of self-re-arming `KernelDpc` timers
 //! with realistic period mixes.
 
-use std::collections::HashMap;
-
+use simtime::fasthash::FoldMap;
 use simtime::{SimDuration, SimInstant};
 use trace::Space;
 
@@ -18,7 +17,7 @@ use crate::ktimer::{KtAction, KtHandle};
 /// State of the kernel-internal periodic population.
 #[derive(Debug, Default)]
 pub struct KernelLoad {
-    periods: HashMap<u64, SimDuration>,
+    periods: FoldMap<u64, SimDuration>,
 }
 
 /// The period mix for a load level: `(period, how many, origin)`.

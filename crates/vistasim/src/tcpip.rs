@@ -12,8 +12,7 @@
 //! per-connection entries (retransmit, delayed ACK, keepalive…) advanced
 //! by a single 100 ms KTIMER tick per CPU.
 
-use std::collections::HashMap;
-
+use simtime::fasthash::FoldMap;
 use simtime::{SimDuration, SimInstant};
 use trace::{Pid, Space};
 use wheel::{Backend, TimerQueue};
@@ -54,8 +53,8 @@ struct VConn {
 #[derive(Debug)]
 pub struct VistaTcp {
     wheel: Box<dyn TimerQueue>,
-    entries: HashMap<u64, (u32, EntryKind)>,
-    conns: HashMap<u32, VConn>,
+    entries: FoldMap<u64, (u32, EntryKind)>,
+    conns: FoldMap<u32, VConn>,
     next_conn: u32,
     next_entry: u64,
     /// Timer operations absorbed by the wheel (never reaching KTIMER).
@@ -75,8 +74,8 @@ impl VistaTcp {
     pub fn with_backend(backend: Backend) -> Self {
         VistaTcp {
             wheel: backend.build(Backend::Hashed, 512),
-            entries: HashMap::new(),
-            conns: HashMap::new(),
+            entries: FoldMap::default(),
+            conns: FoldMap::default(),
             next_conn: 1,
             next_entry: 1,
             masked_ops: 0,

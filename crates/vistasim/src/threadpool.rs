@@ -8,8 +8,9 @@
 //! sees one "ntdll:threadpool" timer, whatever the application does above
 //! it.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
+use simtime::fasthash::FoldMap;
 use simtime::{SimDuration, SimInstant};
 use trace::{EventKind, Pid, Space};
 
@@ -28,7 +29,7 @@ struct TpTimer {
 #[derive(Debug)]
 struct Pool {
     kernel_timer: KtHandle,
-    timers: HashMap<u32, TpTimer>,
+    timers: FoldMap<u32, TpTimer>,
     /// The ring index: due time → timer ids (insertion-ordered within).
     ring: BTreeMap<(SimInstant, u32), ()>,
     next_id: u32,
@@ -39,7 +40,7 @@ struct Pool {
 /// All threadpools, by process.
 #[derive(Debug, Default)]
 pub struct Threadpools {
-    pools: HashMap<Pid, Pool>,
+    pools: FoldMap<Pid, Pool>,
 }
 
 impl Threadpools {
@@ -65,7 +66,7 @@ impl VistaKernel {
                 pid,
                 Pool {
                     kernel_timer,
-                    timers: HashMap::new(),
+                    timers: FoldMap::default(),
                     ring: BTreeMap::new(),
                     next_id: 1,
                     masked_ops: 0,

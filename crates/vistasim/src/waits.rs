@@ -7,8 +7,7 @@
 //! addresses — one of the few stable identities in Vista traces. `Sleep`
 //! is the same mechanism with an unsignallable object.
 
-use std::collections::HashMap;
-
+use simtime::fasthash::FoldMap;
 use simtime::{SimDuration, SimInstant};
 use trace::{EventKind, Pid, Space, Tid};
 
@@ -27,7 +26,7 @@ struct ThreadWait {
 /// The per-thread wait timer table.
 #[derive(Debug, Default)]
 pub struct WaitTable {
-    threads: HashMap<(Pid, Tid), ThreadWait>,
+    threads: FoldMap<(Pid, Tid), ThreadWait>,
 }
 
 impl VistaKernel {

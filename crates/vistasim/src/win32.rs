@@ -7,8 +7,7 @@
 //! Outlook — lean on these heavily, which is why Vista traces are
 //! expiry-dominated: a GUI timer *always* expires and re-arms.
 
-use std::collections::HashMap;
-
+use simtime::fasthash::FoldMap;
 use simtime::{SimDuration, SimInstant};
 use trace::{EventKind, Pid, Space};
 
@@ -25,7 +24,7 @@ struct W32Timer {
 /// All Win32 timers, keyed by (process, timer id).
 #[derive(Debug, Default)]
 pub struct Win32Timers {
-    timers: HashMap<(Pid, u32), W32Timer>,
+    timers: FoldMap<(Pid, u32), W32Timer>,
 }
 
 impl VistaKernel {

@@ -7,8 +7,7 @@
 //! defeats address-based timer identity on Vista: repeatedly calling
 //! `select` on the same socket does not operate on the same kernel timer.
 
-use std::collections::HashMap;
-
+use simtime::fasthash::FoldMap;
 use simtime::{SimDuration, SimInstant};
 use trace::{EventKind, Pid, Space, Tid};
 
@@ -18,7 +17,7 @@ use crate::ktimer::{KtAction, KtHandle};
 /// In-flight select ioctls by (pid, tid).
 #[derive(Debug, Default)]
 pub struct AfdSelects {
-    inflight: HashMap<(Pid, Tid), KtHandle>,
+    inflight: FoldMap<(Pid, Tid), KtHandle>,
 }
 
 impl AfdSelects {

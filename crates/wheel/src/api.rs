@@ -1,7 +1,6 @@
 //! The common timer-queue interface and shared bookkeeping.
 
-use std::collections::HashMap;
-
+use simtime::fasthash::FoldMap;
 use telemetry::{sim, SimCounter, SimGauge};
 
 /// A discrete tick count.
@@ -62,6 +61,9 @@ pub trait TimerQueue: std::fmt::Debug {
     /// `next_timer_interrupt`, used by dynticks to sleep past idle ticks).
     fn next_expiry(&self) -> Option<Tick>;
 
+    /// The armed expiry tick of timer `id`, if it is pending.
+    fn expiry_of(&self, id: TimerId) -> Option<Tick>;
+
     /// The number of pending timers.
     fn len(&self) -> usize;
 
@@ -117,7 +119,7 @@ impl QueueSnapshot {
 /// [`SortedList`]: crate::sortedlist::SortedList
 #[derive(Debug, Clone, Default)]
 pub struct ActiveSet {
-    entries: HashMap<TimerId, ActiveEntry>,
+    entries: FoldMap<TimerId, ActiveEntry>,
 }
 
 /// State of one pending timer.

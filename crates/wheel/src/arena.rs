@@ -1,7 +1,7 @@
 //! Slab-allocated timer nodes with generation-checked handles.
 //!
 //! The hierarchical and hashed wheels used to route every liveness check
-//! through the [`ActiveSet`](crate::api::ActiveSet) `HashMap` — one probe
+//! through the [`ActiveSet`](crate::api::ActiveSet) map — one probe
 //! per cascade move, per not-yet-due revisit, per fired entry. CHRONOS
 //! motivates keeping per-timer bookkeeping cache-resident; [`NodeArena`]
 //! does that with a slab `Vec` of nodes plus a free list, so the hot
@@ -27,8 +27,7 @@
 //!   timer counts a cancel and a schedule), keeping the conservation
 //!   identity and the counters shared by every structure unchanged.
 
-use std::collections::HashMap;
-
+use simtime::fasthash::FoldMap;
 use telemetry::{sim, SimCounter, SimGauge};
 
 use crate::api::{QueueSnapshot, SnapshotEntry, Tick, TimerId};
@@ -63,7 +62,7 @@ pub struct NodeHandle {
 pub struct NodeArena {
     nodes: Vec<Node>,
     free: Vec<NodeIndex>,
-    index: HashMap<TimerId, NodeIndex>,
+    index: FoldMap<TimerId, NodeIndex>,
 }
 
 impl NodeArena {
@@ -131,6 +130,13 @@ impl NodeArena {
     /// Returns `true` if `id` is pending.
     pub fn is_pending(&self, id: TimerId) -> bool {
         self.index.contains_key(&id)
+    }
+
+    /// The armed expiry of `id`, if it is pending.
+    pub fn expiry_of(&self, id: TimerId) -> Option<Tick> {
+        self.index
+            .get(&id)
+            .map(|&idx| self.nodes[idx as usize].expires)
     }
 
     /// The armed expiry behind a handle, if it is still live — an indexed
@@ -205,6 +211,7 @@ mod tests {
         let mut gen_counter = 0;
         let h1 = arena.arm(1, 100, &mut gen_counter);
         assert!(arena.is_pending(1));
+        assert_eq!(arena.expiry_of(1), Some(100));
         assert_eq!(arena.expires_if_live(h1), Some(100));
         // Re-arm invalidates the old handle.
         let h2 = arena.arm(1, 200, &mut gen_counter);
@@ -212,8 +219,10 @@ mod tests {
         assert_eq!(arena.expires_if_live(h1), None);
         assert_eq!(arena.take_if_live(h1), None);
         assert!(arena.is_pending(1));
+        assert_eq!(arena.expiry_of(1), Some(200));
         assert_eq!(arena.take_if_live(h2), Some((1, 200)));
         assert!(!arena.is_pending(1));
+        assert_eq!(arena.expiry_of(1), None);
         assert!(!arena.disarm(1));
     }
 

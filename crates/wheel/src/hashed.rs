@@ -143,6 +143,10 @@ impl TimerQueue for HashedWheel {
         self.arena.min_expiry()
     }
 
+    fn expiry_of(&self, id: TimerId) -> Option<Tick> {
+        self.arena.expiry_of(id)
+    }
+
     fn len(&self) -> usize {
         self.arena.len()
     }

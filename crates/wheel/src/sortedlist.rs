@@ -15,7 +15,7 @@
 //! the quadratic firing behaviour the `queue_mix/sortedlist` benchmark
 //! exposed.
 
-use std::collections::HashMap;
+use simtime::fasthash::FoldMap;
 
 use crate::api::{ActiveSet, Tick, TimerId, TimerQueue};
 
@@ -33,7 +33,7 @@ pub struct SortedList {
     /// The effective fire tick each pending timer was inserted under, so
     /// re-arm and cancel can reconstruct the exact key for binary search
     /// (the armed expiry and generation live in `active`).
-    effective: HashMap<TimerId, Tick>,
+    effective: FoldMap<TimerId, Tick>,
     active: ActiveSet,
     gen_counter: u64,
     current: Tick,
@@ -122,6 +122,10 @@ impl TimerQueue for SortedList {
 
     fn next_expiry(&self) -> Option<Tick> {
         self.active.min_expiry()
+    }
+
+    fn expiry_of(&self, id: TimerId) -> Option<Tick> {
+        self.active.get(id).map(|e| e.expires)
     }
 
     fn len(&self) -> usize {

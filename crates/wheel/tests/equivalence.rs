@@ -146,6 +146,10 @@ proptest! {
             prop_assert_eq!(hier.len(), list.len());
             prop_assert_eq!(hier.next_expiry(), hashed.next_expiry());
             prop_assert_eq!(hier.next_expiry(), list.next_expiry());
+            for id in 0..8 {
+                prop_assert_eq!(hier.expiry_of(id), hashed.expiry_of(id));
+                prop_assert_eq!(hier.expiry_of(id), list.expiry_of(id));
+            }
         }
     }
 }
