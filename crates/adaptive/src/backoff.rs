@@ -87,31 +87,6 @@ impl ExponentialBackoff {
         self.current = base.min(self.cap);
         self.steps = 0;
     }
-
-    /// Total time consumed by `n` attempts that each wait out the current
-    /// value before advancing (the §2.2.2 recovery-latency calculation).
-    ///
-    /// Saturating: once the sequence stops growing (the cap is reached,
-    /// or `factor` rounds to a no-op) the remaining attempts are summed
-    /// in closed form, so large `n` neither overflows nor loops `n`
-    /// times.
-    pub fn total_after(initial: SimDuration, factor: f64, cap: SimDuration, n: u32) -> SimDuration {
-        let mut b = ExponentialBackoff::new(initial, factor, cap);
-        let mut total = SimDuration::ZERO;
-        let mut left = n as u64;
-        while left > 0 {
-            let cur = b.current();
-            if b.advance() == cur {
-                // Saturated: every remaining wait is `cur`.
-                let rest = (cur.as_nanos() as u128).saturating_mul(left as u128);
-                let rest = SimDuration::from_nanos(u64::try_from(rest).unwrap_or(u64::MAX));
-                return total.saturating_add(rest);
-            }
-            total = total.saturating_add(cur);
-            left -= 1;
-        }
-        total
-    }
 }
 
 #[cfg(test)]
@@ -131,20 +106,6 @@ mod tests {
         assert_eq!(b.advance(), SimDuration::from_millis(500));
         assert_eq!(b.advance(), SimDuration::from_millis(500));
         assert_eq!(b.steps(), 4);
-    }
-
-    #[test]
-    fn sunrpc_seven_retries_take_over_a_minute() {
-        // 0.5 + 1 + 2 + 4 + 8 + 16 + 32 = 63.5 s — the paper's "over a
-        // minute" number.
-        let total = ExponentialBackoff::total_after(
-            SimDuration::from_millis(500),
-            2.0,
-            SimDuration::from_secs(64),
-            7,
-        );
-        assert_eq!(total, SimDuration::from_millis(63_500));
-        assert!(total > SimDuration::from_secs(60));
     }
 
     #[test]
@@ -180,33 +141,6 @@ mod tests {
         assert_eq!(b.current(), SimDuration::from_secs(64));
     }
 
-    #[test]
-    fn total_after_does_not_overflow_for_large_n() {
-        // Regression: the per-attempt loop summed u64 nanoseconds without
-        // saturation — u32::MAX attempts at a 64 s cap overflowed (and
-        // walked the loop four billion times).
-        let total = ExponentialBackoff::total_after(
-            SimDuration::from_millis(500),
-            2.0,
-            SimDuration::from_secs(64),
-            u32::MAX,
-        );
-        assert_eq!(total, SimDuration::MAX);
-    }
-
-    #[test]
-    fn total_after_handles_factor_one() {
-        // factor == 1 never reaches the cap; the closed form must still
-        // terminate and sum n identical waits.
-        let total = ExponentialBackoff::total_after(
-            SimDuration::from_millis(250),
-            1.0,
-            SimDuration::from_secs(64),
-            8,
-        );
-        assert_eq!(total, SimDuration::from_secs(2));
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
@@ -227,41 +161,6 @@ mod tests {
                 proptest::prop_assert!(next <= cap);
                 prev = next;
             }
-        }
-
-        #[test]
-        fn total_after_matches_reference_loop(
-            initial_ms in 1u64..5_000,
-            factor in 1.0f64..3.0,
-            cap_ms in 1u64..60_000,
-            n in 0u32..40,
-        ) {
-            let initial = SimDuration::from_millis(initial_ms);
-            let cap = SimDuration::from_millis(cap_ms);
-            let mut b = ExponentialBackoff::new(initial, factor, cap);
-            let mut reference = SimDuration::ZERO;
-            for _ in 0..n {
-                reference = reference.saturating_add(b.current());
-                b.advance();
-            }
-            proptest::prop_assert_eq!(
-                ExponentialBackoff::total_after(initial, factor, cap, n),
-                reference
-            );
-        }
-
-        #[test]
-        fn total_after_is_monotone_in_n(
-            initial_ms in 1u64..5_000,
-            factor in 1.0f64..3.0,
-            cap_ms in 1u64..60_000,
-            n in 0u32..100,
-        ) {
-            let initial = SimDuration::from_millis(initial_ms);
-            let cap = SimDuration::from_millis(cap_ms);
-            let a = ExponentialBackoff::total_after(initial, factor, cap, n);
-            let b = ExponentialBackoff::total_after(initial, factor, cap, n + 1);
-            proptest::prop_assert!(b >= a);
         }
     }
 }

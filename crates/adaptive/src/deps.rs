@@ -12,10 +12,8 @@
 //!   other (TCP keepalive vs. retransmission);
 //!
 //! plus a *dependency* relation: `t2` is only set once `t1` ends.
-//! Overlaps can be rewritten as dependencies ("set t2 only, and upon its
-//! expiry set t1 for the remaining time") — one technique to reduce the
-//! number of concurrent timers. This module implements the bookkeeping,
-//! the elision rules, the rewrite, and provenance chains for debugging.
+//! This module implements the bookkeeping, the elision rules, and
+//! provenance chains for debugging.
 
 use simtime::fasthash::{FoldMap, FoldSet};
 use simtime::SimInstant;
@@ -30,7 +28,7 @@ pub enum OverlapKind {
     MaxMatters,
     /// Rule (b): the *earlier* expiry is the real deadline.
     MinMatters,
-    /// Rule (c): neither expiry is wanted; cancellation propagates.
+    /// Rule (c): neither expiry is wanted; neither timer is elided.
     Neither,
 }
 
@@ -56,15 +54,6 @@ struct DepTimer {
 pub struct DepGraph {
     timers: FoldMap<DepId, DepTimer>,
     relations: Vec<(DepId, DepId, Relation)>,
-}
-
-/// One step of a sequentialised (dependency-rewritten) schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlanStep {
-    /// The timer armed in this phase.
-    pub id: DepId,
-    /// Its expiry instant.
-    pub until: SimInstant,
 }
 
 impl DepGraph {
@@ -133,63 +122,6 @@ impl DepGraph {
         required
     }
 
-    /// Number of concurrent timer slots saved by the elision rules.
-    pub fn concurrent_reduction(&self) -> usize {
-        self.timers.len() - self.required_armed().len()
-    }
-
-    /// Cancellation propagation (rule (c)): cancelling `id` returns every
-    /// other timer that should be cancelled with it (transitively).
-    pub fn propagate_cancel(&self, id: DepId) -> Vec<DepId> {
-        let mut out = Vec::new();
-        let mut stack = vec![id];
-        let mut seen = FoldSet::from_iter([id]);
-        while let Some(cur) = stack.pop() {
-            for &(a, b, rel) in &self.relations {
-                if rel == Relation::Overlaps(OverlapKind::Neither) {
-                    let other = if a == cur {
-                        Some(b)
-                    } else if b == cur {
-                        Some(a)
-                    } else {
-                        None
-                    };
-                    if let Some(o) = other {
-                        if seen.insert(o) {
-                            out.push(o);
-                            stack.push(o);
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Rewrites an overlap into a sequential dependency plan: arm the
-    /// inner timer `b` only, and on its expiry arm `a` for the remaining
-    /// time (the paper's overlap→dependency transformation). Only one
-    /// timer is ever concurrent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the timers are undeclared.
-    pub fn sequential_plan(&self, a: DepId, b: DepId) -> Vec<PlanStep> {
-        let ta = &self.timers[&a];
-        let tb = &self.timers[&b];
-        let mut plan = vec![PlanStep {
-            id: b,
-            until: tb.expires,
-        }];
-        if ta.expires > tb.expires {
-            plan.push(PlanStep {
-                id: a,
-                until: ta.expires,
-            });
-        }
-        plan
-    }
-
     /// The provenance chain of `id`: its label, then the labels of the
     /// timers it (transitively) depends on — the traceability §5.2 wants
     /// for debugging nested timeouts.
@@ -232,7 +164,6 @@ mod tests {
         let req = g.required_armed();
         assert!(req.contains(&1));
         assert!(!req.contains(&2));
-        assert_eq!(g.concurrent_reduction(), 1);
     }
 
     #[test]
@@ -247,37 +178,12 @@ mod tests {
     }
 
     #[test]
-    fn rule_c_propagates_cancel() {
+    fn rule_c_elides_neither() {
         let mut g = DepGraph::new();
         g.declare(1, "tcp:keepalive", at(0), at(7200));
         g.declare(2, "tcp:retransmit", at(0), at(3));
         g.relate(1, 2, Relation::Overlaps(OverlapKind::Neither));
-        // Neither is elided...
         assert_eq!(g.required_armed().len(), 2);
-        // ...but cancelling one cancels the other.
-        assert_eq!(g.propagate_cancel(1), vec![2]);
-        assert_eq!(g.propagate_cancel(2), vec![1]);
-    }
-
-    #[test]
-    fn sequential_plan_halves_concurrency() {
-        let mut g = DepGraph::new();
-        g.declare(1, "outer", at(0), at(60));
-        g.declare(2, "inner", at(0), at(10));
-        let plan = g.sequential_plan(1, 2);
-        assert_eq!(
-            plan,
-            vec![
-                PlanStep {
-                    id: 2,
-                    until: at(10)
-                },
-                PlanStep {
-                    id: 1,
-                    until: at(60)
-                },
-            ]
-        );
     }
 
     #[test]

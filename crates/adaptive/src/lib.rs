@@ -11,20 +11,19 @@
 //! * [`estimator`] — §5.1's *adaptive timeout*: "time out once the system
 //!   is 99 % confident that a message will never be arriving", with
 //!   level-shift detection for environment changes (LAN → WAN);
-//! * [`rtt`] — the Jacobson/Karels estimator with Karn's rule, the
+//! * [`rtt`] — the Jacobson/Karels smoother, which both kernel models'
+//!   TCP stacks hold, and an estimator around it with Karn's rule: the
 //!   existing adaptive timer the paper holds up as the model;
-//! * [`backoff`] — exponential backoff (the paper's SunRPC 7 × 500 ms
-//!   example runs on this);
+//! * [`backoff`] — capped exponential backoff, the RTT estimator's
+//!   retransmit schedule;
 //! * [`deps`] — §5.2's timeout provenance and dependency relations:
-//!   overlap rules (a)/(b)/(c), dependency edges, the
-//!   overlap↔dependency transformation and concurrent-timer reduction;
-//! * [`timespec`] — §5.3's "better notion of time": *any time after*,
-//!   *every t on average*, *n deviations above the mean*, and a wakeup
-//!   coalescer that exploits that looseness to batch expiries (the
-//!   `round_jiffies`/deferrable generalisation);
-//! * [`usecase`] — §5.4's use-case-specific interfaces: drift-free
-//!   periodic tickers, RAII timeout guards (the Win32 auto-object idiom),
-//!   watchdogs and delays.
+//!   overlap rules (a)/(b)/(c), dependency edges and provenance chains;
+//! * [`timespec`] — §5.3's "better notion of time": exact instants,
+//!   windows and *any time after*, and a wakeup coalescer that exploits
+//!   that looseness to batch expiries (the `round_jiffies`/deferrable
+//!   generalisation);
+//! * [`usecase`] — §5.4's use-case-specific interfaces: RAII timeout
+//!   guards (the Win32 auto-object idiom) with nested-timeout elision.
 //!
 //! §5.5's end-game, one dispatcher that subsumes every timer use case, is
 //! not built: no run of the reproduction would call it.
@@ -42,6 +41,6 @@ pub use backoff::ExponentialBackoff;
 pub use estimator::AdaptiveTimeout;
 pub use policy::AdaptivePolicy;
 pub use quantile::P2Quantile;
-pub use rtt::RttEstimator;
+pub use rtt::{RttEstimator, RttSmoother};
 pub use timespec::{Coalescer, TimeSpec};
-pub use usecase::{DelayTimer, PeriodicTicker, TimeoutGuard, Watchdog};
+pub use usecase::TimeoutGuard;

@@ -11,13 +11,55 @@ use simtime::SimDuration;
 
 use crate::backoff::ExponentialBackoff;
 
-/// A smoothed RTT / RTO estimator with Karn's rule and backoff.
-#[derive(Debug, Clone)]
-pub struct RttEstimator {
-    /// Smoothed RTT, seconds.
+/// The Jacobson/Karels smoothed round-trip state: the smoothed RTT and
+/// its mean deviation, updated with gains 1/8 and 1/4, giving
+/// `rto = srtt + 4·rttvar`. Each holder clamps the RTO to its own bounds
+/// and keeps its own backoff and initial timeout.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RttSmoother {
+    /// Smoothed RTT, seconds; `None` before the first sample.
     srtt: Option<f64>,
     /// Mean deviation, seconds.
     rttvar: f64,
+}
+
+impl RttSmoother {
+    /// Folds one RTT sample in and returns the new RTO, clamped to
+    /// `[floor, ceiling]`.
+    pub fn update(
+        &mut self,
+        rtt: SimDuration,
+        floor: SimDuration,
+        ceiling: SimDuration,
+    ) -> SimDuration {
+        let r = rtt.as_secs_f64();
+        let srtt = match self.srtt {
+            None => {
+                self.rttvar = r / 2.0;
+                r
+            }
+            Some(srtt) => {
+                let err = r - srtt;
+                self.rttvar += (err.abs() - self.rttvar) / 4.0;
+                srtt + err / 8.0
+            }
+        };
+        self.srtt = Some(srtt);
+        SimDuration::from_secs_f64(srtt + 4.0 * self.rttvar)
+            .max(floor)
+            .min(ceiling)
+    }
+
+    /// The smoothed RTT, if any sample has arrived.
+    pub fn srtt(&self) -> Option<SimDuration> {
+        self.srtt.map(SimDuration::from_secs_f64)
+    }
+}
+
+/// A smoothed RTT / RTO estimator with Karn's rule and backoff.
+#[derive(Debug, Clone)]
+pub struct RttEstimator {
+    smoother: RttSmoother,
     /// Bounds on the computed RTO.
     min_rto: SimDuration,
     max_rto: SimDuration,
@@ -41,8 +83,7 @@ impl RttEstimator {
     /// Creates an estimator with explicit bounds and initial RTO.
     pub fn with_bounds(min_rto: SimDuration, max_rto: SimDuration, initial: SimDuration) -> Self {
         RttEstimator {
-            srtt: None,
-            rttvar: 0.0,
+            smoother: RttSmoother::default(),
             min_rto,
             max_rto,
             backoff: ExponentialBackoff::new(initial, 2.0, max_rto),
@@ -52,7 +93,7 @@ impl RttEstimator {
 
     /// The smoothed RTT, if any sample has arrived.
     pub fn srtt(&self) -> Option<SimDuration> {
-        self.srtt.map(SimDuration::from_secs_f64)
+        self.smoother.srtt()
     }
 
     /// Records an ACK. `rtt` is the measured sample; it is ignored if the
@@ -62,19 +103,8 @@ impl RttEstimator {
     /// retransmit/discard cycle in which it never learns the new regime.
     pub fn on_ack(&mut self, rtt: SimDuration) {
         if !self.retransmitted {
-            let r = rtt.as_secs_f64();
-            match self.srtt {
-                None => {
-                    self.srtt = Some(r);
-                    self.rttvar = r / 2.0;
-                }
-                Some(srtt) => {
-                    let err = r - srtt;
-                    self.srtt = Some(srtt + err / 8.0);
-                    self.rttvar += (err.abs() - self.rttvar) / 4.0;
-                }
-            }
-            self.backoff.reset_to(self.base_rto());
+            let rto = self.smoother.update(rtt, self.min_rto, self.max_rto);
+            self.backoff.reset_to(rto);
         }
         self.retransmitted = false;
     }
@@ -83,17 +113,6 @@ impl RttEstimator {
     pub fn on_timeout(&mut self) -> SimDuration {
         self.retransmitted = true;
         self.backoff.advance()
-    }
-
-    /// The RTO from the current estimates, before backoff.
-    fn base_rto(&self) -> SimDuration {
-        match self.srtt {
-            None => SimDuration::from_secs(3),
-            Some(srtt) => {
-                let rto = SimDuration::from_secs_f64(srtt + 4.0 * self.rttvar);
-                rto.max(self.min_rto).min(self.max_rto)
-            }
-        }
     }
 
     /// The current retransmission timeout (with any active backoff).

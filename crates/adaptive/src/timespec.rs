@@ -132,54 +132,6 @@ impl Coalescer {
     }
 }
 
-/// A loose periodic planner: "every 5 minutes, on average over an hour".
-///
-/// Each cycle gets a window around the ideal grid point, so firings can
-/// be batched with other work while the long-run average rate holds.
-#[derive(Debug, Clone)]
-pub struct AverageRate {
-    base: SimInstant,
-    period: SimDuration,
-    /// Allowed deviation as a fraction of the period (e.g. 0.3).
-    tolerance: f64,
-    cycles: u64,
-}
-
-impl AverageRate {
-    /// Creates a planner anchored at `base`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tolerance` is not in `[0, 1)` or the period is zero.
-    pub fn new(base: SimInstant, period: SimDuration, tolerance: f64) -> Self {
-        assert!((0.0..1.0).contains(&tolerance));
-        assert!(!period.is_zero());
-        AverageRate {
-            base,
-            period,
-            tolerance,
-            cycles: 0,
-        }
-    }
-
-    /// The window for the next cycle, anchored to the ideal grid (not to
-    /// actual firing times, so error does not accumulate).
-    pub fn next_window(&mut self) -> TimeSpec {
-        self.cycles += 1;
-        let ideal = self.base + self.period * self.cycles;
-        let slack = self.period.mul_f64(self.tolerance);
-        TimeSpec::Window {
-            earliest: ideal - slack,
-            latest: ideal + slack,
-        }
-    }
-
-    /// Cycles planned so far.
-    pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,37 +195,6 @@ mod tests {
         assert_eq!(plan.len(), 2);
         assert_eq!(plan[0].at, at(20));
         assert_eq!(plan[1].at, at(40));
-    }
-
-    #[test]
-    fn average_rate_stays_on_grid() {
-        let mut ar = AverageRate::new(at(0), SimDuration::from_secs(300), 0.3);
-        let w1 = ar.next_window();
-        let w5 = {
-            ar.next_window();
-            ar.next_window();
-            ar.next_window();
-            ar.next_window()
-        };
-        match (w1, w5) {
-            (
-                TimeSpec::Window {
-                    earliest: e1,
-                    latest: l1,
-                },
-                TimeSpec::Window {
-                    earliest: e5,
-                    latest: l5,
-                },
-            ) => {
-                assert_eq!(e1, at(300) - SimDuration::from_secs(90));
-                assert_eq!(l1, at(300) + SimDuration::from_secs(90));
-                // Fifth cycle is anchored at 5 × period: no drift.
-                assert_eq!(e5, at(1500) - SimDuration::from_secs(90));
-                assert_eq!(l5, at(1500) + SimDuration::from_secs(90));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
     }
 
     /// Brute-force minimal piercing for small cases (bitmask over the

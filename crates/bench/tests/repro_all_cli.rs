@@ -1,7 +1,16 @@
 //! Command-line behaviour of the reproduction binaries on ordinary
 //! misuse (a bad or retired flag, an out-of-range value, a malformed
 //! `REPRO_*` variable, an unusable output directory, a reader that closes
-//! stdout early) and the record count `repro_all`'s run summary reports.
+//! stdout early), the record count `repro_all`'s run summary reports, and
+//! the `ext_*` outputs, pinned byte for byte by `tests/golden/<name>.txt`.
+//! A change that moves an `ext_*` output on purpose regenerates its file
+//! with
+//!
+//! ```sh
+//! cargo run --release -p bench --bin ext_power > crates/bench/tests/golden/ext_power.txt
+//! ```
+//!
+//! and EXPERIMENTS.md quotes the new numbers.
 
 use std::path::Path;
 use std::process::{Command, Output, Stdio};
@@ -198,6 +207,33 @@ fn closed_stdout_ends_the_output_cleanly() {
             assert!(
                 stderr.contains("run summary:"),
                 "the run must still finish: {stderr}"
+            );
+        }
+    }
+}
+
+#[test]
+fn ext_binaries_print_their_goldens() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    for bin in EXT_BINS {
+        let (name, _) = bin;
+        let out = command(bin, &[]).output().expect("run binary");
+        assert!(out.status.success(), "{name} failed: {out:?}");
+        let golden = dir.join(format!("{name}.txt"));
+        let want = std::fs::read_to_string(&golden).expect("read the golden");
+        let got = String::from_utf8(out.stdout).expect("UTF-8 output");
+        if got != want {
+            let line = got
+                .lines()
+                .zip(want.lines())
+                .position(|(g, w)| g != w)
+                .unwrap_or_else(|| got.lines().count().min(want.lines().count()));
+            panic!(
+                "{name} differs from {} at line {}:\n  got:  {:?}\n  want: {:?}",
+                golden.display(),
+                line + 1,
+                got.lines().nth(line).unwrap_or("<end of output>"),
+                want.lines().nth(line).unwrap_or("<end of golden>"),
             );
         }
     }

@@ -1,8 +1,9 @@
 //! Running one workload × OS experiment end to end.
 
 use analysis::{AnalyzerConfig, Report, TraceAnalyzer};
+use des::CpuMeter;
 use simtime::SimDuration;
-use trace::{Event, FaultSink, TraceSink};
+use trace::{Event, FaultSink, TraceLog, TraceSink};
 use workloads::{pids, Workload};
 
 use crate::faults::FaultSpec;
@@ -209,84 +210,6 @@ impl TraceSink for ChunkedAnalyzerSink {
     }
 }
 
-/// A workload run to completion on either kernel model, with uniform
-/// access to the measurements an [`ExperimentResult`] carries.
-enum FinishedKernel {
-    Linux(Box<linuxsim::LinuxKernel>),
-    Vista(Box<vistasim::VistaKernel>),
-}
-
-impl FinishedKernel {
-    /// Runs `spec`'s workload with `sink` receiving the trace, under the
-    /// `stage.workload` span.
-    fn run(spec: &ExperimentSpec, sink: Box<dyn TraceSink>) -> Self {
-        let _workload_span = telemetry::span("stage.workload");
-        let net = spec.faults.net;
-        match spec.os {
-            Os::Linux => FinishedKernel::Linux(Box::new(workloads::run_linux_configured(
-                spec.workload,
-                spec.seed,
-                spec.duration,
-                sink,
-                net,
-                spec.backend,
-                spec.adaptive,
-            ))),
-            Os::Vista => FinishedKernel::Vista(Box::new(workloads::run_vista_configured(
-                spec.workload,
-                spec.seed,
-                spec.duration,
-                sink,
-                net,
-                spec.backend,
-                spec.adaptive,
-            ))),
-        }
-    }
-
-    fn wakeups(&self) -> u64 {
-        match self {
-            FinishedKernel::Linux(k) => k.cpu().wakeups(),
-            FinishedKernel::Vista(k) => k.cpu().wakeups(),
-        }
-    }
-
-    fn busy(&self) -> SimDuration {
-        match self {
-            FinishedKernel::Linux(k) => k.cpu().busy_time(),
-            FinishedKernel::Vista(k) => k.cpu().busy_time(),
-        }
-    }
-
-    fn records(&self) -> u64 {
-        match self {
-            FinishedKernel::Linux(k) => k.log().records_logged(),
-            FinishedKernel::Vista(k) => k.log().records_logged(),
-        }
-    }
-
-    fn logging_overhead(&self) -> SimDuration {
-        match self {
-            FinishedKernel::Linux(k) => k.log().modeled_overhead(),
-            FinishedKernel::Vista(k) => k.log().modeled_overhead(),
-        }
-    }
-
-    fn strings(&self) -> &trace::StringTable {
-        match self {
-            FinishedKernel::Linux(k) => k.log().strings(),
-            FinishedKernel::Vista(k) => k.log().strings(),
-        }
-    }
-
-    fn sink_mut(&mut self) -> &mut dyn TraceSink {
-        match self {
-            FinishedKernel::Linux(k) => k.log_mut().sink_mut(),
-            FinishedKernel::Vista(k) => k.log_mut().sink_mut(),
-        }
-    }
-}
-
 /// The analyzer configuration matching the paper's treatment of each OS.
 pub fn analyzer_config(os: Os, workload: Workload) -> AnalyzerConfig {
     let mut cfg = match os {
@@ -323,23 +246,62 @@ pub fn run_experiment_with(spec: ExperimentSpec, cfg: AnalyzerConfig) -> Experim
     let (mut result, metrics) = telemetry::sim::scoped(|| {
         let analyzer: Box<dyn TraceSink> =
             Box::new(ChunkedAnalyzerSink::new(TraceAnalyzer::new(cfg)));
-        let mut kernel = FinishedKernel::run(&spec, wrap_in_faults(&spec, analyzer));
-        let _analysis_span = telemetry::span("stage.analysis");
-        let (analyzer, dropped) = recover_analyzer(kernel.sink_mut());
-        let mut report = analyzer.finish(kernel.strings());
-        report.summary.dropped_records = dropped;
-        ExperimentResult {
-            spec,
-            report,
-            wakeups: kernel.wakeups(),
-            busy: kernel.busy(),
-            records: kernel.records(),
-            logging_overhead: kernel.logging_overhead(),
-            metrics: telemetry::SimSnapshot::empty(),
+        let sink = wrap_in_faults(&spec, analyzer);
+        let net = spec.faults.net;
+        match spec.os {
+            Os::Linux => {
+                let mut kernel = {
+                    let _workload_span = telemetry::span("stage.workload");
+                    workloads::run_linux_configured(
+                        spec.workload,
+                        spec.seed,
+                        spec.duration,
+                        sink,
+                        net,
+                        spec.backend,
+                        spec.adaptive,
+                    )
+                };
+                conclude(spec, kernel.cpu().clone(), kernel.log_mut())
+            }
+            Os::Vista => {
+                let mut kernel = {
+                    let _workload_span = telemetry::span("stage.workload");
+                    workloads::run_vista_configured(
+                        spec.workload,
+                        spec.seed,
+                        spec.duration,
+                        sink,
+                        net,
+                        spec.backend,
+                        spec.adaptive,
+                    )
+                };
+                conclude(spec, kernel.cpu().clone(), kernel.log_mut())
+            }
         }
     });
     result.metrics = metrics;
     result
+}
+
+/// Finishes a completed run under the `stage.analysis` span, from what
+/// either kernel model leaves behind: its CPU counters and its trace log,
+/// whose sink holds the analyzer.
+fn conclude(spec: ExperimentSpec, cpu: CpuMeter, log: &mut TraceLog) -> ExperimentResult {
+    let _analysis_span = telemetry::span("stage.analysis");
+    let (analyzer, dropped) = recover_analyzer(log.sink_mut());
+    let mut report = analyzer.finish(log.strings());
+    report.summary.dropped_records = dropped;
+    ExperimentResult {
+        spec,
+        report,
+        wakeups: cpu.wakeups(),
+        busy: cpu.busy_time(),
+        records: log.records_logged(),
+        logging_overhead: log.modeled_overhead(),
+        metrics: telemetry::SimSnapshot::empty(),
+    }
 }
 
 /// Installs the fault adaptor only when a trace-plane fault is active,

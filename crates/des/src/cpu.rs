@@ -21,8 +21,6 @@ pub struct CpuMeter {
     /// Whether any work has been charged yet (the first work after boot
     /// always counts as a wakeup — the CPU starts idle).
     started: bool,
-    /// Wakeup timestamps bucketed per second, for rate series.
-    wakeups_per_sec: Vec<u32>,
 }
 
 impl Default for CpuMeter {
@@ -39,7 +37,6 @@ impl CpuMeter {
             wakeups: 0,
             busy_until: SimInstant::BOOT,
             started: false,
-            wakeups_per_sec: Vec::new(),
         }
     }
 
@@ -62,11 +59,6 @@ impl CpuMeter {
                     (at - self.busy_until).as_micros(),
                 );
             }
-            let sec = at.as_nanos() / 1_000_000_000;
-            if self.wakeups_per_sec.len() <= sec as usize {
-                self.wakeups_per_sec.resize(sec as usize + 1, 0);
-            }
-            self.wakeups_per_sec[sec as usize] += 1;
         }
         self.started = true;
         if at > self.busy_until {
@@ -84,30 +76,6 @@ impl CpuMeter {
     /// Number of idle-to-busy wakeups.
     pub fn wakeups(&self) -> u64 {
         self.wakeups
-    }
-
-    /// CPU utilisation over a run of length `total`.
-    pub fn utilization(&self, total: SimDuration) -> f64 {
-        if total.is_zero() {
-            0.0
-        } else {
-            self.busy / total
-        }
-    }
-
-    /// Mean wakeups per second over a run of length `total`.
-    pub fn wakeup_rate(&self, total: SimDuration) -> f64 {
-        let secs = total.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.wakeups as f64 / secs
-        }
-    }
-
-    /// Per-second wakeup counts (index = second since boot).
-    pub fn wakeups_per_second(&self) -> &[u32] {
-        &self.wakeups_per_sec
     }
 }
 
@@ -138,30 +106,5 @@ mod tests {
         cpu.on_work(t(2), SimDuration::from_millis(1));
         assert_eq!(cpu.wakeups(), 1);
         assert_eq!(cpu.busy_time(), SimDuration::from_millis(6));
-    }
-
-    #[test]
-    fn utilization_fraction() {
-        let mut cpu = CpuMeter::new();
-        cpu.on_work(t(0), SimDuration::from_millis(250));
-        let u = cpu.utilization(SimDuration::from_secs(1));
-        assert!((u - 0.25).abs() < 1e-9);
-    }
-
-    #[test]
-    fn per_second_buckets() {
-        let mut cpu = CpuMeter::new();
-        cpu.on_work(t(100), SimDuration::from_micros(10));
-        cpu.on_work(t(200), SimDuration::from_micros(10));
-        cpu.on_work(t(1_500), SimDuration::from_micros(10));
-        assert_eq!(cpu.wakeups_per_second(), &[2, 1]);
-        assert!((cpu.wakeup_rate(SimDuration::from_secs(3)) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zero_total_is_zero_rate() {
-        let cpu = CpuMeter::new();
-        assert_eq!(cpu.utilization(SimDuration::ZERO), 0.0);
-        assert_eq!(cpu.wakeup_rate(SimDuration::ZERO), 0.0);
     }
 }

@@ -14,6 +14,15 @@ use crate::subsys::tcp::TcpTable;
 use crate::syscalls::SyscallTimers;
 use crate::timers::{Callback, Fired, HkKind, TimerBase, TimerHandle, UserKind};
 
+/// CPU cost of one timer-interrupt tick.
+const TICK_COST: SimDuration = SimDuration::from_micros(2);
+/// CPU cost of one expired-timer callback.
+const CALLBACK_COST: SimDuration = SimDuration::from_micros(2);
+/// CPU cost of one timer set/cancel call.
+const CALL_COST: SimDuration = SimDuration::from_nanos(300);
+/// Maximum stale-now jitter on kernel-space sets (paper §3.1: 2 ms).
+const SET_JITTER_MAX: SimDuration = SimDuration::from_millis(2);
+
 /// Configuration of a simulated Linux kernel.
 #[derive(Debug, Clone)]
 pub struct LinuxConfig {
@@ -28,14 +37,6 @@ pub struct LinuxConfig {
     /// Mark housekeeping periodics deferrable (ablation; default: only the
     /// clocksource watchdog, mirroring the flag's 3 uses in 2.6.23.9).
     pub defer_all_periodics: bool,
-    /// CPU cost of one timer-interrupt tick.
-    pub tick_cost: SimDuration,
-    /// CPU cost of one expired-timer callback.
-    pub callback_cost: SimDuration,
-    /// CPU cost of one timer set/cancel call.
-    pub call_cost: SimDuration,
-    /// Maximum stale-now jitter on kernel-space sets (paper §3.1: 2 ms).
-    pub set_jitter_max: SimDuration,
     /// Timer-queue structure for the standard timer base; `Native` is the
     /// kernel's hierarchical cascading wheel.
     pub backend: wheel::Backend,
@@ -52,10 +53,6 @@ impl Default for LinuxConfig {
             dynticks: false,
             round_all_periodics: false,
             defer_all_periodics: false,
-            tick_cost: SimDuration::from_micros(2),
-            callback_cost: SimDuration::from_micros(2),
-            call_cost: SimDuration::from_nanos(300),
-            set_jitter_max: SimDuration::from_millis(2),
             backend: wheel::Backend::Native,
             policy: adaptive::AdaptivePolicy::Off,
         }
@@ -150,11 +147,9 @@ impl LinuxKernel {
         let mut rng = SimRng::new(cfg.seed);
         let mut log = TraceLog::new(sink);
         log.register_process(0, "kernel");
-        let mut base = TimerBase::with_backend(cfg.backend);
-        base.set_set_jitter_max(cfg.set_jitter_max);
         let mut kernel = LinuxKernel {
             now: SimInstant::BOOT,
-            base,
+            base: TimerBase::with_backend(cfg.backend),
             hr: HrTimerBase::new(),
             log,
             cpu: CpuMeter::new(),
@@ -265,11 +260,8 @@ impl LinuxKernel {
     }
 
     /// Advances simulated time to `target`, processing every jiffy tick,
-    /// expiring timers, and running their callbacks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target` is in the past.
+    /// expiring timers, and running their callbacks. A `target` already
+    /// passed is a no-op.
     pub fn advance_to(&mut self, target: SimInstant) {
         // Callback delivery latency can push `now` slightly past a
         // previously requested target; treat an already-passed target as
@@ -337,7 +329,7 @@ impl LinuxKernel {
         if tick_instant > self.now {
             self.now = tick_instant;
         }
-        self.cpu.on_work(tick_instant, self.cfg.tick_cost);
+        self.cpu.on_work(tick_instant, TICK_COST);
         let mut fired = self.base.run_timers(tick_instant);
         if fired.is_empty() && self.deferred.is_empty() {
             return;
@@ -374,11 +366,11 @@ impl LinuxKernel {
         };
         let mut delivered_at = tick_instant + base_latency;
         for f in fired {
-            self.cpu.on_work(delivered_at, self.cfg.callback_cost);
+            self.cpu.on_work(delivered_at, CALLBACK_COST);
             self.base.log_expiry(&mut self.log, delivered_at, &f);
             self.now = delivered_at;
             self.dispatch(f, delivered_at);
-            delivered_at += self.cfg.callback_cost;
+            delivered_at += CALLBACK_COST;
         }
     }
 
@@ -390,7 +382,7 @@ impl LinuxKernel {
         let at = self.now;
         let held = std::mem::take(&mut self.deferred);
         for f in held {
-            self.cpu.on_work(at, self.cfg.callback_cost);
+            self.cpu.on_work(at, CALLBACK_COST);
             self.base.log_expiry(&mut self.log, at, &f);
             self.dispatch(f, at);
         }
@@ -526,7 +518,7 @@ impl LinuxKernel {
     fn housekeeping_expired(&mut self, handle: TimerHandle, kind: HkKind, at: SimInstant) {
         let flags = self.hk_flags(kind);
         let jitter = self.sample_set_jitter();
-        self.cpu.on_work(at, self.cfg.call_cost);
+        self.cpu.on_work(at, CALL_COST);
         self.base.mod_timer_in(
             &mut self.log,
             at,
@@ -549,10 +541,6 @@ impl LinuxKernel {
     /// paper's 2 ms bound (§3.1). The mixture below makes the observed
     /// jiffy value flip low only a few percent of the time.
     pub(crate) fn sample_set_jitter(&mut self) -> SimDuration {
-        let max = self.base.set_jitter_max();
-        if max.is_zero() {
-            return SimDuration::ZERO;
-        }
         let u = self.rng.unit_f64();
         let ns = if u < 0.90 {
             // The common case: a few hundred nanoseconds of code path.
@@ -562,14 +550,14 @@ impl LinuxKernel {
             self.rng.range_u64(2_000, 300_000)
         } else {
             // Preempted: up to the experimental 2 ms bound.
-            self.rng.range_u64(300_000, max.as_nanos().max(300_001))
+            self.rng.range_u64(300_000, SET_JITTER_MAX.as_nanos())
         };
-        SimDuration::from_nanos(ns.min(max.as_nanos()))
+        SimDuration::from_nanos(ns)
     }
 
     /// Charges one timer API call to the CPU.
     pub(crate) fn charge_call(&mut self, at: SimInstant) {
-        self.cpu.on_work(at, self.cfg.call_cost);
+        self.cpu.on_work(at, CALL_COST);
     }
 
     /// Resolves one timeout decision under the configured policy: the
@@ -607,34 +595,4 @@ impl LinuxKernel {
             );
         }
     }
-}
-
-// The console-blank handle is stored on the kernel; declared here (after
-// the main impl) to keep the struct definition readable.
-impl LinuxKernel {
-    /// Finishes the run: returns (event counters, wakeups, busy time).
-    pub fn finish(self) -> KernelRunStats {
-        KernelRunStats {
-            counts: self.log.counts(),
-            wakeups: self.cpu.wakeups(),
-            busy: self.cpu.busy_time(),
-            records: self.log.records_logged(),
-            timers_allocated: self.base.slot_count(),
-        }
-    }
-}
-
-/// Summary statistics of a finished kernel run.
-#[derive(Debug, Clone, Copy)]
-pub struct KernelRunStats {
-    /// Event counters (sets/expiries/cancels, user/kernel split).
-    pub counts: trace::EventCounts,
-    /// CPU wakeups.
-    pub wakeups: u64,
-    /// Total busy CPU time.
-    pub busy: SimDuration,
-    /// Trace records logged.
-    pub records: u64,
-    /// Timer structures allocated.
-    pub timers_allocated: usize,
 }

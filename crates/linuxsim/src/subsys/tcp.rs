@@ -47,14 +47,10 @@ pub struct SockTimers {
 #[derive(Debug)]
 pub struct TcpConn {
     timers: SockTimers,
-    /// Smoothed RTT (seconds), per Jacobson.
-    srtt: Option<f64>,
-    /// RTT mean deviation (seconds).
-    rttvar: f64,
+    /// Jacobson/Karels round-trip state.
+    rtt: adaptive::RttSmoother,
     /// Current retransmission timeout.
     rto: SimDuration,
-    /// Consecutive backoffs applied since the last good ACK.
-    backoff: u32,
     /// Initial SYN-retransmit timeout chosen at open (the historical 3 s,
     /// or the learned RTT tail); each retry doubles from this base.
     syn_init: SimDuration,
@@ -73,7 +69,7 @@ impl TcpConn {
 
     /// The smoothed RTT estimate, if any samples arrived.
     pub fn srtt(&self) -> Option<SimDuration> {
-        self.srtt.map(SimDuration::from_secs_f64)
+        self.rtt.srtt()
     }
 }
 
@@ -169,10 +165,8 @@ impl LinuxKernel {
         let init = LinuxKernel::decide_timeout(self.cfg.policy, &self.rtt_prior, TCP_TIMEOUT_INIT);
         let conn = TcpConn {
             timers,
-            srtt: None,
-            rttvar: 0.0,
+            rtt: adaptive::RttSmoother::default(),
             rto: init,
-            backoff: 0,
             syn_init: init,
             syn_armed: init,
             syn_retries: 0,
@@ -268,22 +262,8 @@ impl LinuxKernel {
             // Feed the kernel-wide RTT prior in every mode (a workload
             // observation, not queue state, so it never perturbs replay).
             self.rtt_prior.observe_success(rtt);
-            let r = rtt.as_secs_f64();
-            match conn.srtt {
-                None => {
-                    conn.srtt = Some(r);
-                    conn.rttvar = r / 2.0;
-                }
-                Some(srtt) => {
-                    let err = r - srtt;
-                    conn.srtt = Some(srtt + err / 8.0);
-                    conn.rttvar += (err.abs() - conn.rttvar) / 4.0;
-                }
-            }
-            let rto = SimDuration::from_secs_f64(conn.srtt.unwrap() + 4.0 * conn.rttvar);
-            conn.rto = rto.max(RTO_MIN).min(RTO_MAX);
+            conn.rto = conn.rtt.update(rtt, RTO_MIN, RTO_MAX);
         }
-        conn.backoff = 0;
         let timers = conn.timers;
         self.charge_call(self.now);
         self.base.del_timer(&mut self.log, self.now, timers.rto);
@@ -351,7 +331,6 @@ impl LinuxKernel {
             conn.rto.as_nanos(),
         );
         // Exponential backoff, capped at RTO_MAX.
-        conn.backoff = (conn.backoff + 1).min(16);
         conn.rto = conn.rto.mul_f64(2.0).min(RTO_MAX);
         let rto = conn.rto;
         let timers = conn.timers;

@@ -123,9 +123,6 @@ pub struct TimerBase {
     clock: JiffyClock,
     wheel: Box<dyn TimerQueue>,
     slots: Vec<TimerSlot>,
-    /// Maximum stale-now jitter applied to kernel-space sets (Section 3.1
-    /// measures this at up to 2 ms).
-    set_jitter_max: SimDuration,
 }
 
 impl TimerBase {
@@ -142,23 +139,12 @@ impl TimerBase {
             clock: JiffyClock::new(LINUX_HZ),
             wheel: backend.build(Backend::Hierarchical, 256),
             slots: Vec::new(),
-            set_jitter_max: SimDuration::from_millis(2),
         }
     }
 
     /// The jiffy clock.
     pub fn clock(&self) -> JiffyClock {
         self.clock
-    }
-
-    /// Maximum set-time jitter (0 disables the stale-now model).
-    pub fn set_jitter_max(&self) -> SimDuration {
-        self.set_jitter_max
-    }
-
-    /// Overrides the stale-now jitter bound.
-    pub fn set_set_jitter_max(&mut self, j: SimDuration) {
-        self.set_jitter_max = j;
     }
 
     /// `init_timer`: allocates and initialises a timer slot.
@@ -272,8 +258,8 @@ impl TimerBase {
     /// `mod_timer` with a relative timeout computed by kernel code.
     ///
     /// The kernel computes `jiffies + delta` some (stale) moment before
-    /// `__mod_timer` runs; `jitter` (sampled by the caller from
-    /// `[0, set_jitter_max)`) models that gap, shifting the absolute expiry
+    /// `__mod_timer` runs; `jitter` (sampled by the caller, below the
+    /// kernel's 2 ms bound) models that gap, shifting the absolute expiry
     /// *earlier* relative to the instrumentation timestamp, exactly the
     /// effect Section 3.1 compensates for with its 2 ms variance.
     pub fn mod_timer_in(

@@ -59,7 +59,6 @@ proptest! {
     fn wheel_agrees_with_reference_model(ops in proptest::collection::vec(op_strategy(), 0..120)) {
         let mut log = TraceLog::collecting();
         let mut base = TimerBase::new();
-        base.set_set_jitter_max(SimDuration::ZERO);
         let clock = base.clock();
         let handles: Vec<TimerHandle> = (0..SLOTS)
             .map(|i| {

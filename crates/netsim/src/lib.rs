@@ -6,20 +6,19 @@
 //! environment", the httperf-driven webserver workload, and the layered
 //! name-lookup failure cascade of Section 2.2.2 — all need packets to
 //! exist. This crate supplies the *environment* side: links with latency,
-//! jitter and loss; an httperf-like closed-loop HTTP load generator; LAN
-//! background traffic; and the name-resolution / file-protocol service
-//! models used by the layering experiment. The kernel-side timer logic
+//! jitter, loss and degradation episodes; LAN background traffic; and the
+//! name-resolution / file-protocol service models used by the layering
+//! experiment. The httperf client is paced by the webserver workloads
+//! themselves. The kernel-side timer logic
 //! (retransmission timers, ARP cache state machines) lives in `linuxsim`
 //! and `vistasim` — exactly the split the real systems have.
 
 pub mod faults;
-pub mod http;
 pub mod lan;
 pub mod link;
 pub mod rpc;
 
 pub use faults::NetFault;
-pub use http::{HttpLoadGen, HttpRequestOutcome};
 pub use lan::LanActivity;
 pub use link::Link;
 pub use rpc::{LookupService, ServiceBehavior};

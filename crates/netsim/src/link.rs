@@ -97,22 +97,6 @@ impl Link {
         self.loss > 0.0 && rng.chance(self.loss)
     }
 
-    /// Samples the outcome of sending one segment and awaiting its ACK:
-    /// `Some(rtt)` on success, `None` when the segment or ACK was lost.
-    pub fn send_segment(&self, rng: &mut SimRng) -> Option<SimDuration> {
-        // Telemetry only observes outcomes; it must never consume RNG
-        // draws, or faulted and unfaulted runs would diverge.
-        sim::add(SimCounter::NetSegmentsSent, 1);
-        if self.sample_loss(rng) {
-            sim::add(SimCounter::NetSegmentsLost, 1);
-            None
-        } else {
-            let rtt = self.sample_rtt(rng);
-            sim::observe(SimHist::NetRttMicros, rtt.as_nanos() / 1_000);
-            Some(rtt)
-        }
-    }
-
     /// Samples one round-trip time as observed at `now`.
     ///
     /// While the link's [`NetFault`] episode is inactive this is exactly
@@ -139,9 +123,12 @@ impl Link {
         p > 0.0 && rng.chance(p)
     }
 
-    /// Samples the outcome of sending one segment at `now`: `Some(rtt)` on
-    /// success, `None` when the segment or ACK was lost.
+    /// Samples the outcome of sending one segment at `now` and awaiting
+    /// its ACK: `Some(rtt)` on success, `None` when the segment or ACK was
+    /// lost.
     pub fn send_segment_at(&self, now: SimInstant, rng: &mut SimRng) -> Option<SimDuration> {
+        // Telemetry only observes outcomes; it must never consume RNG
+        // draws, or faulted and unfaulted runs would diverge.
         sim::add(SimCounter::NetSegmentsSent, 1);
         if self.fault.active_at(now) {
             sim::add(SimCounter::NetFaultedSamples, 1);
@@ -209,6 +196,15 @@ mod tests {
         Link::new(SimDuration::from_millis(1), SimDuration::ZERO, 1.5);
     }
 
+    /// One segment through the plain (unfaulted) samplers.
+    fn send_plain(link: &Link, rng: &mut SimRng) -> Option<SimDuration> {
+        if link.sample_loss(rng) {
+            None
+        } else {
+            Some(link.sample_rtt(rng))
+        }
+    }
+
     #[test]
     fn unfaulted_at_methods_match_plain_methods() {
         let link = Link::internet_lossy();
@@ -216,7 +212,7 @@ mod tests {
         let mut b = SimRng::new(7);
         let now = SimInstant::from_nanos(3_000_000_000);
         for _ in 0..10_000 {
-            assert_eq!(link.send_segment(&mut a), link.send_segment_at(now, &mut b));
+            assert_eq!(send_plain(&link, &mut a), link.send_segment_at(now, &mut b));
         }
     }
 
@@ -230,7 +226,7 @@ mod tests {
         let now = SimInstant::from_nanos(20_000_000_000);
         for _ in 0..10_000 {
             assert_eq!(
-                clean.send_segment(&mut a),
+                send_plain(&clean, &mut a),
                 faulted.send_segment_at(now, &mut b)
             );
         }

@@ -117,45 +117,6 @@ pub fn sunrpc_retry_loop(
     (last, elapsed)
 }
 
-/// Runs the same retry loop with a *learned* first timeout (§5.1): the
-/// caller's estimator supplies the initial value (its fallback constant
-/// until warm), successful latencies feed back into it, and unanswered
-/// attempts back off through [`adaptive::ExponentialBackoff`] instead of
-/// naive doubling from a round constant. A responsive service is thus
-/// retried at its own tail latency; the mistyped-server cascade shrinks
-/// from "over a minute" to a few learned round trips.
-pub fn adaptive_retry_loop(
-    service: &LookupService,
-    est: &mut adaptive::AdaptiveTimeout,
-    retries: u32,
-    rng: &mut SimRng,
-) -> (AttemptOutcome, SimDuration) {
-    let mut elapsed = SimDuration::ZERO;
-    let mut backoff =
-        adaptive::ExponentialBackoff::new(est.timeout(), 2.0, SimDuration::from_secs(120));
-    let mut last = AttemptOutcome::TimedOut(SimDuration::ZERO);
-    for _ in 0..retries {
-        let timeout = backoff.current();
-        let outcome = service.attempt(timeout, rng);
-        match outcome {
-            AttemptOutcome::Success(t) => {
-                est.observe_success(t);
-                return (outcome, elapsed + t);
-            }
-            AttemptOutcome::Refused(t) => {
-                elapsed += t.max(timeout);
-            }
-            AttemptOutcome::TimedOut(t) => {
-                est.observe_timeout();
-                elapsed += t;
-            }
-        }
-        last = outcome;
-        backoff.advance();
-    }
-    (last, elapsed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,44 +179,6 @@ mod tests {
             elapsed >= SimDuration::from_secs(60),
             "elapsed = {elapsed}, expected over a minute"
         );
-    }
-
-    #[test]
-    fn adaptive_retry_learns_past_the_constant() {
-        // A warm estimator retries a silent NFS server at the learned tail
-        // (a few hundred ms), so giving up takes seconds — not the fixed
-        // loop's 63.5 s cascade.
-        let nfs = LookupService::new("NFS", ServiceBehavior::Silent);
-        let mut est =
-            adaptive::AdaptiveTimeout::new(0.99, SimDuration::from_millis(500)).with_warmup(8);
-        for _ in 0..64 {
-            est.observe_success(SimDuration::from_millis(40));
-        }
-        let mut rng = SimRng::new(6);
-        let (outcome, elapsed) = adaptive_retry_loop(&nfs, &mut est, 7, &mut rng);
-        assert!(matches!(outcome, AttemptOutcome::TimedOut(_)));
-        let mut rng = SimRng::new(6);
-        let (_, fixed_elapsed) =
-            sunrpc_retry_loop(&nfs, SimDuration::from_millis(500), 7, &mut rng);
-        assert!(
-            elapsed < fixed_elapsed,
-            "adaptive {elapsed} should beat fixed {fixed_elapsed}"
-        );
-    }
-
-    #[test]
-    fn adaptive_retry_matches_fixed_when_cold() {
-        // Before any samples the estimator reports its initial constant,
-        // so the adaptive loop backs off exactly like the fixed one.
-        let nfs = LookupService::new("NFS", ServiceBehavior::Silent);
-        let mut est =
-            adaptive::AdaptiveTimeout::new(0.99, SimDuration::from_millis(500)).with_warmup(8);
-        let mut rng = SimRng::new(7);
-        let (_, adaptive_elapsed) = adaptive_retry_loop(&nfs, &mut est, 4, &mut rng);
-        let mut rng = SimRng::new(7);
-        let (_, fixed_elapsed) =
-            sunrpc_retry_loop(&nfs, SimDuration::from_millis(500), 4, &mut rng);
-        assert_eq!(adaptive_elapsed, fixed_elapsed);
     }
 
     #[test]

@@ -14,19 +14,18 @@ use crate::waits::WaitTable;
 use crate::win32::Win32Timers;
 use crate::winsock::AfdSelects;
 
+/// Per-interrupt CPU cost.
+const INTERRUPT_COST: SimDuration = SimDuration::from_micros(3);
+/// Per-DPC CPU cost.
+const DPC_COST: SimDuration = SimDuration::from_micros(4);
+/// Per timer set/cancel CPU cost.
+const CALL_COST: SimDuration = SimDuration::from_nanos(400);
+
 /// Configuration of a simulated Vista kernel.
 #[derive(Debug, Clone)]
 pub struct VistaConfig {
     /// RNG seed.
     pub seed: u64,
-    /// Clock-interrupt period at boot (default 15.625 ms).
-    pub clock_period: SimDuration,
-    /// Per-interrupt CPU cost.
-    pub interrupt_cost: SimDuration,
-    /// Per-DPC CPU cost.
-    pub dpc_cost: SimDuration,
-    /// Per timer set/cancel CPU cost.
-    pub call_cost: SimDuration,
     /// Kernel background timer population intensity (sets/second order of
     /// magnitude; see [`KernelLoad`]).
     pub kernel_load: KernelLoadLevel,
@@ -51,10 +50,6 @@ impl Default for VistaConfig {
     fn default() -> Self {
         VistaConfig {
             seed: 1,
-            clock_period: VISTA_TICK,
-            interrupt_cost: SimDuration::from_micros(3),
-            dpc_cost: SimDuration::from_micros(4),
-            call_cost: SimDuration::from_nanos(400),
             kernel_load: KernelLoadLevel::Idle,
             backend: wheel::Backend::Native,
             policy: adaptive::AdaptivePolicy::Off,
@@ -151,7 +146,6 @@ impl VistaKernel {
         let mut log = TraceLog::new(sink);
         log.register_process(0, "System");
         log.register_process(4, "Idle");
-        let resolution = cfg.clock_period;
         let backend = cfg.backend;
         let mut kernel = VistaKernel {
             now: SimInstant::BOOT,
@@ -169,8 +163,8 @@ impl VistaKernel {
             vtcp: VistaTcp::with_backend(backend),
             registry: RegistryLazyClose::default(),
             kernel_load: KernelLoad::default(),
-            resolution,
-            next_interrupt: SimInstant::BOOT + resolution,
+            resolution: VISTA_TICK,
+            next_interrupt: SimInstant::BOOT + VISTA_TICK,
             rtt_prior: adaptive::AdaptiveTimeout::new(0.99, crate::tcpip::INITIAL_RTO)
                 .with_safety(2.0)
                 .with_bounds(crate::tcpip::MIN_RTO, crate::tcpip::INITIAL_RTO)
@@ -242,14 +236,11 @@ impl VistaKernel {
 
     /// Charges one API call.
     pub(crate) fn charge_call(&mut self, at: SimInstant) {
-        self.cpu.on_work(at, self.cfg.call_cost);
+        self.cpu.on_work(at, CALL_COST);
     }
 
-    /// Advances to `target`, processing clock interrupts as they occur.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target` is in the past.
+    /// Advances to `target`, processing clock interrupts as they occur. A
+    /// `target` already passed is a no-op.
     pub fn advance_to(&mut self, target: SimInstant) {
         // Callback delivery latency can push `now` slightly past a
         // previously requested target; treat an already-passed target as
@@ -259,7 +250,7 @@ impl VistaKernel {
         while self.next_interrupt <= target {
             let at = self.next_interrupt;
             self.now = at;
-            self.cpu.on_work(at, self.cfg.interrupt_cost);
+            self.cpu.on_work(at, INTERRUPT_COST);
             let fired = self.kt.process_ring(at);
             if !fired.is_empty() {
                 self.run_dpcs(at, fired);
@@ -296,7 +287,7 @@ impl VistaKernel {
         // DPC queue drain starts after the interrupt's own work.
         let mut delivered = interrupt_at + SimDuration::from_micros(2 + self.rng.range_u64(0, 25));
         for f in fired {
-            self.cpu.on_work(delivered, self.cfg.dpc_cost);
+            self.cpu.on_work(delivered, DPC_COST);
             // Log the expiry at its delivery time (what ETW records when
             // the expiration DPC fires the timeout).
             let t = f.timer;
@@ -307,7 +298,7 @@ impl VistaKernel {
             );
             self.now = delivered;
             self.dispatch(f, delivered);
-            delivered += self.cfg.dpc_cost;
+            delivered += DPC_COST;
         }
     }
 

@@ -44,8 +44,7 @@ struct VConn {
     rto_id: u64,
     delack_id: u64,
     keepalive_id: u64,
-    srtt: Option<f64>,
-    rttvar: f64,
+    rtt: adaptive::RttSmoother,
     rto: SimDuration,
 }
 
@@ -141,8 +140,7 @@ impl VistaKernel {
                 rto_id: 0,
                 delack_id: 0,
                 keepalive_id: 0,
-                srtt: None,
-                rttvar: 0.0,
+                rtt: adaptive::RttSmoother::default(),
                 rto: init,
             },
         );
@@ -232,21 +230,7 @@ impl VistaKernel {
             // Feed the kernel-wide RTT prior in every mode (workload
             // observation only — replay stays backend-invariant).
             self.rtt_prior.observe_success(rtt);
-            let r = rtt.as_secs_f64();
-            match c.srtt {
-                None => {
-                    c.srtt = Some(r);
-                    c.rttvar = r / 2.0;
-                }
-                Some(s) => {
-                    let err = r - s;
-                    c.srtt = Some(s + err / 8.0);
-                    c.rttvar += (err.abs() - c.rttvar) / 4.0;
-                }
-            }
-            c.rto = SimDuration::from_secs_f64(c.srtt.unwrap() + 4.0 * c.rttvar)
-                .max(MIN_RTO)
-                .min(SimDuration::from_secs(120));
+            c.rto = c.rtt.update(rtt, MIN_RTO, SimDuration::from_secs(120));
         }
     }
 

@@ -1,11 +1,13 @@
 //! Workload driver scaffolding: an event calendar interleaved with a
 //! simulated kernel.
 //!
-//! A workload model is a `World` state machine plus a set of scheduled
+//! A workload model is a [`World`] state machine plus a set of scheduled
 //! closures. The driver alternates between the workload's own calendar
 //! and the kernel's pending timer expiries, so both sides react promptly
 //! (a select that times out re-issues immediately, an ACK arrival cancels
-//! the retransmit timer at the right instant).
+//! the retransmit timer at the right instant). One loop drives both
+//! kernel models, so the Linux and Vista traces come from the same
+//! interleaving rules.
 
 use des::Calendar;
 use simtime::{SimDuration, SimInstant, SimRng};
@@ -36,30 +38,76 @@ pub fn trial_seed(base_seed: u64, trial: u32) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A scheduled workload action.
-type LinuxAction<W> = Box<dyn FnOnce(&mut LinuxDriver<W>)>;
-
-/// Reactions to Linux kernel notifications.
-pub trait LinuxWorld: Sized {
-    /// Handles one kernel notification.
-    fn on_notify(driver: &mut LinuxDriver<Self>, notify: Notify);
+/// What the driver needs from a simulated kernel.
+pub trait Kernel {
+    /// An event the kernel surfaces to the workload.
+    type Notify;
+    /// The current simulated time.
+    fn now(&self) -> SimInstant;
+    /// The next instant at which a pending timer can fire, if any.
+    fn next_wakeup(&self) -> Option<SimInstant>;
+    /// Advances simulated time to `target`, firing every timer due. A
+    /// `target` already passed is a no-op: callback delivery latency can
+    /// carry the kernel past an instant the driver asked for.
+    fn advance_to(&mut self, target: SimInstant);
+    /// Drains the notifications raised since the last call.
+    fn take_notifications(&mut self) -> Vec<Self::Notify>;
 }
 
-/// The Linux workload driver.
-pub struct LinuxDriver<W: LinuxWorld> {
+/// Implements [`Kernel`] by forwarding to the kernel's inherent methods.
+macro_rules! forward_kernel {
+    ($kernel:ty, $notify:ty) => {
+        impl Kernel for $kernel {
+            type Notify = $notify;
+            fn now(&self) -> SimInstant {
+                <$kernel>::now(self)
+            }
+            fn next_wakeup(&self) -> Option<SimInstant> {
+                <$kernel>::next_wakeup(self)
+            }
+            fn advance_to(&mut self, target: SimInstant) {
+                <$kernel>::advance_to(self, target)
+            }
+            fn take_notifications(&mut self) -> Vec<$notify> {
+                <$kernel>::take_notifications(self)
+            }
+        }
+    };
+}
+
+forward_kernel!(LinuxKernel, Notify);
+forward_kernel!(VistaKernel, VistaNotify);
+
+/// A scheduled workload action.
+type Action<K, W> = Box<dyn FnOnce(&mut Driver<K, W>)>;
+
+/// Reactions to kernel notifications.
+pub trait World<K: Kernel>: Sized {
+    /// Handles one kernel notification.
+    fn on_notify(driver: &mut Driver<K, Self>, notify: K::Notify);
+}
+
+/// The workload driver: a kernel, the workload's state and randomness,
+/// and its calendar of scheduled actions.
+pub struct Driver<K, W> {
     /// The simulated kernel.
-    pub kernel: LinuxKernel,
+    pub kernel: K,
     /// Workload randomness.
     pub rng: SimRng,
     /// Workload state.
     pub world: W,
-    calendar: Calendar<LinuxAction<W>>,
+    calendar: Calendar<Action<K, W>>,
 }
 
-impl<W: LinuxWorld> LinuxDriver<W> {
+/// A workload driver on the Linux model.
+pub type LinuxDriver<W> = Driver<LinuxKernel, W>;
+/// A workload driver on the Vista model.
+pub type VistaDriver<W> = Driver<VistaKernel, W>;
+
+impl<K: Kernel, W: World<K>> Driver<K, W> {
     /// Creates a driver.
-    pub fn new(kernel: LinuxKernel, rng: SimRng, world: W) -> Self {
-        LinuxDriver {
+    pub fn new(kernel: K, rng: SimRng, world: W) -> Self {
+        Driver {
             kernel,
             rng,
             world,
@@ -78,21 +126,20 @@ impl<W: LinuxWorld> LinuxDriver<W> {
         self.calendar.post(at, Box::new(action));
     }
 
-    /// Runs the interleaved simulation until `end`.
+    /// Runs the interleaved simulation until `end`. At each instant the
+    /// kernel's expiries run first and their notifications are handled
+    /// before the calendar's actions for that instant; actions due at
+    /// `end` run, later ones never do.
     pub fn run_until(&mut self, end: SimInstant) {
         loop {
             self.drain_notifications();
             let next_cal = self.calendar.peek_time();
             let next_kernel = self.kernel.next_wakeup();
             // The earliest of: workload event, kernel expiry, the end.
-            let step_to = [next_cal, next_kernel, Some(end)]
+            let step_to = [next_cal, next_kernel]
                 .into_iter()
                 .flatten()
-                .min()
-                .expect("end is always present");
-            if step_to > end {
-                break;
-            }
+                .fold(end, SimInstant::min);
             self.kernel.advance_to(step_to);
             self.drain_notifications();
             if Some(step_to) == next_cal {
@@ -109,89 +156,11 @@ impl<W: LinuxWorld> LinuxDriver<W> {
         self.drain_notifications();
     }
 
-    fn drain_notifications(&mut self) {
-        loop {
-            let notes = self.kernel.take_notifications();
-            if notes.is_empty() {
-                break;
-            }
-            for n in notes {
-                W::on_notify(self, n);
-            }
-        }
-    }
-}
-
-/// A scheduled Vista workload action.
-type VistaAction<W> = Box<dyn FnOnce(&mut VistaDriver<W>)>;
-
-/// Reactions to Vista kernel notifications.
-pub trait VistaWorld: Sized {
-    /// Handles one kernel notification.
-    fn on_notify(driver: &mut VistaDriver<Self>, notify: VistaNotify);
-}
-
-/// The Vista workload driver.
-pub struct VistaDriver<W: VistaWorld> {
-    /// The simulated kernel.
-    pub kernel: VistaKernel,
-    /// Workload randomness.
-    pub rng: SimRng,
-    /// Workload state.
-    pub world: W,
-    calendar: Calendar<VistaAction<W>>,
-}
-
-impl<W: VistaWorld> VistaDriver<W> {
-    /// Creates a driver.
-    pub fn new(kernel: VistaKernel, rng: SimRng, world: W) -> Self {
-        VistaDriver {
-            kernel,
-            rng,
-            world,
-            calendar: Calendar::new(),
-        }
-    }
-
-    /// The current simulated time.
-    pub fn now(&self) -> SimInstant {
-        self.kernel.now()
-    }
-
-    /// Schedules an action after `delay`.
-    pub fn after(&mut self, delay: SimDuration, action: impl FnOnce(&mut Self) + 'static) {
-        let at = self.kernel.now() + delay;
-        self.calendar.post(at, Box::new(action));
-    }
-
-    /// Runs the interleaved simulation until `end`.
-    pub fn run_until(&mut self, end: SimInstant) {
-        loop {
-            self.drain_notifications();
-            let next_cal = self.calendar.peek_time();
-            let next_kernel = self.kernel.next_wakeup();
-            let step_to = [next_cal, next_kernel, Some(end)]
-                .into_iter()
-                .flatten()
-                .min()
-                .expect("end is always present");
-            if step_to > end {
-                break;
-            }
-            self.kernel.advance_to(step_to);
-            self.drain_notifications();
-            if Some(step_to) == next_cal {
-                while let Some((_, action)) = self.calendar.pop_before(step_to) {
-                    action(self);
-                    self.drain_notifications();
-                }
-            }
-            if step_to == end {
-                break;
-            }
-        }
-        self.kernel.advance_to(end);
-        self.drain_notifications();
+    /// Runs the simulation for `duration` after boot and returns the
+    /// finished kernel.
+    pub fn finish(mut self, duration: SimDuration) -> K {
+        self.run_until(SimInstant::BOOT + duration);
+        self.kernel
     }
 
     fn drain_notifications(&mut self) {
@@ -204,5 +173,92 @@ impl<W: VistaWorld> VistaDriver<W> {
                 W::on_notify(self, n);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn at(ms: u64) -> SimInstant {
+        SimInstant::BOOT + SimDuration::from_millis(ms)
+    }
+
+    /// A scripted kernel: each expiry raises its label as a notification
+    /// once time reaches it.
+    struct FakeKernel {
+        now: SimInstant,
+        expiries: Vec<(SimInstant, &'static str)>,
+        notes: Vec<&'static str>,
+    }
+
+    impl Kernel for FakeKernel {
+        type Notify = &'static str;
+        fn now(&self) -> SimInstant {
+            self.now
+        }
+        fn next_wakeup(&self) -> Option<SimInstant> {
+            self.expiries.iter().map(|&(t, _)| t).min()
+        }
+        fn advance_to(&mut self, target: SimInstant) {
+            self.now = self.now.max(target);
+            let now = self.now;
+            let (due, pending) = self.expiries.iter().partition(|&&(t, _)| t <= now);
+            self.expiries = pending;
+            self.notes.extend(due.into_iter().map(|(_, label)| label));
+        }
+        fn take_notifications(&mut self) -> Vec<&'static str> {
+            std::mem::take(&mut self.notes)
+        }
+    }
+
+    /// Records, in order, each notification and action with its instant.
+    struct Log(Vec<(SimInstant, &'static str)>);
+
+    impl World<FakeKernel> for Log {
+        fn on_notify(driver: &mut Driver<FakeKernel, Self>, note: &'static str) {
+            let now = driver.now();
+            driver.world.0.push((now, note));
+            if note == "expiry" {
+                // The handler's system call completes at once and raises a
+                // notification of its own, which must also run before the
+                // calendar's action for this instant.
+                driver.kernel.notes.push("echo");
+            }
+        }
+    }
+
+    fn action(label: &'static str) -> impl FnOnce(&mut Driver<FakeKernel, Log>) {
+        move |d| {
+            let now = d.now();
+            d.world.0.push((now, label));
+        }
+    }
+
+    #[test]
+    fn kernel_runs_first_and_nothing_runs_past_the_end() {
+        let kernel = FakeKernel {
+            now: SimInstant::BOOT,
+            expiries: vec![(at(5), "expiry"), (at(20), "late expiry")],
+            notes: Vec::new(),
+        };
+        let mut driver = Driver::new(kernel, SimRng::new(1), Log(Vec::new()));
+        driver.after(SimDuration::from_millis(5), action("action"));
+        driver.after(SimDuration::from_millis(10), action("at end"));
+        driver.after(
+            SimDuration::from_millis(10) + SimDuration::from_nanos(1),
+            action("past end"),
+        );
+        driver.run_until(at(10));
+        assert_eq!(
+            driver.world.0,
+            [
+                (at(5), "expiry"),
+                (at(5), "echo"),
+                (at(5), "action"),
+                (at(10), "at end"),
+            ]
+        );
+        assert_eq!(driver.kernel.now(), at(10));
     }
 }

@@ -25,7 +25,7 @@ pub mod linux;
 pub mod pids;
 pub mod vista;
 
-pub use driver::{trial_seed, LinuxDriver, LinuxWorld, VistaDriver, VistaWorld};
+pub use driver::{trial_seed, Driver, Kernel, LinuxDriver, VistaDriver, World};
 
 use netsim::NetFault;
 use simtime::SimDuration;
@@ -78,35 +78,24 @@ pub fn run_linux(
     duration: SimDuration,
     sink: Box<dyn TraceSink>,
 ) -> linuxsim::LinuxKernel {
-    run_linux_faulted(workload, seed, duration, sink, NetFault::none())
-}
-
-/// [`run_linux`] with a network degradation episode on the workload's
-/// network path. Workloads without network traffic (idle, and the Linux
-/// Outlook stand-in) ignore `net`.
-pub fn run_linux_faulted(
-    workload: Workload,
-    seed: u64,
-    duration: SimDuration,
-    sink: Box<dyn TraceSink>,
-    net: NetFault,
-) -> linuxsim::LinuxKernel {
     run_linux_configured(
         workload,
         seed,
         duration,
         sink,
-        net,
+        NetFault::none(),
         wheel::Backend::Native,
         adaptive::AdaptivePolicy::Off,
     )
 }
 
-/// [`run_linux_faulted`] with the kernel's timer queue taken from
-/// `backend` (`Native` keeps the hierarchical cascading wheel) and the
-/// workload-timeout policy selected: `Off` keeps every historical
-/// constant, `Learned` drives the same timers from the learned
-/// distributions of §5.1.
+/// Runs a workload on the Linux model with a network degradation episode
+/// `net` on the workload's network path (workloads without network
+/// traffic, idle and the Linux Outlook stand-in, ignore it), the kernel's
+/// timer queue taken from `backend` (`Native` keeps the hierarchical
+/// cascading wheel) and the workload-timeout policy selected: `Off` keeps
+/// every historical constant, `Learned` drives the same timers from the
+/// learned distributions of §5.1.
 #[allow(clippy::too_many_arguments)]
 pub fn run_linux_configured(
     workload: Workload,
@@ -138,33 +127,22 @@ pub fn run_vista(
     duration: SimDuration,
     sink: Box<dyn TraceSink>,
 ) -> vistasim::VistaKernel {
-    run_vista_faulted(workload, seed, duration, sink, NetFault::none())
-}
-
-/// [`run_vista`] with a network degradation episode on the workload's
-/// network path. Workloads without modelled network traffic (idle,
-/// Firefox, Outlook) ignore `net`.
-pub fn run_vista_faulted(
-    workload: Workload,
-    seed: u64,
-    duration: SimDuration,
-    sink: Box<dyn TraceSink>,
-    net: NetFault,
-) -> vistasim::VistaKernel {
     run_vista_configured(
         workload,
         seed,
         duration,
         sink,
-        net,
+        NetFault::none(),
         wheel::Backend::Native,
         adaptive::AdaptivePolicy::Off,
     )
 }
 
-/// [`run_vista_faulted`] with the kernel's timer queues taken from
-/// `backend` (`Native` keeps the hashed KTIMER ring and TCP wheel) and
-/// the workload-timeout policy selected.
+/// Runs a workload on the Vista model with a network degradation episode
+/// `net` on the workload's network path (workloads without modelled
+/// network traffic, idle, Firefox and Outlook, ignore it), the kernel's
+/// timer queues taken from `backend` (`Native` keeps the hashed KTIMER
+/// ring and TCP wheel) and the workload-timeout policy selected.
 #[allow(clippy::too_many_arguments)]
 pub fn run_vista_configured(
     workload: Workload,

@@ -14,8 +14,8 @@ use netsim::NetFault;
 use simtime::{SimDuration, SimInstant, SimRng};
 use trace::TraceSink;
 
-use super::{finish, schedule_lan};
-use crate::driver::{LinuxDriver, LinuxWorld};
+use super::schedule_lan;
+use crate::driver::{LinuxDriver, World};
 use crate::pids;
 use linuxsim::{LinuxConfig, LinuxKernel, MassId, Notify};
 
@@ -45,7 +45,7 @@ pub struct MassWorld {
     wave: u64,
 }
 
-impl LinuxWorld for MassWorld {
+impl World<LinuxKernel> for MassWorld {
     fn on_notify(_driver: &mut LinuxDriver<Self>, _notify: Notify) {
         // The mass table needs no driver-side reaction: watchdog and
         // retransmit expiries are handled inside the kernel model.
@@ -148,5 +148,5 @@ pub fn run(
     driver.after(duration - close_margin, close_all);
     schedule_lan(&mut driver, netsim::LanActivity::departmental());
     let _ = net; // Background LAN only; mass loss is deterministic.
-    finish(driver, duration)
+    driver.finish(duration)
 }

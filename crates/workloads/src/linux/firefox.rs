@@ -12,8 +12,8 @@ use netsim::{Link, NetFault};
 use simtime::{Empirical, Sample, SimDuration, SimRng};
 use trace::{Tid, TraceSink};
 
-use super::{finish, looper_expired, looper_start, schedule_lan, HasLoopers, SelectLooper};
-use crate::driver::{LinuxDriver, LinuxWorld};
+use super::{looper_expired, looper_start, schedule_lan, HasLoopers, SelectLooper};
+use crate::driver::{LinuxDriver, World};
 use crate::pids;
 use linuxsim::{LinuxConfig, LinuxKernel, Notify, TimerHandle, UserKind};
 
@@ -39,7 +39,7 @@ impl HasLoopers for FirefoxWorld {
     }
 }
 
-impl LinuxWorld for FirefoxWorld {
+impl World<LinuxKernel> for FirefoxWorld {
     fn on_notify(driver: &mut LinuxDriver<Self>, notify: Notify) {
         if let Notify::UserTimerExpired { kind, pid, tid, .. } = notify {
             match kind {
@@ -174,5 +174,5 @@ pub fn run(
     }
     schedule_fetch(&mut driver);
     schedule_lan(&mut driver, netsim::LanActivity::departmental());
-    finish(driver, duration)
+    driver.finish(duration)
 }

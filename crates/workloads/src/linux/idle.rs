@@ -12,10 +12,9 @@ use simtime::{SimDuration, SimRng};
 use trace::TraceSink;
 
 use super::{
-    daemon_poll, finish, looper_expired, looper_start, schedule_lan, DaemonPoller, HasLoopers,
-    SelectLooper,
+    daemon_poll, looper_expired, looper_start, schedule_lan, DaemonPoller, HasLoopers, SelectLooper,
 };
-use crate::driver::{LinuxDriver, LinuxWorld};
+use crate::driver::{LinuxDriver, World};
 use crate::pids;
 use linuxsim::{LinuxConfig, LinuxKernel, Notify, UserKind};
 
@@ -31,7 +30,7 @@ impl HasLoopers for IdleWorld {
     }
 }
 
-impl LinuxWorld for IdleWorld {
+impl World<LinuxKernel> for IdleWorld {
     fn on_notify(driver: &mut LinuxDriver<Self>, notify: Notify) {
         if let Notify::UserTimerExpired {
             kind: UserKind::Select | UserKind::Poll,
@@ -185,7 +184,7 @@ pub fn run(
     schedule_syslog_writes(&mut driver);
     driver.after(SimDuration::from_secs(45), console_tick);
 
-    finish(driver, duration)
+    driver.finish(duration)
 }
 
 /// syslog flushes its file every so often: journal + block I/O activity.

@@ -6,11 +6,11 @@ pub mod idle;
 pub mod skype;
 pub mod webserver;
 
-use simtime::{Sample, SimDuration, SimInstant};
+use simtime::{Sample, SimDuration};
 use trace::{Pid, Tid};
 
-use crate::driver::{LinuxDriver, LinuxWorld};
-use linuxsim::TimerHandle;
+use crate::driver::{LinuxDriver, World};
+use linuxsim::{LinuxKernel, TimerHandle};
 
 /// A `select`-loop participant with the countdown idiom: a long constant
 /// timeout, re-issued with the *remaining* value on every fd activity
@@ -52,7 +52,7 @@ impl SelectLooper {
 }
 
 /// Operations a world must expose for the shared select-loop helpers.
-pub trait HasLoopers: LinuxWorld {
+pub trait HasLoopers: World<LinuxKernel> {
     /// The select-loop participants.
     fn loopers(&mut self) -> &mut Vec<SelectLooper>;
 }
@@ -132,7 +132,10 @@ pub struct DaemonPoller {
 }
 
 /// Issues one daemon poll cycle and schedules its early-cancel, if drawn.
-pub fn daemon_poll<W: LinuxWorld + 'static>(driver: &mut LinuxDriver<W>, poller: DaemonPoller) {
+pub fn daemon_poll<W: World<LinuxKernel> + 'static>(
+    driver: &mut LinuxDriver<W>,
+    poller: DaemonPoller,
+) {
     let handle =
         driver
             .kernel
@@ -152,7 +155,7 @@ pub fn daemon_poll<W: LinuxWorld + 'static>(driver: &mut LinuxDriver<W>, poller:
 }
 
 /// Ambient LAN traffic: schedules the next ARP-relevant packet.
-pub fn schedule_lan<W: LinuxWorld + 'static>(
+pub fn schedule_lan<W: World<LinuxKernel> + 'static>(
     driver: &mut LinuxDriver<W>,
     lan: netsim::LanActivity,
 ) {
@@ -162,13 +165,4 @@ pub fn schedule_lan<W: LinuxWorld + 'static>(
         d.kernel.arp_lan_packet(host);
         schedule_lan(d, lan);
     });
-}
-
-/// Runs `driver` for `duration` and returns the finished kernel.
-pub fn finish<W: LinuxWorld>(
-    mut driver: LinuxDriver<W>,
-    duration: SimDuration,
-) -> linuxsim::LinuxKernel {
-    driver.run_until(SimInstant::BOOT + duration);
-    driver.kernel
 }

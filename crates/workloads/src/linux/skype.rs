@@ -10,8 +10,8 @@ use netsim::{Link, NetFault};
 use simtime::{Empirical, Sample, SimDuration, SimRng};
 use trace::TraceSink;
 
-use super::{finish, looper_expired, looper_start, schedule_lan, HasLoopers, SelectLooper};
-use crate::driver::{LinuxDriver, LinuxWorld};
+use super::{looper_expired, looper_start, schedule_lan, HasLoopers, SelectLooper};
+use crate::driver::{LinuxDriver, World};
 use crate::pids;
 use linuxsim::{ConnId, LinuxConfig, LinuxKernel, Notify, UserKind};
 
@@ -33,7 +33,7 @@ impl HasLoopers for SkypeWorld {
     }
 }
 
-impl LinuxWorld for SkypeWorld {
+impl World<LinuxKernel> for SkypeWorld {
     fn on_notify(driver: &mut LinuxDriver<Self>, notify: Notify) {
         match notify {
             Notify::UserTimerExpired { kind, pid, tid, .. } => match kind {
@@ -205,5 +205,5 @@ pub fn run(
         driver.after(phase, move |d| main_poll_cycle(d, tid));
     }
     schedule_lan(&mut driver, netsim::LanActivity::departmental());
-    finish(driver, duration)
+    driver.finish(duration)
 }

@@ -14,8 +14,8 @@ use netsim::NetFault;
 use simtime::{Exp, Sample, SimDuration, SimInstant, SimRng};
 use trace::{Pid, TraceSink};
 
-use super::{finish, schedule_lan};
-use crate::driver::{LinuxDriver, LinuxWorld};
+use super::schedule_lan;
+use crate::driver::{LinuxDriver, World};
 use crate::pids;
 use linuxsim::{ConnId, LinuxConfig, LinuxKernel, Notify, TimerHandle, UserKind};
 
@@ -93,7 +93,7 @@ fn decide_stretch(
     timeout
 }
 
-impl LinuxWorld for WebWorld {
+impl World<LinuxKernel> for WebWorld {
     fn on_notify(driver: &mut LinuxDriver<Self>, notify: Notify) {
         match notify {
             Notify::UserTimerExpired { kind, pid, tid, .. }
@@ -364,5 +364,5 @@ pub fn run(
     }
     schedule_arrivals(&mut driver);
     schedule_lan(&mut driver, netsim::LanActivity::departmental());
-    finish(driver, duration)
+    driver.finish(duration)
 }

@@ -12,8 +12,8 @@
 use simtime::{Empirical, Sample, SimDuration, SimRng};
 use trace::TraceSink;
 
-use super::{boot_services, finish, resume_sleep_loops, service_sleep_loops, SleepLoop};
-use crate::driver::{VistaDriver, VistaWorld};
+use super::{boot_services, resume_sleep_loops};
+use crate::driver::{VistaDriver, World};
 use crate::pids;
 use vistasim::{VistaConfig, VistaKernel, VistaNotify};
 
@@ -22,12 +22,11 @@ const POLL_THREADS: u32 = 5;
 
 /// Firefox state.
 pub struct FirefoxWorld {
-    loops: Vec<SleepLoop>,
     /// Sub-10 ms wait values, weighted toward sub-millisecond.
     wait_values: Empirical,
 }
 
-impl VistaWorld for FirefoxWorld {
+impl World<VistaKernel> for FirefoxWorld {
     fn on_notify(driver: &mut VistaDriver<Self>, notify: VistaNotify) {
         match notify {
             VistaNotify::WaitTimedOut { pid, tid } if pid == pids::FIREFOX => {
@@ -35,8 +34,7 @@ impl VistaWorld for FirefoxWorld {
                 poll_wait(driver, tid);
             }
             VistaNotify::WaitTimedOut { pid, tid } => {
-                let loops = driver.world.loops.clone();
-                resume_sleep_loops(driver, &loops, pid, tid);
+                resume_sleep_loops(driver, pid, tid);
             }
             VistaNotify::SelectTimedOut { pid, tid } if pid == pids::FIREFOX => {
                 // A network select ran out; the fetch loop continues.
@@ -106,14 +104,7 @@ pub fn run(
         (0.010, 12.0),
     ]);
     let rng = SimRng::new(seed ^ 0x7f1e);
-    let mut driver = VistaDriver::new(
-        kernel,
-        rng,
-        FirefoxWorld {
-            loops: service_sleep_loops(),
-            wait_values,
-        },
-    );
+    let mut driver = VistaDriver::new(kernel, rng, FirefoxWorld { wait_values });
     boot_services(&mut driver);
     // GUI repaint timers.
     driver.kernel.win32_set_timer(
@@ -132,5 +123,5 @@ pub fn run(
         poll_wait(&mut driver, tid);
     }
     schedule_fetch(&mut driver);
-    finish(driver, duration)
+    driver.finish(duration)
 }

@@ -11,20 +11,17 @@
 use simtime::{SimDuration, SimRng};
 use trace::TraceSink;
 
-use super::{boot_services, finish, resume_sleep_loops, service_sleep_loops, SleepLoop};
-use crate::driver::{VistaDriver, VistaWorld};
+use super::{boot_services, resume_sleep_loops};
+use crate::driver::{VistaDriver, World};
 use vistasim::{VistaConfig, VistaKernel, VistaNotify};
 
-/// Idle-desktop state.
-pub struct IdleWorld {
-    loops: Vec<SleepLoop>,
-}
+/// Idle-desktop state: the service population alone.
+pub struct IdleWorld;
 
-impl VistaWorld for IdleWorld {
+impl World<VistaKernel> for IdleWorld {
     fn on_notify(driver: &mut VistaDriver<Self>, notify: VistaNotify) {
         if let VistaNotify::WaitTimedOut { pid, tid } = notify {
-            let loops = driver.world.loops.clone();
-            resume_sleep_loops(driver, &loops, pid, tid);
+            resume_sleep_loops(driver, pid, tid);
         }
     }
 }
@@ -45,13 +42,7 @@ pub fn run(
     };
     let kernel = VistaKernel::new(cfg, sink);
     let rng = SimRng::new(seed ^ 0x71d1e);
-    let mut driver = VistaDriver::new(
-        kernel,
-        rng,
-        IdleWorld {
-            loops: service_sleep_loops(),
-        },
-    );
+    let mut driver = VistaDriver::new(kernel, rng, IdleWorld);
     boot_services(&mut driver);
-    finish(driver, duration)
+    driver.finish(duration)
 }

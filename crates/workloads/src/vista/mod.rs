@@ -6,10 +6,62 @@ pub mod outlook;
 pub mod skype;
 pub mod webserver;
 
-use simtime::{SimDuration, SimInstant};
+use simtime::SimDuration;
 use trace::Pid;
+use vistasim::VistaKernel;
 
-use crate::driver::{VistaDriver, VistaWorld};
+use crate::driver::{VistaDriver, World};
+use crate::pids;
+
+/// A service thread that sleeps for a constant round value, forever —
+/// the *delay* pattern. Each wait timeout restarts the sleep, so worlds
+/// route [`vistasim::VistaNotify::WaitTimedOut`] back via
+/// [`resume_sleep_loops`].
+struct SleepLoop {
+    pid: Pid,
+    tid: u32,
+    origin: &'static str,
+    period: SimDuration,
+}
+
+impl SleepLoop {
+    fn sleep<W: World<VistaKernel>>(&self, driver: &mut VistaDriver<W>) {
+        driver
+            .kernel
+            .sleep(self.pid, self.tid, self.origin, self.period);
+    }
+}
+
+/// The idle desktop's service sleep loops. csrss's 500 ms timed wait
+/// always times out — one of the "more than two timers per second"
+/// setters the paper names; the svchost instances sleep at round values.
+/// [`boot_services`] starts csrss's loop mid-boot and the rest last.
+const SLEEP_LOOPS: [SleepLoop; 4] = [
+    SleepLoop {
+        pid: pids::CSRSS,
+        tid: 1,
+        origin: "csrss.exe:wait",
+        period: SimDuration::from_millis(500),
+    },
+    SleepLoop {
+        pid: pids::SVCHOST_BASE,
+        tid: 2,
+        origin: "svchost.exe:Sleep",
+        period: SimDuration::from_secs(1),
+    },
+    SleepLoop {
+        pid: pids::SVCHOST_BASE + 1,
+        tid: 2,
+        origin: "svchost.exe:Sleep",
+        period: SimDuration::from_secs(5),
+    },
+    SleepLoop {
+        pid: pids::SVCHOST_BASE + 2,
+        tid: 2,
+        origin: "svchost.exe:Sleep",
+        period: SimDuration::from_secs(10),
+    },
+];
 
 /// Boots the idle desktop's background service population: the 26
 /// background processes of §3.5's Vista idle workload.
@@ -17,8 +69,8 @@ use crate::driver::{VistaDriver, VistaWorld};
 /// Each service runs one of the user-level idioms: periodic threadpool
 /// timers, `Sleep` loops, message-loop `SetTimer`s, or timed waits that
 /// are usually satisfied.
-pub fn boot_services<W: VistaWorld + 'static>(driver: &mut VistaDriver<W>) {
-    use crate::pids;
+pub fn boot_services<W: World<VistaKernel> + 'static>(driver: &mut VistaDriver<W>) {
+    let [csrss_loop, svchost_loops @ ..] = &SLEEP_LOOPS;
     driver.kernel.register_process(pids::CSRSS, "csrss.exe");
     driver
         .kernel
@@ -96,15 +148,7 @@ pub fn boot_services<W: VistaWorld + 'static>(driver: &mut VistaDriver<W>) {
         SimDuration::from_secs(90),
         Some(SimDuration::from_secs(90)),
     );
-    // csrss: a 500 ms timed wait loop that always times out — one of the
-    // "more than two timers per second" setters the paper names.
-    sleep_loop(
-        driver,
-        pids::CSRSS,
-        1,
-        "csrss.exe:wait",
-        SimDuration::from_millis(500),
-    );
+    csrss_loop.sleep(driver);
     // The audio tray applet: a 100 ms GUI timer.
     driver.kernel.win32_set_timer(
         pids::AUDIO_TRAY,
@@ -128,107 +172,21 @@ pub fn boot_services<W: VistaWorld + 'static>(driver: &mut VistaDriver<W>) {
     registry_bursts(driver, pids::SVCHOST_BASE + 4);
     registry_bursts(driver, pids::SVCHOST_BASE + 5);
     // A handful of service Sleep loops at round values.
-    sleep_loop(
-        driver,
-        pids::SVCHOST_BASE,
-        2,
-        "svchost.exe:Sleep",
-        SimDuration::from_secs(1),
-    );
-    sleep_loop(
-        driver,
-        pids::SVCHOST_BASE + 1,
-        2,
-        "svchost.exe:Sleep",
-        SimDuration::from_secs(5),
-    );
-    sleep_loop(
-        driver,
-        pids::SVCHOST_BASE + 2,
-        2,
-        "svchost.exe:Sleep",
-        SimDuration::from_secs(10),
-    );
-}
-
-/// A thread that sleeps for a constant round value, forever — the *delay*
-/// pattern. Restart is driven by the wait-timeout notification, so worlds
-/// must route [`vistasim::VistaNotify::WaitTimedOut`] back via
-/// [`resume_sleep_loops`].
-pub fn sleep_loop<W: VistaWorld + 'static>(
-    driver: &mut VistaDriver<W>,
-    pid: Pid,
-    tid: u32,
-    origin: &'static str,
-    period: SimDuration,
-) {
-    driver.kernel.sleep(pid, tid, origin, period);
-}
-
-/// Sleep-loop registry entry.
-#[derive(Debug, Clone, Copy)]
-pub struct SleepLoop {
-    /// Owning process.
-    pub pid: Pid,
-    /// Owning thread.
-    pub tid: u32,
-    /// Provenance label.
-    pub origin: &'static str,
-    /// The constant sleep.
-    pub period: SimDuration,
-}
-
-/// The default service sleep-loop registry matching [`boot_services`].
-pub fn service_sleep_loops() -> Vec<SleepLoop> {
-    use crate::pids;
-    vec![
-        SleepLoop {
-            pid: pids::CSRSS,
-            tid: 1,
-            origin: "csrss.exe:wait",
-            period: SimDuration::from_millis(500),
-        },
-        SleepLoop {
-            pid: pids::SVCHOST_BASE,
-            tid: 2,
-            origin: "svchost.exe:Sleep",
-            period: SimDuration::from_secs(1),
-        },
-        SleepLoop {
-            pid: pids::SVCHOST_BASE + 1,
-            tid: 2,
-            origin: "svchost.exe:Sleep",
-            period: SimDuration::from_secs(5),
-        },
-        SleepLoop {
-            pid: pids::SVCHOST_BASE + 2,
-            tid: 2,
-            origin: "svchost.exe:Sleep",
-            period: SimDuration::from_secs(10),
-        },
-    ]
+    for l in svchost_loops {
+        l.sleep(driver);
+    }
 }
 
 /// Routes a wait timeout back into its sleep loop, if it belongs to one.
-/// Returns `true` if handled.
-pub fn resume_sleep_loops<W: VistaWorld + 'static>(
-    driver: &mut VistaDriver<W>,
-    loops: &[SleepLoop],
-    pid: Pid,
-    tid: u32,
-) -> bool {
-    if let Some(l) = loops.iter().find(|l| l.pid == pid && l.tid == tid) {
-        let l = *l;
-        driver.kernel.sleep(l.pid, l.tid, l.origin, l.period);
-        true
-    } else {
-        false
+pub fn resume_sleep_loops<W: World<VistaKernel>>(driver: &mut VistaDriver<W>, pid: Pid, tid: u32) {
+    if let Some(l) = SLEEP_LOOPS.iter().find(|l| l.pid == pid && l.tid == tid) {
+        l.sleep(driver);
     }
 }
 
 /// An event-driven service: waits 5 s, usually signalled within a couple
 /// of seconds.
-fn event_service<W: VistaWorld + 'static>(driver: &mut VistaDriver<W>, pid: Pid, tid: u32) {
+fn event_service<W: World<VistaKernel> + 'static>(driver: &mut VistaDriver<W>, pid: Pid, tid: u32) {
     driver.kernel.wait_for_single_object(
         pid,
         tid,
@@ -246,7 +204,7 @@ fn event_service<W: VistaWorld + 'static>(driver: &mut VistaDriver<W>, pid: Pid,
 /// times in quick succession (each touch deferring the lazy-close
 /// timer), then goes idle long enough for the close to fire — producing
 /// the paper's fifth, Vista-specific *deferred* pattern.
-pub fn registry_bursts<W: VistaWorld + 'static>(driver: &mut VistaDriver<W>, pid: Pid) {
+pub fn registry_bursts<W: World<VistaKernel> + 'static>(driver: &mut VistaDriver<W>, pid: Pid) {
     // Active phase: 3-6 accesses ~1.5 s apart.
     let touches = 3 + driver.rng.range_u64(0, 4);
     for i in 0..touches {
@@ -257,13 +215,4 @@ pub fn registry_bursts<W: VistaWorld + 'static>(driver: &mut VistaDriver<W>, pid
     let idle = SimDuration::from_secs(12 + driver.rng.range_u64(0, 10));
     let next = SimDuration::from_millis(200 + touches * 2_000) + idle;
     driver.after(next, move |d| registry_bursts(d, pid));
-}
-
-/// Runs `driver` for `duration` and returns the finished kernel.
-pub fn finish<W: VistaWorld>(
-    mut driver: VistaDriver<W>,
-    duration: SimDuration,
-) -> vistasim::VistaKernel {
-    driver.run_until(SimInstant::BOOT + duration);
-    driver.kernel
 }

@@ -11,15 +11,14 @@
 use simtime::{Exp, Sample, SimDuration, SimRng};
 use trace::TraceSink;
 
-use super::{boot_services, finish, resume_sleep_loops, service_sleep_loops, SleepLoop};
-use crate::driver::{VistaDriver, VistaWorld};
+use super::{boot_services, resume_sleep_loops};
+use crate::driver::{VistaDriver, World};
 use crate::pids;
 use vistasim::kernel::KernelLoadLevel;
 use vistasim::{VistaConfig, VistaKernel, VistaNotify};
 
 /// Desktop state.
 pub struct OutlookWorld {
-    loops: Vec<SleepLoop>,
     /// Upcalls per second while idle.
     idle_rate: f64,
     /// Upcalls per second during a burst.
@@ -28,11 +27,10 @@ pub struct OutlookWorld {
     bursting: bool,
 }
 
-impl VistaWorld for OutlookWorld {
+impl World<VistaKernel> for OutlookWorld {
     fn on_notify(driver: &mut VistaDriver<Self>, notify: VistaNotify) {
         if let VistaNotify::WaitTimedOut { pid, tid } = notify {
-            let loops = driver.world.loops.clone();
-            resume_sleep_loops(driver, &loops, pid, tid);
+            resume_sleep_loops(driver, pid, tid);
         }
     }
 }
@@ -127,7 +125,6 @@ pub fn run(
         kernel_load: KernelLoadLevel::Desktop,
         backend,
         policy,
-        ..VistaConfig::default()
     };
     let mut kernel = VistaKernel::new(cfg, sink);
     kernel.register_process(pids::OUTLOOK, "outlook.exe");
@@ -137,7 +134,6 @@ pub fn run(
         kernel,
         rng,
         OutlookWorld {
-            loops: service_sleep_loops(),
             idle_rate: 70.0,
             burst_rate: 6_500.0,
             bursting: false,
@@ -147,5 +143,5 @@ pub fn run(
     browser_activity(&mut driver);
     schedule_upcalls(&mut driver);
     schedule_bursts(&mut driver);
-    finish(driver, duration)
+    driver.finish(duration)
 }

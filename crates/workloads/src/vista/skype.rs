@@ -10,14 +10,13 @@ use netsim::{Link, NetFault};
 use simtime::{Empirical, Sample, SimDuration, SimRng};
 use trace::TraceSink;
 
-use super::{boot_services, finish, resume_sleep_loops, service_sleep_loops, SleepLoop};
-use crate::driver::{VistaDriver, VistaWorld};
+use super::{boot_services, resume_sleep_loops};
+use crate::driver::{VistaDriver, World};
 use crate::pids;
 use vistasim::{VistaConfig, VistaKernel, VistaNotify};
 
 /// Skype state.
 pub struct SkypeWorld {
-    loops: Vec<SleepLoop>,
     /// Main-loop wait values (0.5 s class, Figure 7's 0.5/0.5156).
     wait_values: Empirical,
     /// The call's wheel-managed connection.
@@ -31,7 +30,7 @@ const AUDIO_TID: u32 = 1;
 /// The main loop's tid.
 const MAIN_TID: u32 = 2;
 
-impl VistaWorld for SkypeWorld {
+impl World<VistaKernel> for SkypeWorld {
     fn on_notify(driver: &mut VistaDriver<Self>, notify: VistaNotify) {
         match notify {
             VistaNotify::WaitTimedOut { pid, tid } if pid == pids::SKYPE => match tid {
@@ -48,8 +47,7 @@ impl VistaWorld for SkypeWorld {
                 _ => {}
             },
             VistaNotify::WaitTimedOut { pid, tid } => {
-                let loops = driver.world.loops.clone();
-                resume_sleep_loops(driver, &loops, pid, tid);
+                resume_sleep_loops(driver, pid, tid);
             }
             VistaNotify::VtcpRetransmit { conn } => {
                 // The resent voice segment is ACKed an RTT later.
@@ -148,7 +146,6 @@ pub fn run(
         kernel,
         rng,
         SkypeWorld {
-            loops: service_sleep_loops(),
             wait_values,
             conn: None,
             link: Link::internet_lossy().with_fault(net),
@@ -176,5 +173,5 @@ pub fn run(
     );
     schedule_voice(&mut driver);
     driver.after(SimDuration::from_millis(11), net_select);
-    finish(driver, duration)
+    driver.finish(duration)
 }

@@ -12,8 +12,8 @@ use netsim::NetFault;
 use simtime::{Exp, Sample, SimDuration, SimRng};
 use trace::TraceSink;
 
-use super::{boot_services, finish, resume_sleep_loops, service_sleep_loops, SleepLoop};
-use crate::driver::{VistaDriver, VistaWorld};
+use super::{boot_services, resume_sleep_loops};
+use crate::driver::{VistaDriver, World};
 use crate::pids;
 use vistasim::{VistaConfig, VistaKernel, VistaNotify};
 
@@ -22,7 +22,6 @@ const WORKERS: u32 = 8;
 
 /// Webserver state.
 pub struct WebWorld {
-    loops: Vec<SleepLoop>,
     remaining: u64,
     inflight: u32,
     parallel: u32,
@@ -30,7 +29,7 @@ pub struct WebWorld {
     interarrival: Exp,
 }
 
-impl VistaWorld for WebWorld {
+impl World<VistaKernel> for WebWorld {
     fn on_notify(driver: &mut VistaDriver<Self>, notify: VistaNotify) {
         match notify {
             VistaNotify::WaitTimedOut { pid, tid } if pid == pids::APACHE => {
@@ -39,8 +38,7 @@ impl VistaWorld for WebWorld {
                 worker_wait(driver, tid);
             }
             VistaNotify::WaitTimedOut { pid, tid } => {
-                let loops = driver.world.loops.clone();
-                resume_sleep_loops(driver, &loops, pid, tid);
+                resume_sleep_loops(driver, pid, tid);
             }
             VistaNotify::VtcpRetransmit { conn } => {
                 let link = driver.world.link.clone();
@@ -139,7 +137,6 @@ pub fn run(
         kernel,
         rng,
         WebWorld {
-            loops: service_sleep_loops(),
             remaining: total_requests,
             inflight: 0,
             parallel: 10,
@@ -152,5 +149,5 @@ pub fn run(
         worker_wait(&mut driver, tid);
     }
     schedule_arrivals(&mut driver);
-    finish(driver, duration)
+    driver.finish(duration)
 }
