@@ -11,11 +11,9 @@ use simtime::SimDuration;
 /// A capped exponential backoff sequence.
 #[derive(Debug, Clone)]
 pub struct ExponentialBackoff {
-    initial: SimDuration,
     factor: f64,
     cap: SimDuration,
     current: SimDuration,
-    steps: u32,
 }
 
 impl ExponentialBackoff {
@@ -27,23 +25,11 @@ impl ExponentialBackoff {
     /// Panics if `factor < 1`.
     pub fn new(initial: SimDuration, factor: f64, cap: SimDuration) -> Self {
         assert!(factor >= 1.0, "backoff factor must be >= 1, got {factor}");
-        let initial = initial.min(cap);
         ExponentialBackoff {
-            initial,
             factor,
             cap,
-            current: initial,
-            steps: 0,
+            current: initial.min(cap),
         }
-    }
-
-    /// The SunRPC discipline from the paper: 500 ms initial, doubling.
-    pub fn sunrpc() -> Self {
-        ExponentialBackoff::new(
-            SimDuration::from_millis(500),
-            2.0,
-            SimDuration::from_secs(64),
-        )
     }
 
     /// The current value without advancing.
@@ -51,19 +37,13 @@ impl ExponentialBackoff {
         self.current
     }
 
-    /// Steps taken since the last reset.
-    pub fn steps(&self) -> u32 {
-        self.steps
-    }
-
     /// Advances the backoff, returning the *new* value.
     ///
     /// Once `current` has reached `cap` the value is saturated: further
-    /// advances return exactly `cap` (only the step counter moves). The
-    /// growth step is also clamped to be monotone — the f64 round-trip in
-    /// `mul_f64` must never walk the value backwards for `factor >= 1`.
+    /// advances return exactly `cap`. The growth step is also clamped to
+    /// be monotone — the f64 round-trip in `mul_f64` must never walk the
+    /// value backwards for `factor >= 1`.
     pub fn advance(&mut self) -> SimDuration {
-        self.steps = self.steps.saturating_add(1);
         if self.current >= self.cap {
             self.current = self.cap;
             return self.current;
@@ -76,16 +56,9 @@ impl ExponentialBackoff {
         self.current
     }
 
-    /// Resets to the initial value.
-    pub fn reset(&mut self) {
-        self.current = self.initial;
-        self.steps = 0;
-    }
-
     /// Resets to a new base value (adaptive re-anchoring).
     pub fn reset_to(&mut self, base: SimDuration) {
         self.current = base.min(self.cap);
-        self.steps = 0;
     }
 }
 
@@ -105,17 +78,6 @@ mod tests {
         assert_eq!(b.advance(), SimDuration::from_millis(400));
         assert_eq!(b.advance(), SimDuration::from_millis(500));
         assert_eq!(b.advance(), SimDuration::from_millis(500));
-        assert_eq!(b.steps(), 4);
-    }
-
-    #[test]
-    fn reset_restores_initial() {
-        let mut b = ExponentialBackoff::sunrpc();
-        b.advance();
-        b.advance();
-        b.reset();
-        assert_eq!(b.current(), SimDuration::from_millis(500));
-        assert_eq!(b.steps(), 0);
     }
 
     #[test]
@@ -131,7 +93,6 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(b.advance(), cap);
         }
-        assert_eq!(b.steps(), 110);
     }
 
     #[test]

@@ -11,8 +11,8 @@ use crate::countdown::{CountdownDetector, Dot};
 use crate::lifecycle::LifecycleTracker;
 use crate::provenance::{ProvenanceRow, ProvenanceTracker};
 use crate::scatter::{ScatterBuilder, ScatterPoint};
-use crate::summary::{RateSeries, TimerPopulation, TraceSummary};
-use crate::values::{ValueHistogram, ValueRow};
+use crate::summary::{RateSeries, TraceSummary};
+use crate::values::{SetValues, ValueRow};
 
 /// How episodes are clustered into "a timer" for classification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,13 +111,10 @@ pub struct Report {
 pub struct TraceAnalyzer {
     cfg: AnalyzerConfig,
     lifecycle: LifecycleTracker,
-    population: TimerPopulation,
     counts: EventCounts,
     classifier: Classifier,
     origin_classifier: Classifier,
-    values_all: ValueHistogram,
-    values_filtered: ValueHistogram,
-    values_user: ValueHistogram,
+    values: SetValues,
     countdown: CountdownDetector,
     scatter: ScatterBuilder,
     rates: RateSeries,
@@ -140,18 +137,12 @@ impl std::fmt::Debug for TraceAnalyzer {
 impl TraceAnalyzer {
     /// Creates an analyzer.
     pub fn new(cfg: AnalyzerConfig) -> Self {
-        let values_filtered = ValueHistogram::excluding(cfg.exclude_pids.iter().copied());
-        // The user-space histogram applies the same process filter.
-        let values_user = ValueHistogram::user_only_excluding(cfg.exclude_pids.iter().copied());
         TraceAnalyzer {
             lifecycle: LifecycleTracker::new(),
-            population: TimerPopulation::default(),
             counts: EventCounts::default(),
             classifier: Classifier::new(cfg.tolerance),
             origin_classifier: Classifier::new(cfg.tolerance),
-            values_all: ValueHistogram::new(),
-            values_filtered,
-            values_user,
+            values: SetValues::default(),
             countdown: CountdownDetector::new(cfg.tolerance, cfg.dot_pids.clone()),
             scatter: ScatterBuilder::new(),
             rates: RateSeries::new(cfg.rate_groups.clone()),
@@ -186,33 +177,23 @@ impl TraceAnalyzer {
             self.counts.absorb(event);
         }
         for event in events {
-            self.population.push(event);
-        }
-        for event in events {
             self.rates.push(event);
         }
         for event in events {
-            self.values_all.push(event);
-        }
-        for event in events {
-            self.values_filtered.push(event);
-        }
-        for event in events {
-            self.values_user.push(event);
-        }
-        for event in events {
-            self.countdown.push(event);
+            self.values.push(event, &self.cfg.exclude_pids);
         }
         self.attribution.push_chunk(events);
         for event in events {
-            self.push_lifecycle(event);
+            self.push_timer(event);
         }
     }
 
-    /// The lifecycle chain: episode reconstruction feeding the
-    /// classifiers, scatter and provenance, in exact sample order.
-    fn push_lifecycle(&mut self, event: &Event) {
-        if let Some(sample) = self.lifecycle.push(event) {
+    /// The per-timer pass: one table probe feeds the countdown detector
+    /// and any closed episode's classifiers, scatter and provenance.
+    fn push_timer(&mut self, event: &Event) {
+        let (sample, chain) = self.lifecycle.push(event);
+        self.countdown.push(chain, event);
+        if let Some(sample) = sample {
             let key = match self.cfg.cluster_mode {
                 ClusterMode::ByAddress => ClusterKey(sample.addr, 0),
                 ClusterMode::ByOriginPid => ClusterKey(sample.origin as u64, sample.pid as u64),
@@ -231,7 +212,7 @@ impl TraceAnalyzer {
     pub fn finish(self, strings: &StringTable) -> Report {
         let mut summary = TraceSummary::from_counts(
             self.counts,
-            self.population.count(),
+            self.lifecycle.timer_count() as u64,
             self.lifecycle.peak_concurrency() as u64,
         );
         summary.orphan_ends = self.lifecycle.orphan_ends();
@@ -258,23 +239,83 @@ impl TraceAnalyzer {
         Report {
             summary,
             pattern_mix: self.classifier.finish(),
-            values_all: self.values_all.rows(2.0),
-            values_all_coverage: self.values_all.coverage(2.0),
-            values_filtered: self.values_filtered.rows(2.0),
-            values_filtered_coverage: self.values_filtered.coverage(2.0),
-            values_user: self.values_user.rows(2.0),
+            values_all: self.values.all.rows(2.0),
+            values_all_coverage: self.values.all.coverage(2.0),
+            values_filtered: self.values.filtered.rows(2.0),
+            values_filtered_coverage: self.values.filtered.coverage(2.0),
+            values_user: self.values.user.rows(2.0),
             scatter: self.scatter.points(),
             fig4_dots: self.countdown.dots().to_vec(),
             rate_series,
             provenance,
             attribution: self.attribution.finish(strings),
-            countdown_timer_count: self.countdown.countdown_timers(0.5).len(),
-            countdown_validation: self.countdown.validation_counts(),
+            countdown_timer_count: self
+                .lifecycle
+                .chains()
+                .filter(|c| c.is_countdown(0.5))
+                .count(),
+            countdown_validation: self.countdown.validation_counts(self.lifecycle.chains()),
         }
     }
 
     /// Aggregate counters so far (for progress displays).
     pub fn counts(&self) -> EventCounts {
         self.counts
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simtime::SimInstant;
+    use trace::EventKind::{self, Cancel, Expire, Init, Set, WaitTimedOut};
+
+    /// An event at `ms` on timer `addr`; a `timeout_ms` of 0 means none.
+    fn ev(ms: u64, kind: EventKind, addr: u64, timeout_ms: u64, flagged: bool) -> Event {
+        let mut e = Event::new(
+            SimInstant::BOOT + SimDuration::from_millis(ms),
+            kind,
+            addr,
+            0,
+        );
+        if timeout_ms > 0 {
+            e = e.with_timeout(SimDuration::from_millis(timeout_ms));
+        }
+        e.flags.countdown = flagged;
+        e
+    }
+
+    /// The per-timer table's edges: Init-only and orphan addresses are
+    /// timers, a reset keeps concurrency, a closed address is reusable,
+    /// and Sets without a timeout never reach the countdown counts.
+    #[test]
+    fn per_timer_edges() {
+        let events = [
+            ev(0, Init, 1, 0, false),
+            ev(1, Cancel, 2, 0, false), // orphan
+            ev(2, Set, 3, 100, false),
+            ev(3, Set, 4, 50, false),
+            ev(4, Set, 5, 0, false),   // no timeout
+            ev(12, Set, 3, 90, true),  // reset; countdown, flagged
+            ev(22, Set, 3, 80, true),  // reset; countdown, flagged
+            ev(32, Set, 3, 70, false), // reset; countdown, unflagged
+            ev(53, Expire, 4, 0, false),
+            ev(60, Set, 4, 50, false), // reuse after the episode closed
+            ev(61, Set, 5, 0, true),   // reset; flagged, but no timeout
+            ev(62, Set, 5, 0, false),  // reset
+            ev(63, Set, 6, 10, false), // the fourth open timer
+            ev(70, Cancel, 4, 0, false),
+            ev(73, Expire, 6, 0, false),
+            ev(102, Expire, 3, 0, false),
+            ev(110, WaitTimedOut, 7, 0, false), // orphan
+        ];
+        let mut analyzer = TraceAnalyzer::new(AnalyzerConfig::linux());
+        analyzer.push_chunk(&events);
+        let report = analyzer.finish(&StringTable::new());
+        assert_eq!(report.summary.timers, 7);
+        assert_eq!(report.summary.concurrency, 4);
+        assert_eq!(report.summary.orphan_ends, 2);
+        assert_eq!(report.countdown_timer_count, 1);
+        assert_eq!(report.countdown_validation, (2, 3, 2));
     }
 }

@@ -19,7 +19,7 @@
 //! and this fold is on the enabled side of that line.
 
 use telemetry::{LogHistogram, OriginRow, OriginTable};
-use trace::{Event, StringTable};
+use trace::{Event, EventKind, StringTable};
 
 /// Per-origin accumulator (label-unresolved form of a row).
 #[derive(Debug, Clone, Default)]
@@ -63,25 +63,23 @@ impl AttributionTracker {
             self.per_origin.resize_with(idx + 1, || None);
         }
         let acc = self.per_origin[idx].get_or_insert_with(OriginAcc::default);
-        if event.kind == trace::EventKind::Init {
-            acc.inits += 1;
-        }
-        if event.kind.is_set() {
-            acc.sets += 1;
-            if let Some(timeout) = event.timeout {
-                acc.timeout_ns.record(timeout.as_nanos());
+        match event.kind {
+            EventKind::Init => acc.inits += 1,
+            EventKind::Set => {
+                acc.sets += 1;
+                if let Some(timeout) = event.timeout {
+                    acc.timeout_ns.record(timeout.as_nanos());
+                }
             }
-        }
-        if event.kind.is_cancel() {
-            acc.cancels += 1;
-        }
-        if event.kind.is_expire() {
-            acc.expirations += 1;
-            if let Some(expires) = event.expires {
-                // Saturating: a perturbed-clock fault can stamp delivery
-                // before the armed expiry; that is slack 0, not underflow.
-                let slack = event.ts.duration_since(expires);
-                acc.slack_ns.record(slack.as_nanos());
+            EventKind::Cancel | EventKind::WaitSatisfied => acc.cancels += 1,
+            EventKind::Expire | EventKind::WaitTimedOut => {
+                acc.expirations += 1;
+                if let Some(expires) = event.expires {
+                    // Saturating: a perturbed-clock fault can stamp delivery
+                    // before the armed expiry; that is slack 0, not underflow.
+                    let slack = event.ts.duration_since(expires);
+                    acc.slack_ns.record(slack.as_nanos());
+                }
             }
         }
     }
@@ -101,16 +99,22 @@ impl AttributionTracker {
         self.per_origin.iter().flatten().count()
     }
 
-    /// Resolves labels and freezes the canonical [`OriginTable`].
+    /// Resolves labels and freezes the canonical [`OriginTable`]. The
+    /// origins are put in canonical order before their rows are built,
+    /// so no kilobyte-sized row is moved by the sort.
     pub fn finish(&self, strings: &StringTable) -> OriginTable {
-        let mut table = OriginTable {
-            rows: self
-                .per_origin
-                .iter()
-                .enumerate()
-                .filter_map(|(origin, acc)| acc.as_ref().map(|acc| (origin as u32, acc)))
-                .map(|(origin, acc)| OriginRow {
-                    label: strings.resolve(origin).to_owned(),
+        let mut seen: Vec<(&str, &OriginAcc)> = self
+            .per_origin
+            .iter()
+            .enumerate()
+            .filter_map(|(origin, acc)| Some((strings.resolve(origin as u32), acc.as_ref()?)))
+            .collect();
+        seen.sort_by_key(|&(label, acc)| OriginTable::row_key(acc.sets, label));
+        OriginTable {
+            rows: seen
+                .into_iter()
+                .map(|(label, acc)| OriginRow {
+                    label: label.to_owned(),
                     inits: acc.inits,
                     sets: acc.sets,
                     cancels: acc.cancels,
@@ -119,9 +123,7 @@ impl AttributionTracker {
                     slack_ns: acc.slack_ns,
                 })
                 .collect(),
-        };
-        table.sort();
-        table
+        }
     }
 }
 

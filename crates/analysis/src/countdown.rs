@@ -11,31 +11,8 @@
 //! validating the detector.
 
 use serde::{Deserialize, Serialize};
-use simtime::fasthash::FoldMap;
 use simtime::SimDuration;
-use trace::{Event, EventKind, Pid, TimerAddr};
-
-/// Per-timer countdown statistics.
-#[derive(Debug, Default, Clone, Copy, Serialize, Deserialize)]
-pub struct CountdownStats {
-    /// Total sets observed.
-    pub sets: u64,
-    /// Sets detected as countdown re-issues of the previous value.
-    pub countdown_sets: u64,
-    /// Ground-truth countdown sets (from simulator flags), for validation.
-    pub flagged_sets: u64,
-}
-
-impl CountdownStats {
-    /// Fraction of sets that are countdown re-issues.
-    pub fn countdown_fraction(&self) -> f64 {
-        if self.sets == 0 {
-            0.0
-        } else {
-            self.countdown_sets as f64 / self.sets as f64
-        }
-    }
-}
+use trace::{Event, EventKind, Pid};
 
 /// One dot of the Figure 4 series.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -46,20 +23,33 @@ pub struct Dot {
     pub value: f64,
 }
 
-/// Per-timer detector state: the running stats plus the previous set,
-/// in one map entry so each event costs a single hash lookup.
-#[derive(Debug, Default)]
-struct TimerState {
-    stats: CountdownStats,
+/// One timer's countdown chain: its running counts plus the previous
+/// set. It lives in the timer's entry of the lifecycle table, so a Set
+/// costs no lookup of its own; a timer with no timed Set keeps zeros.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct Chain {
+    /// Sets with a timeout.
+    sets: u64,
+    /// Sets detected as countdown re-issues of the previous value.
+    countdown_sets: u64,
+    /// Ground-truth countdown sets (from simulator flags), for validation.
+    flagged_sets: u64,
     /// Previous set on this timer: (ts_ns, value_ns).
     last_set: Option<(u64, u64)>,
+}
+
+impl Chain {
+    /// A countdown timer: at least four sets, at least `min_fraction` of
+    /// them countdown re-issues.
+    pub(crate) fn is_countdown(&self, min_fraction: f64) -> bool {
+        self.sets >= 4 && self.countdown_sets as f64 / self.sets as f64 >= min_fraction
+    }
 }
 
 /// The streaming countdown detector.
 #[derive(Debug)]
 pub struct CountdownDetector {
     tolerance: SimDuration,
-    per_timer: FoldMap<TimerAddr, TimerState>,
     /// Processes whose every set is recorded as a Figure 4 dot.
     dot_pids: Vec<Pid>,
     dots: Vec<Dot>,
@@ -79,7 +69,6 @@ impl CountdownDetector {
     pub fn new(tolerance: SimDuration, dot_pids: Vec<Pid>) -> Self {
         CountdownDetector {
             tolerance,
-            per_timer: FoldMap::default(),
             dot_pids,
             dots: Vec::new(),
             max_dots: 200_000,
@@ -88,8 +77,8 @@ impl CountdownDetector {
         }
     }
 
-    /// Feeds one event.
-    pub fn push(&mut self, event: &Event) {
+    /// Feeds one event with its timer's chain.
+    pub fn push(&mut self, chain: &mut Chain, event: &Event) {
         if event.kind != EventKind::Set {
             // Expiry/cancel breaks a countdown chain only through time
             // gaps; the chain state keys off consecutive sets alone.
@@ -98,14 +87,13 @@ impl CountdownDetector {
         let Some(value) = event.timeout else {
             return;
         };
-        let state = self.per_timer.entry(event.timer).or_default();
-        state.stats.sets += 1;
+        chain.sets += 1;
         if event.flags.countdown {
-            state.stats.flagged_sets += 1;
+            chain.flagged_sets += 1;
         }
         let now_ns = event.ts.as_nanos();
         let value_ns = value.as_nanos();
-        if let Some((prev_ts, prev_value)) = state.last_set {
+        if let Some((prev_ts, prev_value)) = chain.last_set {
             if now_ns <= prev_ts {
                 // A backwards or duplicated timestamp used to collapse to
                 // "zero elapsed" via saturating_sub, so any re-issue of a
@@ -124,34 +112,20 @@ impl CountdownDetector {
                     && expected_remaining.abs_diff(value_ns) <= tol
                     && prev_value > 0
                 {
-                    state.stats.countdown_sets += 1;
+                    chain.countdown_sets += 1;
                     if event.flags.countdown {
                         self.true_positives += 1;
                     }
                 }
             }
         }
-        state.last_set = Some((now_ns, value_ns));
+        chain.last_set = Some((now_ns, value_ns));
         if self.dot_pids.contains(&event.pid) && self.dots.len() < self.max_dots {
             self.dots.push(Dot {
                 t: event.ts.as_secs_f64(),
                 value: value.as_secs_f64(),
             });
         }
-    }
-
-    /// Timers whose sets are mostly countdown re-issues.
-    pub fn countdown_timers(&self, min_fraction: f64) -> Vec<TimerAddr> {
-        self.per_timer
-            .iter()
-            .filter(|(_, s)| s.stats.sets >= 4 && s.stats.countdown_fraction() >= min_fraction)
-            .map(|(&addr, _)| addr)
-            .collect()
-    }
-
-    /// Per-timer statistics.
-    pub fn stats(&self, addr: TimerAddr) -> Option<CountdownStats> {
-        self.per_timer.get(&addr).map(|s| s.stats)
     }
 
     /// The Figure 4 dot series.
@@ -165,16 +139,19 @@ impl CountdownDetector {
         self.out_of_order_sets
     }
 
-    /// Detector-vs-ground-truth agreement summed over every timer, per
-    /// set: (true positives, detected, flagged). A true positive is a set
-    /// both detected and flagged, so recall is true positives / flagged
-    /// and precision true positives / detected.
-    pub fn validation_counts(&self) -> (u64, u64, u64) {
+    /// Detector-vs-ground-truth agreement summed over every timer's
+    /// chain, per set: (true positives, detected, flagged). A true
+    /// positive is a set both detected and flagged, so recall is true
+    /// positives / flagged and precision true positives / detected.
+    pub fn validation_counts<'a>(
+        &self,
+        chains: impl IntoIterator<Item = &'a Chain>,
+    ) -> (u64, u64, u64) {
         let mut detected = 0;
         let mut flagged = 0;
-        for s in self.per_timer.values() {
-            detected += s.stats.countdown_sets;
-            flagged += s.stats.flagged_sets;
+        for c in chains {
+            detected += c.countdown_sets;
+            flagged += c.flagged_sets;
         }
         (self.true_positives, detected, flagged)
     }
@@ -185,11 +162,11 @@ mod tests {
     use super::*;
     use simtime::SimInstant;
 
-    fn set(addr: TimerAddr, ms: u64, value_ms: u64) -> Event {
+    fn set(ms: u64, value_ms: u64) -> Event {
         Event::new(
             SimInstant::BOOT + SimDuration::from_millis(ms),
             EventKind::Set,
-            addr,
+            1,
             0,
         )
         .with_timeout(SimDuration::from_millis(value_ms))
@@ -199,44 +176,46 @@ mod tests {
     #[test]
     fn detects_pure_countdown() {
         let mut d = CountdownDetector::new(SimDuration::from_millis(2), vec![]);
+        let mut c = Chain::default();
         // 600 s initial; fd activity every 50 s re-issues the remainder.
         let mut remaining = 600_000u64;
         let mut now = 0u64;
         for _ in 0..8 {
-            d.push(&set(1, now, remaining));
+            d.push(&mut c, &set(now, remaining));
             now += 50_000;
             remaining -= 50_000;
         }
-        let timers = d.countdown_timers(0.8);
-        assert_eq!(timers, vec![1]);
-        let s = d.stats(1).unwrap();
-        assert_eq!(s.sets, 8);
-        assert_eq!(s.countdown_sets, 7);
+        assert!(c.is_countdown(0.8));
+        assert_eq!(c.sets, 8);
+        assert_eq!(c.countdown_sets, 7);
     }
 
     #[test]
     fn constant_values_are_not_countdown() {
         let mut d = CountdownDetector::new(SimDuration::from_millis(2), vec![]);
+        let mut c = Chain::default();
         for i in 0..10u64 {
-            d.push(&set(2, i * 1000, 5000));
+            d.push(&mut c, &set(i * 1000, 5000));
         }
-        assert!(d.countdown_timers(0.3).is_empty());
+        assert!(!c.is_countdown(0.3));
     }
 
     #[test]
     fn random_values_are_not_countdown() {
         let mut d = CountdownDetector::new(SimDuration::from_millis(2), vec![]);
+        let mut c = Chain::default();
         for (i, v) in [500u64, 320, 810, 90, 700].iter().enumerate() {
-            d.push(&set(3, i as u64 * 100, *v));
+            d.push(&mut c, &set(i as u64 * 100, *v));
         }
-        assert!(d.countdown_timers(0.3).is_empty());
+        assert!(!c.is_countdown(0.3));
     }
 
     #[test]
     fn dots_recorded_for_target_pids() {
         let mut d = CountdownDetector::new(SimDuration::from_millis(2), vec![100]);
-        d.push(&set(1, 1000, 600_000));
-        d.push(&set(1, 2000, 599_000));
+        let mut c = Chain::default();
+        d.push(&mut c, &set(1000, 600_000));
+        d.push(&mut c, &set(2000, 599_000));
         assert_eq!(d.dots().len(), 2);
         assert!((d.dots()[0].value - 600.0).abs() < 1e-9);
         assert!((d.dots()[1].t - 2.0).abs() < 1e-9);
@@ -245,43 +224,44 @@ mod tests {
     #[test]
     fn out_of_order_sets_break_the_chain() {
         let mut d = CountdownDetector::new(SimDuration::from_millis(2), vec![]);
+        let mut c = Chain::default();
         // A reordered trace: the "later" set carries an earlier timestamp
         // but a countdown-shaped value. The old double-saturating_sub path
         // treated this as zero elapsed and scored it as a countdown hit.
-        d.push(&set(7, 1000, 500));
-        d.push(&set(7, 400, 500)); // backwards
-        let s = d.stats(7).unwrap();
-        assert_eq!(s.sets, 2);
-        assert_eq!(s.countdown_sets, 0);
+        d.push(&mut c, &set(1000, 500));
+        d.push(&mut c, &set(400, 500)); // backwards
+        assert_eq!(c.sets, 2);
+        assert_eq!(c.countdown_sets, 0);
         assert_eq!(d.out_of_order_sets(), 1);
     }
 
     #[test]
     fn duplicated_timestamps_break_the_chain() {
         let mut d = CountdownDetector::new(SimDuration::from_millis(2), vec![]);
-        d.push(&set(8, 100, 500));
-        d.push(&set(8, 100, 500)); // duplicate ts, same value
-        d.push(&set(8, 100, 500));
-        let s = d.stats(8).unwrap();
-        assert_eq!(s.countdown_sets, 0);
+        let mut c = Chain::default();
+        d.push(&mut c, &set(100, 500));
+        d.push(&mut c, &set(100, 500)); // duplicate ts, same value
+        d.push(&mut c, &set(100, 500));
+        assert_eq!(c.countdown_sets, 0);
         assert_eq!(d.out_of_order_sets(), 2);
         // The chain resumes once time moves forward again.
-        d.push(&set(8, 300, 300));
-        assert_eq!(d.stats(8).unwrap().countdown_sets, 1);
+        d.push(&mut c, &set(300, 300));
+        assert_eq!(c.countdown_sets, 1);
         assert_eq!(d.out_of_order_sets(), 2);
     }
 
     #[test]
     fn validation_counts_track_flags() {
         let mut d = CountdownDetector::new(SimDuration::from_millis(2), vec![]);
-        let mut e = set(1, 0, 1000);
-        d.push(&e);
-        e = set(1, 400, 600);
+        let mut c = Chain::default();
+        let mut e = set(0, 1000);
+        d.push(&mut c, &e);
+        e = set(400, 600);
         e.flags.countdown = true;
-        d.push(&e);
+        d.push(&mut c, &e);
         // Detected but not flagged: a false positive.
-        d.push(&set(1, 500, 500));
-        let (true_positives, detected, flagged) = d.validation_counts();
+        d.push(&mut c, &set(500, 500));
+        let (true_positives, detected, flagged) = d.validation_counts([&c]);
         assert_eq!(true_positives, 1);
         assert_eq!(detected, 2);
         assert_eq!(flagged, 1);

@@ -10,13 +10,16 @@
 //! * [`summary`] — Tables 1 and 2: allocated timers, maximum concurrency,
 //!   accesses (user/kernel), set/expired/canceled counts, plus the
 //!   timers-per-second series behind Figure 1;
-//! * [`lifecycle`] — reconstructs per-timer set → (expire | cancel |
-//!   re-set) episodes, the raw material for everything below;
+//! * [`lifecycle`] — the one table of per-timer state, keyed by timer
+//!   address: reconstructs set → (expire | cancel | re-set) episodes,
+//!   the raw material for everything below, and holds each timer's
+//!   countdown chain;
 //! * [`classify`] — the usage-pattern taxonomy of §4.1.1: periodic,
 //!   watchdog, delay, timeout, deferred, other, with the experimentally
 //!   determined 2 ms jitter tolerance;
 //! * [`values`] — the commonly-used-value histograms of §4.2 (Figures 3,
-//!   5, 6, 7), with the ≥ 2 % reporting rule and the X/icewm filter;
+//!   5, 6, 7), fed by one pass, with the ≥ 2 % reporting rule, the
+//!   X/icewm filter and the one 0.1 ms bucket rule;
 //! * [`countdown`] — detection of the `select` countdown idiom and the
 //!   Figure 4 dot-plot series;
 //! * [`scatter`] — the set-value versus percent-of-value-at-end scatter

@@ -1,16 +1,20 @@
-//! Per-timer lifecycle reconstruction.
+//! Per-timer lifecycle reconstruction over the analysis fold's one
+//! table of per-timer state.
 //!
 //! A low-level trace is a flat stream of set/cancel/expire records; the
 //! analysis needs *episodes*: this timer was armed at `t0` with value `v`
 //! and ended at `t1` by expiring, being cancelled, or being re-armed
-//! (§3). Open episodes are keyed by timer address; completed episodes are
-//! emitted as [`Sample`]s and the address entry is dropped, so the map
-//! size is bounded by timer concurrency (≤ 84 in the paper's traces) even
-//! on Vista where addresses are allocated dynamically.
+//! (§3), emitted as [`Sample`]s. The table is keyed by timer address:
+//! Linux `timer_list` structs are static and reused, so the address
+//! names the timer (§3.3). Each event probes it once, and the entry holds
+//! the open episode and the countdown [`Chain`]. Entries are never
+//! removed, so the table's length is the Timers row.
 
 use simtime::fasthash::FoldMap;
 use simtime::{SimDuration, SimInstant};
 use trace::{Event, EventKind, OriginId, Pid, Space, Tid, TimerAddr};
+
+use crate::countdown::Chain;
 
 /// How an episode ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -79,7 +83,16 @@ struct Open {
     countdown_flag: bool,
 }
 
-/// The lifecycle reconstructor.
+/// One timer's entry in the table.
+#[derive(Debug, Default)]
+struct TimerSlot {
+    /// The armed episode, if the timer is armed.
+    open: Option<Open>,
+    /// The countdown detector's state for this timer.
+    chain: Chain,
+}
+
+/// The lifecycle reconstructor and owner of the per-timer table.
 ///
 /// Degrades gracefully on incomplete traces: an end event (cancel or
 /// expiry) whose matching `Set` was lost — a ring overflow ate it — is
@@ -87,7 +100,9 @@ struct Open {
 /// fewer episodes, never fabricated or double-counted ones.
 #[derive(Debug, Default)]
 pub struct LifecycleTracker {
-    open: FoldMap<TimerAddr, Open>,
+    timers: FoldMap<TimerAddr, TimerSlot>,
+    /// Entries with an open episode.
+    open_count: usize,
     /// Peak number of simultaneously armed timers (Table 1/2 concurrency).
     peak_concurrency: usize,
     /// End events whose opening `Set` was never seen.
@@ -101,12 +116,13 @@ impl LifecycleTracker {
     }
 
     /// Feeds one event; returns the completed episode, if this event
-    /// closed one.
-    pub fn push(&mut self, event: &Event) -> Option<Sample> {
-        match event.kind {
+    /// closed one, and the countdown chain of the event's timer.
+    pub fn push(&mut self, event: &Event) -> (Option<Sample>, &mut Chain) {
+        let slot = self.timers.entry(event.timer).or_default();
+        let sample = match event.kind {
             EventKind::Init => None,
             EventKind::Set => {
-                let new_open = Open {
+                let prev = slot.open.replace(Open {
                     origin: event.origin,
                     pid: event.pid,
                     tid: event.tid,
@@ -114,26 +130,30 @@ impl LifecycleTracker {
                     set_ts: event.ts,
                     timeout: event.timeout,
                     countdown_flag: event.flags.countdown,
-                };
-                let prev = self.open.insert(event.timer, new_open);
-                self.peak_concurrency = self.peak_concurrency.max(self.open.len());
+                });
+                if prev.is_none() {
+                    self.open_count += 1;
+                    self.peak_concurrency = self.peak_concurrency.max(self.open_count);
+                }
                 prev.map(|o| close(event.timer, o, event.ts, Outcome::Reset))
             }
-            EventKind::Cancel | EventKind::WaitSatisfied => match self.open.remove(&event.timer) {
-                Some(o) => Some(close(event.timer, o, event.ts, Outcome::Canceled)),
+            end => match slot.open.take() {
+                Some(o) => {
+                    self.open_count -= 1;
+                    let outcome = if end.is_expire() {
+                        Outcome::Expired
+                    } else {
+                        Outcome::Canceled
+                    };
+                    Some(close(event.timer, o, event.ts, outcome))
+                }
                 None => {
                     self.orphan_ends += 1;
                     None
                 }
             },
-            EventKind::Expire | EventKind::WaitTimedOut => match self.open.remove(&event.timer) {
-                Some(o) => Some(close(event.timer, o, event.ts, Outcome::Expired)),
-                None => {
-                    self.orphan_ends += 1;
-                    None
-                }
-            },
-        }
+        };
+        (sample, &mut slot.chain)
     }
 
     /// Peak concurrency seen so far.
@@ -143,7 +163,18 @@ impl LifecycleTracker {
 
     /// Number of still-open episodes (armed timers).
     pub fn open_count(&self) -> usize {
-        self.open.len()
+        self.open_count
+    }
+
+    /// Number of distinct timer addresses seen, by any event (the Timers
+    /// row).
+    pub fn timer_count(&self) -> usize {
+        self.timers.len()
+    }
+
+    /// Every timer's countdown chain, in no particular order.
+    pub(crate) fn chains(&self) -> impl Iterator<Item = &Chain> {
+        self.timers.values().map(|slot| &slot.chain)
     }
 
     /// End events (cancel/expiry) that matched no open episode — evidence
@@ -187,8 +218,9 @@ mod tests {
         let mut lt = LifecycleTracker::new();
         assert!(lt
             .push(&ev(EventKind::Set, 1, 0).with_timeout(SimDuration::from_millis(100)))
+            .0
             .is_none());
-        let s = lt.push(&ev(EventKind::Expire, 1, 104)).unwrap();
+        let s = lt.push(&ev(EventKind::Expire, 1, 104)).0.unwrap();
         assert_eq!(s.outcome, Outcome::Expired);
         assert_eq!(s.ran(), SimDuration::from_millis(104));
         assert!((s.percent_of_set().unwrap() - 104.0).abs() < 1e-9);
@@ -201,6 +233,7 @@ mod tests {
         lt.push(&ev(EventKind::Set, 1, 0).with_timeout(SimDuration::from_millis(100)));
         let s = lt
             .push(&ev(EventKind::Set, 1, 30).with_timeout(SimDuration::from_millis(100)))
+            .0
             .unwrap();
         assert_eq!(s.outcome, Outcome::Reset);
         assert_eq!(s.ran(), SimDuration::from_millis(30));
@@ -210,20 +243,21 @@ mod tests {
     #[test]
     fn cancel_without_set_is_ignored() {
         let mut lt = LifecycleTracker::new();
-        assert!(lt.push(&ev(EventKind::Cancel, 9, 5)).is_none());
+        assert!(lt.push(&ev(EventKind::Cancel, 9, 5)).0.is_none());
         assert_eq!(lt.orphan_ends(), 1);
+        assert_eq!(lt.timer_count(), 1);
     }
 
     #[test]
     fn orphans_count_lost_sets_without_fabricating_episodes() {
         let mut lt = LifecycleTracker::new();
         // Expire and WaitTimedOut with no Set: two orphans, no samples.
-        assert!(lt.push(&ev(EventKind::Expire, 3, 1)).is_none());
-        assert!(lt.push(&ev(EventKind::WaitTimedOut, 4, 2)).is_none());
+        assert!(lt.push(&ev(EventKind::Expire, 3, 1)).0.is_none());
+        assert!(lt.push(&ev(EventKind::WaitTimedOut, 4, 2)).0.is_none());
         assert_eq!(lt.orphan_ends(), 2);
         // A real episode still reconstructs normally afterwards.
         lt.push(&ev(EventKind::Set, 3, 10));
-        assert!(lt.push(&ev(EventKind::Expire, 3, 20)).is_some());
+        assert!(lt.push(&ev(EventKind::Expire, 3, 20)).0.is_some());
         assert_eq!(lt.orphan_ends(), 2);
         assert_eq!(lt.open_count(), 0);
     }
@@ -251,7 +285,7 @@ mod tests {
             ..EventFlags::default()
         };
         lt.push(&e);
-        let s = lt.push(&ev(EventKind::Expire, 1, 10)).unwrap();
+        let s = lt.push(&ev(EventKind::Expire, 1, 10)).0.unwrap();
         assert!(s.countdown_flag);
     }
 
@@ -259,10 +293,10 @@ mod tests {
     fn wait_events_map_to_outcomes() {
         let mut lt = LifecycleTracker::new();
         lt.push(&ev(EventKind::Set, 1, 0));
-        let s = lt.push(&ev(EventKind::WaitSatisfied, 1, 5)).unwrap();
+        let s = lt.push(&ev(EventKind::WaitSatisfied, 1, 5)).0.unwrap();
         assert_eq!(s.outcome, Outcome::Canceled);
         lt.push(&ev(EventKind::Set, 1, 10));
-        let s = lt.push(&ev(EventKind::WaitTimedOut, 1, 20)).unwrap();
+        let s = lt.push(&ev(EventKind::WaitTimedOut, 1, 20)).0.unwrap();
         assert_eq!(s.outcome, Outcome::Expired);
     }
 }

@@ -13,9 +13,7 @@ use trace::OriginId;
 
 use crate::classify::PatternClass;
 use crate::lifecycle::Sample;
-
-/// Histogram bucket resolution: 0.1 ms (matches `values`).
-const BUCKET_NS: u64 = 100_000;
+use crate::values::{bucket, bucket_seconds};
 
 /// One row of the provenance table: a frequent value and its origins.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -46,8 +44,10 @@ impl ProvenanceTracker {
         let Some(timeout) = sample.timeout else {
             return;
         };
-        let bucket = (timeout.as_nanos() + BUCKET_NS / 2) / BUCKET_NS;
-        *self.counts.entry((sample.origin, bucket)).or_insert(0) += 1;
+        *self
+            .counts
+            .entry((sample.origin, bucket(timeout)))
+            .or_insert(0) += 1;
         self.total += 1;
     }
 
@@ -83,7 +83,7 @@ impl ProvenanceTracker {
                 origins.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
                 origins.truncate(max_origins);
                 Some(ProvenanceRow {
-                    seconds: (bucket * BUCKET_NS) as f64 / 1e9,
+                    seconds: bucket_seconds(bucket),
                     count,
                     origins: origins
                         .into_iter()

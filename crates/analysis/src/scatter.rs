@@ -35,7 +35,6 @@ pub struct ScatterPoint {
 #[derive(Debug, Default)]
 pub struct ScatterBuilder {
     buckets: FoldMap<(i32, u32), (u64, u64)>, // (expired, canceled)
-    dropped_immediate: u64,
 }
 
 impl ScatterBuilder {
@@ -50,14 +49,8 @@ impl ScatterBuilder {
         if sample.outcome == Outcome::Reset {
             return;
         }
-        let Some(timeout) = sample.timeout else {
-            return;
-        };
-        if timeout.is_zero() {
-            self.dropped_immediate += 1;
-            return;
-        }
-        let Some(percent) = sample.percent_of_set() else {
+        // `percent_of_set` is `None` for a zero timeout as well.
+        let (Some(timeout), Some(percent)) = (sample.timeout, sample.percent_of_set()) else {
             return;
         };
         let percent = percent.min(PERCENT_CUTOFF);
@@ -69,11 +62,6 @@ impl ScatterBuilder {
             Outcome::Canceled => entry.1 += 1,
             Outcome::Reset => unreachable!("filtered above"),
         }
-    }
-
-    /// Episodes excluded because they were set to expire immediately.
-    pub fn dropped_immediate(&self) -> u64 {
-        self.dropped_immediate
     }
 
     /// The aggregated points, sorted by (seconds, percent).
@@ -94,11 +82,6 @@ impl ScatterBuilder {
                 .expect("finite")
         });
         pts
-    }
-
-    /// Total episodes aggregated.
-    pub fn total(&self) -> u64 {
-        self.buckets.values().map(|&(e, c)| e + c).sum()
     }
 }
 
@@ -148,8 +131,7 @@ mod tests {
         let mut b = ScatterBuilder::new();
         b.push(&sample(1000, 500, Outcome::Reset));
         b.push(&sample(0, 0, Outcome::Expired));
-        assert_eq!(b.total(), 0);
-        assert_eq!(b.dropped_immediate(), 1);
+        assert!(b.points().is_empty());
     }
 
     #[test]

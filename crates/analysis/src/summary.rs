@@ -1,8 +1,8 @@
 //! Trace summaries (Tables 1 and 2) and the timer-rate series (Figure 1).
 
 use serde::{Deserialize, Serialize};
-use simtime::fasthash::{FoldMap, FoldSet};
-use trace::{Event, EventCounts, EventKind, Pid, TimerAddr};
+use simtime::fasthash::FoldMap;
+use trace::{Event, EventCounts, EventKind, Pid};
 
 /// One workload's trace summary — one column of Table 1 / Table 2.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -55,30 +55,8 @@ impl TraceSummary {
             set: counts.set,
             expired: counts.expired,
             canceled: counts.canceled,
-            dropped_records: 0,
-            orphan_ends: 0,
-            decode_lost: 0,
-            out_of_order_sets: 0,
-            anomalous_rearms: 0,
+            ..Self::default()
         }
-    }
-}
-
-/// Tracks distinct timer addresses (the "timers" row).
-#[derive(Debug, Default)]
-pub struct TimerPopulation {
-    seen: FoldSet<TimerAddr>,
-}
-
-impl TimerPopulation {
-    /// Feeds one event.
-    pub fn push(&mut self, event: &Event) {
-        self.seen.insert(event.timer);
-    }
-
-    /// Number of distinct timers.
-    pub fn count(&self) -> u64 {
-        self.seen.len() as u64
     }
 }
 
@@ -164,21 +142,6 @@ impl RateSeries {
         names.sort();
         names
     }
-
-    /// Mean sets/second for `group` over the first `secs` seconds.
-    pub fn mean_rate(&self, group: &str, secs: usize) -> f64 {
-        let s = self.series(group);
-        if secs == 0 {
-            return 0.0;
-        }
-        let sum: u64 = s.iter().take(secs).map(|&c| c as u64).sum();
-        sum as f64 / secs as f64
-    }
-
-    /// Peak sets/second for `group`.
-    pub fn peak_rate(&self, group: &str) -> u32 {
-        self.series(group).iter().copied().max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -208,21 +171,9 @@ mod tests {
             rs.push(&set_at(99, sec)); // Unlisted => System.
             rs.push(&set_at(0, sec)); // Kernel.
         }
-        assert!((rs.mean_rate("Outlook", 10) - 70.0).abs() < 1e-9);
-        assert_eq!(rs.peak_rate("Outlook"), 70);
+        assert_eq!(rs.series("Outlook"), [70; 10]);
         assert_eq!(rs.series("System").len(), 10);
-        assert_eq!(rs.mean_rate("Kernel", 10), 1.0);
+        assert_eq!(rs.series("Kernel"), [1; 10]);
         assert_eq!(rs.group_names(), vec!["Kernel", "Outlook", "System"]);
-    }
-
-    #[test]
-    fn population_counts_distinct() {
-        let mut p = TimerPopulation::default();
-        for addr in [1u64, 2, 2, 3, 1] {
-            let mut e = set_at(1, 0);
-            e.timer = addr;
-            p.push(&e);
-        }
-        assert_eq!(p.count(), 3);
     }
 }

@@ -119,7 +119,7 @@ proptest! {
                     EventKind::Init => {}
                     _ => end_events += 1,
                 }
-                if let Some(s) = lt.push(e) {
+                if let Some(s) = lt.push(e).0 {
                     samples += 1;
                     *samples_per_addr.entry(s.addr).or_insert(0) += 1;
                     prop_assert!(s.end_ts >= s.set_ts, "episode runs backwards");
@@ -161,7 +161,7 @@ proptest! {
             let mut episodes = 0u64;
             for e in &events {
                 analyzer.push(e);
-                if lt.push(e).is_some() {
+                if lt.push(e).0.is_some() {
                     episodes += 1;
                 }
             }

@@ -70,11 +70,13 @@ proptest! {
         let mut lt = LifecycleTracker::new();
         let mut clock = 0u64;
         let mut open_model: FoldSet<u64> = FoldSet::default();
+        let mut seen_model: FoldSet<u64> = FoldSet::default();
         for raw in &raws {
             // Timestamps monotone (traces are ordered).
             clock += raw.ts_ms % 50;
             let e = build(raw, clock);
-            let sample = lt.push(&e);
+            let (sample, _) = lt.push(&e);
+            seen_model.insert(e.timer);
             // Model the open set alongside.
             match e.kind {
                 EventKind::Set => {
@@ -103,6 +105,8 @@ proptest! {
                 prop_assert!(s.end_ts >= s.set_ts);
             }
             prop_assert_eq!(lt.open_count(), open_model.len());
+            // Every event's address is a timer, whatever its kind.
+            prop_assert_eq!(lt.timer_count(), seen_model.len());
         }
         prop_assert!(lt.peak_concurrency() >= lt.open_count());
     }

@@ -8,6 +8,8 @@
 use std::collections::BTreeMap;
 
 use analysis::provenance::ProvenanceRow;
+use analysis::values;
+use simtime::SimDuration;
 
 use crate::experiment::{table_specs, ExperimentResult, ExperimentSpec, Os};
 use crate::render;
@@ -212,11 +214,11 @@ pub fn fig_scatter(linux: &ExperimentResult, vista: &ExperimentResult, figure_no
 /// Table 3: origins and classification of frequent Linux timeout values,
 /// merged across the four workloads.
 pub fn table3(results: &[ExperimentResult]) -> Artifact {
-    // Merge by value, keeping the highest-count origins.
+    // Merge by value bucket, keeping the highest-count origins.
     let mut by_value: BTreeMap<u64, ProvenanceRow> = BTreeMap::new();
     for r in results {
         for row in &r.report.provenance {
-            let key = (row.seconds * 10_000.0).round() as u64;
+            let key = values::bucket(SimDuration::from_secs_f64(row.seconds));
             let entry = by_value.entry(key).or_insert_with(|| ProvenanceRow {
                 seconds: row.seconds,
                 count: 0,
@@ -246,7 +248,7 @@ pub fn table3(results: &[ExperimentResult]) -> Artifact {
 /// Every distinct experiment the full reproduction needs, in a fixed
 /// order: the four Table 1 workloads on Linux, the four Table 2
 /// workloads on Vista, then the Figure 1 Outlook desktop (90 s, Vista).
-pub fn paper_specs(duration: simtime::SimDuration, seed: u64) -> Vec<ExperimentSpec> {
+pub fn paper_specs(duration: SimDuration, seed: u64) -> Vec<ExperimentSpec> {
     let mut specs = table_specs(Os::Linux, duration, seed);
     specs.extend(table_specs(Os::Vista, duration, seed));
     specs.push(ExperimentSpec::new(
@@ -275,7 +277,7 @@ pub fn paper_specs(duration: simtime::SimDuration, seed: u64) -> Vec<ExperimentS
 /// policy are part of the experiment cache key, so differently
 /// configured runs never alias.
 pub fn reproduce(
-    duration: simtime::SimDuration,
+    duration: SimDuration,
     seed: u64,
     faults: crate::FaultSpec,
     policy: adaptive::AdaptivePolicy,

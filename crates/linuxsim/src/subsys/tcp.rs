@@ -66,11 +66,6 @@ impl TcpConn {
     pub fn rto(&self) -> SimDuration {
         self.rto
     }
-
-    /// The smoothed RTT estimate, if any samples arrived.
-    pub fn srtt(&self) -> Option<SimDuration> {
-        self.rtt.srtt()
-    }
 }
 
 /// The connection table with slab-style timer reuse.

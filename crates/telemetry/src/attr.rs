@@ -17,6 +17,8 @@
 //! label-keyed fold. That is what lets the run report place attribution
 //! inside the byte-compared `sim` section.
 
+use std::cmp::Reverse;
+
 use crate::hist::LogHistogram;
 use crate::json::escape;
 
@@ -96,10 +98,16 @@ impl OriginTable {
         OriginTable { rows: Vec::new() }
     }
 
+    /// The canonical row order's sort key: sets descending, then label
+    /// ascending.
+    pub fn row_key(sets: u64, label: &str) -> (Reverse<u64>, &str) {
+        (Reverse(sets), label)
+    }
+
     /// Restores the canonical row order after construction or merging.
     pub fn sort(&mut self) {
         self.rows
-            .sort_by(|a, b| b.sets.cmp(&a.sets).then_with(|| a.label.cmp(&b.label)));
+            .sort_by(|a, b| Self::row_key(a.sets, &a.label).cmp(&Self::row_key(b.sets, &b.label)));
     }
 
     /// Folds another table into this one, keyed by label, keeping the
@@ -140,28 +148,13 @@ impl OriginTable {
                 row.cancels,
                 row.expirations
             ));
-            write_hist_json(out, "timeout_ns", &row.timeout_ns);
+            row.timeout_ns.write_json("timeout_ns", out);
             out.push_str(", ");
-            write_hist_json(out, "slack_ns", &row.slack_ns);
+            row.slack_ns.write_json("slack_ns", out);
             out.push('}');
         }
         out.push('}');
     }
-}
-
-fn write_hist_json(out: &mut String, name: &str, hist: &LogHistogram) {
-    out.push_str(&format!(
-        "\"{name}\": {{\"count\": {}, \"sum\": {}, \"buckets\": {{",
-        hist.count(),
-        hist.sum()
-    ));
-    for (j, (index, count)) in hist.nonzero().enumerate() {
-        if j > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("\"{index}\": {count}"));
-    }
-    out.push_str("}}");
 }
 
 #[cfg(test)]

@@ -100,6 +100,25 @@ impl LogHistogram {
             .map(|(i, &c)| (i, c))
     }
 
+    /// Appends `"name": {"count", "sum", "buckets"}` to `out`: the one
+    /// JSON shape of a histogram in the run report, with only non-empty
+    /// buckets listed.
+    pub(crate) fn write_json(&self, name: &str, out: &mut String) {
+        out.push_str(&format!(
+            "{}: {{\"count\": {}, \"sum\": {}, \"buckets\": {{",
+            crate::json::escape(name),
+            self.count,
+            self.sum
+        ));
+        for (j, (index, count)) in self.nonzero().enumerate() {
+            if j > 0 {
+                out.push_str(", ");
+            }
+            out.push_str(&format!("\"{index}\": {count}"));
+        }
+        out.push_str("}}");
+    }
+
     /// Folds another histogram into this one.
     pub fn merge(&mut self, other: &LogHistogram) {
         self.count += other.count;

@@ -156,20 +156,7 @@ fn write_sim_body(out: &mut String, sim: &SimSnapshot, attr: &OriginTable) {
         if i > 0 {
             out.push_str(", ");
         }
-        let hist = sim.hist(*h);
-        out.push_str(&format!(
-            "{}: {{\"count\": {}, \"sum\": {}, \"buckets\": {{",
-            escape(h.name()),
-            hist.count(),
-            hist.sum()
-        ));
-        for (j, (index, count)) in hist.nonzero().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{index}\": {count}"));
-        }
-        out.push_str("}}");
+        sim.hist(*h).write_json(h.name(), out);
     }
     out.push_str("}, \"attribution\": ");
     attr.write_json(out);

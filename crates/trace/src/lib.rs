@@ -25,8 +25,8 @@
 //! * [`reader`] — decodes a ring back into events, strictly
 //!   ([`reader::decode_all`] refuses a damaged ring) or record by record,
 //!   so a consumer can skip and count damaged records.
-//! * [`text`] — the offline binary→text converter of §3.2 (and its
-//!   parser), for external tooling.
+//! * [`text`] — the offline binary→text converter of §3.2, for external
+//!   tooling.
 //! * [`faults`] — deterministic trace-plane fault injection: seeded
 //!   record drops with overflow-burst semantics plus clock perturbation,
 //!   wrapped around any sink with exact loss accounting.

@@ -3,16 +3,14 @@
 //! "After running the workload, we used a user-space program to read out
 //! the buffer and convert the trace into a textual format, which we then
 //! processed to gain the results presented in this paper" (§3.2). This
-//! module is that converter: one line per record, tab-separated, stable,
-//! and parseable back into events for external tooling.
+//! module is that converter: one line per record, tab-separated and
+//! stable, for external tooling.
 //!
 //! ```text
 //! 12.004000000  SET     0xc1000040  tcp:retransmit  pid=0 tid=0 K  timeout=0.204  expires=12.208
 //! ```
 
-use simtime::{SimDuration, SimInstant};
-
-use crate::event::{Event, EventFlags, EventKind, Space};
+use crate::event::{Event, EventKind, Space};
 use crate::strings::StringTable;
 
 /// Renders one event as a text line (without trailing newline).
@@ -62,90 +60,6 @@ pub fn to_line(event: &Event, strings: &StringTable) -> String {
     line
 }
 
-/// Errors produced while parsing a text line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    /// What went wrong.
-    pub message: String,
-}
-
-impl std::fmt::Display for ParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "trace text parse error: {}", self.message)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-fn err(message: impl Into<String>) -> ParseError {
-    ParseError {
-        message: message.into(),
-    }
-}
-
-/// Parses one line back into an event, interning the origin label.
-pub fn from_line(line: &str, strings: &mut StringTable) -> Result<Event, ParseError> {
-    let mut fields = line.split('\t');
-    let ts: f64 = fields
-        .next()
-        .ok_or_else(|| err("missing timestamp"))?
-        .parse()
-        .map_err(|e| err(format!("bad timestamp: {e}")))?;
-    let kind = match fields.next().ok_or_else(|| err("missing kind"))? {
-        "INIT" => EventKind::Init,
-        "SET" => EventKind::Set,
-        "CANCEL" => EventKind::Cancel,
-        "EXPIRE" => EventKind::Expire,
-        "WAIT_SAT" => EventKind::WaitSatisfied,
-        "WAIT_TMO" => EventKind::WaitTimedOut,
-        other => return Err(err(format!("unknown kind {other}"))),
-    };
-    let timer_str = fields.next().ok_or_else(|| err("missing timer"))?;
-    let timer = u64::from_str_radix(timer_str.trim_start_matches("0x"), 16)
-        .map_err(|e| err(format!("bad timer address: {e}")))?;
-    let origin_label = fields.next().ok_or_else(|| err("missing origin"))?;
-    let origin = strings.intern(origin_label);
-    let task = fields.next().ok_or_else(|| err("missing task field"))?;
-    let mut pid = 0;
-    let mut tid = 0;
-    let mut space = Space::Kernel;
-    for part in task.split(' ') {
-        if let Some(v) = part.strip_prefix("pid=") {
-            pid = v.parse().map_err(|e| err(format!("bad pid: {e}")))?;
-        } else if let Some(v) = part.strip_prefix("tid=") {
-            tid = v.parse().map_err(|e| err(format!("bad tid: {e}")))?;
-        } else if part == "U" {
-            space = Space::User;
-        } else if part == "K" {
-            space = Space::Kernel;
-        }
-    }
-    let mut event = Event::new(
-        SimInstant::from_nanos((ts * 1e9).round() as u64),
-        kind,
-        timer,
-        origin,
-    )
-    .with_task(pid, tid, space);
-    for field in fields {
-        if let Some(v) = field.strip_prefix("timeout=") {
-            let secs: f64 = v.parse().map_err(|e| err(format!("bad timeout: {e}")))?;
-            event = event.with_timeout(SimDuration::from_nanos((secs * 1e9).round() as u64));
-        } else if let Some(v) = field.strip_prefix("expires=") {
-            let secs: f64 = v.parse().map_err(|e| err(format!("bad expires: {e}")))?;
-            event = event.with_expires(SimInstant::from_nanos((secs * 1e9).round() as u64));
-        } else if let Some(v) = field.strip_prefix("flags=") {
-            event = event.with_flags(EventFlags {
-                deferrable: v.contains('D'),
-                rounded: v.contains('R'),
-                countdown: v.contains('C'),
-                periodic_rearm: v.contains('P'),
-            });
-        }
-    }
-    Ok(event)
-}
-
 /// Converts a whole ring buffer to text.
 pub fn dump_ring(
     ring: &crate::ring::RingBuffer,
@@ -162,6 +76,8 @@ pub fn dump_ring(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::EventFlags;
+    use simtime::{SimDuration, SimInstant};
 
     fn sample() -> (Event, StringTable) {
         let mut strings = StringTable::new();
@@ -193,23 +109,7 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_through_text() {
-        let (e, strings) = sample();
-        let line = to_line(&e, &strings);
-        let mut strings2 = StringTable::new();
-        let back = from_line(&line, &mut strings2).unwrap();
-        assert_eq!(back.ts, e.ts);
-        assert_eq!(back.kind, e.kind);
-        assert_eq!(back.timer, e.timer);
-        assert_eq!(back.timeout, e.timeout);
-        assert_eq!(back.expires, e.expires);
-        assert_eq!(back.space, e.space);
-        assert_eq!(back.flags, e.flags);
-        assert_eq!(strings2.resolve(back.origin), "tcp:retransmit");
-    }
-
-    #[test]
-    fn minimal_line_round_trips() {
+    fn minimal_line_omits_optional_fields() {
         let mut strings = StringTable::new();
         let origin = strings.intern("x");
         let e = Event::new(SimInstant::from_nanos(5), EventKind::Cancel, 7, origin).with_task(
@@ -217,20 +117,10 @@ mod tests {
             4,
             Space::User,
         );
-        let line = to_line(&e, &strings);
-        let back = from_line(&line, &mut strings).unwrap();
-        assert_eq!(back.pid, 3);
-        assert_eq!(back.tid, 4);
-        assert_eq!(back.space, Space::User);
-        assert_eq!(back.timeout, None);
-    }
-
-    #[test]
-    fn garbage_lines_fail_cleanly() {
-        let mut strings = StringTable::new();
-        assert!(from_line("", &mut strings).is_err());
-        assert!(from_line("nonsense", &mut strings).is_err());
-        assert!(from_line("1.0\tBADKIND\t0x1\tx\tpid=0 tid=0 K", &mut strings).is_err());
+        assert_eq!(
+            to_line(&e, &strings),
+            "0.000000005\tCANCEL\t0x7\tx\tpid=3 tid=4 U"
+        );
     }
 
     #[test]

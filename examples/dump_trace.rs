@@ -12,14 +12,12 @@ use workloads::{run_linux, Workload};
 fn main() {
     // Ten simulated seconds of the idle desktop into a binary ring.
     let sink = RingSink::new(RingBuffer::new(64 * 1024 * 1024));
-    let kernel = run_linux(
+    let mut kernel = run_linux(
         Workload::Idle,
         7,
         SimDuration::from_secs(10),
         Box::new(sink),
     );
-    let strings = kernel.log().strings();
-    // Recover the ring from the kernel's sink for offline processing.
     let counts = kernel.log().counts();
     println!(
         "captured {} timer operations ({} bytes of binary records)\n",
@@ -27,17 +25,9 @@ fn main() {
         counts.accesses as usize * trace::codec::RECORD_SIZE
     );
 
-    // The §3.2 step: convert binary records to the textual format.
-    // (Here we re-trace into a fresh ring since the sink stays inside the
-    // kernel; the analyzer normally consumes events directly.)
-    let sink2 = RingSink::new(RingBuffer::new(64 * 1024 * 1024));
-    let mut kernel2 = run_linux(
-        Workload::Idle,
-        7,
-        SimDuration::from_secs(10),
-        Box::new(sink2),
-    );
-    let ring = kernel2
+    // The §3.2 step: take the ring out of the kernel's sink and convert
+    // its binary records to the textual format.
+    let ring = kernel
         .log_mut()
         .sink_mut()
         .as_any_mut()
@@ -45,7 +35,7 @@ fn main() {
         .map(|s| std::mem::replace(s, RingSink::new(RingBuffer::new(trace::codec::RECORD_SIZE))))
         .expect("ring sink")
         .into_ring();
-    let text = trace::text::dump_ring(&ring, strings).expect("decode");
+    let text = trace::text::dump_ring(&ring, kernel.log().strings()).expect("decode");
     println!("first 15 lines of the textual trace:");
     for line in text.lines().take(15) {
         println!("  {line}");
