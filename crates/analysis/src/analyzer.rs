@@ -6,21 +6,23 @@ use simtime::SimDuration;
 use trace::{Event, EventCounts, Pid, StringTable};
 
 use crate::attribution::AttributionTracker;
-use crate::classify::{Classifier, ClusterKey, PatternMix};
+use crate::classify::{Classifier, PatternMix};
 use crate::countdown::{CountdownDetector, Dot};
 use crate::lifecycle::LifecycleTracker;
-use crate::provenance::{ProvenanceRow, ProvenanceTracker};
+use crate::provenance::{Origins, ProvenanceRow};
 use crate::scatter::{ScatterBuilder, ScatterPoint};
 use crate::summary::{RateSeries, TraceSummary};
 use crate::values::{SetValues, ValueRow};
 
-/// How episodes are clustered into "a timer" for classification.
+/// How episodes are clustered into "a timer" for classification, and so
+/// which table holds the cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClusterMode {
     /// By timer address — natural on Linux, where structs are static.
+    /// The cluster lives in the timer's lifecycle-table slot.
     ByAddress,
     /// By (origin, pid) — required on Vista, where KTIMERs are allocated
-    /// fresh per use (§3.3).
+    /// fresh per use (§3.3). The cluster lives in the origin's slot.
     ByOriginPid,
 }
 
@@ -112,13 +114,11 @@ pub struct TraceAnalyzer {
     cfg: AnalyzerConfig,
     lifecycle: LifecycleTracker,
     counts: EventCounts,
-    classifier: Classifier,
-    origin_classifier: Classifier,
+    origins: Origins,
     values: SetValues,
     countdown: CountdownDetector,
     scatter: ScatterBuilder,
     rates: RateSeries,
-    provenance: ProvenanceTracker,
     attribution: AttributionTracker,
     /// Records the trace layer decoded unsuccessfully before this
     /// analyzer ever saw them (lossy-merge accounting), folded into the
@@ -140,13 +140,11 @@ impl TraceAnalyzer {
         TraceAnalyzer {
             lifecycle: LifecycleTracker::new(),
             counts: EventCounts::default(),
-            classifier: Classifier::new(cfg.tolerance),
-            origin_classifier: Classifier::new(cfg.tolerance),
+            origins: Origins::default(),
             values: SetValues::default(),
             countdown: CountdownDetector::new(cfg.tolerance, cfg.dot_pids.clone()),
             scatter: ScatterBuilder::new(),
             rates: RateSeries::new(cfg.rate_groups.clone()),
-            provenance: ProvenanceTracker::new(),
             attribution: AttributionTracker::new(),
             decode_lost: 0,
             cfg,
@@ -188,23 +186,25 @@ impl TraceAnalyzer {
         }
     }
 
-    /// The per-timer pass: one table probe feeds the countdown detector
-    /// and any closed episode's classifiers, scatter and provenance.
+    /// The per-timer pass: one timer-table probe feeds the countdown
+    /// detector, and a closed episode goes to its pattern cluster, its
+    /// origin's entry and the scatter.
     fn push_timer(&mut self, event: &Event) {
-        let (sample, chain) = self.lifecycle.push(event);
-        self.countdown.push(chain, event);
-        if let Some(sample) = sample {
-            let key = match self.cfg.cluster_mode {
-                ClusterMode::ByAddress => ClusterKey(sample.addr, 0),
-                ClusterMode::ByOriginPid => ClusterKey(sample.origin as u64, sample.pid as u64),
-            };
-            self.classifier.push(key, &sample);
-            self.origin_classifier
-                .push(ClusterKey(sample.origin as u64, 0), &sample);
-            if !self.cfg.exclude_pids.contains(&sample.pid) {
-                self.scatter.push(&sample);
-            }
-            self.provenance.push(&sample);
+        let (sample, slot) = self.lifecycle.push(event);
+        self.countdown.push(&mut slot.chain, event);
+        let Some(sample) = sample else {
+            return;
+        };
+        let tolerance = self.cfg.tolerance;
+        let origin = self.origins.slot(sample.origin);
+        let cluster = match self.cfg.cluster_mode {
+            ClusterMode::ByAddress => &mut slot.cluster,
+            ClusterMode::ByOriginPid => origin.pid_cluster(sample.pid),
+        };
+        cluster.push(&sample, tolerance);
+        origin.push(&sample, tolerance);
+        if !self.cfg.exclude_pids.contains(&sample.pid) {
+            self.scatter.push(&sample);
         }
     }
 
@@ -218,27 +218,21 @@ impl TraceAnalyzer {
         summary.orphan_ends = self.lifecycle.orphan_ends();
         summary.decode_lost = self.decode_lost;
         summary.out_of_order_sets = self.countdown.out_of_order_sets();
-        // The main classifier only: the origin classifier sees the same
-        // samples again and would double-count.
-        summary.anomalous_rearms = self.classifier.anomalous_rearms();
-        let origin_classifier = &self.origin_classifier;
-        let provenance = self.provenance.rows(
-            1.0,
-            4,
-            |o| strings.resolve(o).to_owned(),
-            |o| {
-                origin_classifier
-                    .class_of(ClusterKey(o as u64, 0))
-                    .unwrap_or(crate::classify::PatternClass::Other)
-            },
-        );
+        // One cluster mode fills the timer table's clusters, the other the
+        // origin table's per-pid ones. Table 3's per-origin clusters see
+        // the same episodes again and would double-count.
+        let clusters = || self.lifecycle.clusters().chain(self.origins.pid_clusters());
+        summary.anomalous_rearms = clusters().map(Classifier::anomalous_rearms).sum();
+        // Built first, so its value regrouping is freed before the report's
+        // copies of the Figure 4 dots and the scatter points are made.
+        let provenance = self.origins.rows(1.0, 4, |o| strings.resolve(o).to_owned());
         let mut rate_series = std::collections::BTreeMap::new();
         for name in self.rates.group_names() {
             rate_series.insert(name.to_owned(), self.rates.series(name).to_vec());
         }
         Report {
             summary,
-            pattern_mix: self.classifier.finish(),
+            pattern_mix: PatternMix::of(clusters()),
             values_all: self.values.all.rows(2.0),
             values_all_coverage: self.values.all.coverage(2.0),
             values_filtered: self.values.filtered.rows(2.0),
@@ -317,5 +311,79 @@ mod tests {
         assert_eq!(report.summary.orphan_ends, 2);
         assert_eq!(report.countdown_timer_count, 1);
         assert_eq!(report.countdown_validation, (2, 3, 2));
+    }
+
+    /// An event at `ms` on timer `addr`, set by `origin` in process `pid`;
+    /// a `timeout_ms` of 0 means none.
+    fn task_ev(
+        ms: u64,
+        kind: EventKind,
+        addr: u64,
+        origin: u32,
+        pid: u32,
+        timeout_ms: u64,
+    ) -> Event {
+        Event {
+            origin,
+            ..ev(ms, kind, addr, timeout_ms, false)
+        }
+        .with_task(pid, pid, trace::Space::Kernel)
+    }
+
+    /// The cluster edges, under both cluster modes: only addresses with
+    /// a closed episode are clusters, Vista clusters one origin per pid
+    /// while Table 3 classifies it once, an anomalous re-arm counts once,
+    /// and tied origins list in origin-id order.
+    #[test]
+    fn per_cluster_edges() {
+        let mut strings = StringTable::new();
+        let a = strings.intern("z:first-interned");
+        let b = strings.intern("a:second-interned");
+        let events = [
+            task_ev(0, Init, 1, a, 10, 0),   // Init only
+            task_ev(1, Cancel, 2, a, 10, 0), // orphan only
+            task_ev(2, Set, 3, a, 10, 100),
+            task_ev(102, Expire, 3, a, 10, 0),
+            task_ev(95, Set, 3, a, 10, 100), // stamped before the end above
+            task_ev(195, Expire, 3, a, 10, 0),
+            task_ev(200, Set, 4, a, 20, 100), // the same origin, another pid
+            task_ev(300, Cancel, 4, a, 20, 0),
+            task_ev(310, Set, 5, b, 10, 100),
+            task_ev(320, Cancel, 5, b, 10, 0),
+            task_ev(330, Set, 5, b, 10, 100),
+            task_ev(340, Cancel, 5, b, 10, 0),
+            task_ev(350, Set, 5, b, 10, 100),
+            task_ev(360, Cancel, 5, b, 10, 0),
+            task_ev(370, Set, 6, b, 10, 100), // never ends
+        ];
+        for cfg in [AnalyzerConfig::linux(), AnalyzerConfig::vista()] {
+            let mode = cfg.cluster_mode;
+            let mut analyzer = TraceAnalyzer::new(cfg);
+            analyzer.push_chunk(&events);
+            let report = analyzer.finish(&strings);
+            assert_eq!(report.summary.timers, 6, "{mode:?}");
+            assert_eq!(report.summary.orphan_ends, 1, "{mode:?}");
+            // Linux: addresses 3, 4 and 5; Vista: (a, 10), (a, 20), (b, 10).
+            assert_eq!(report.pattern_mix.total, 3, "{mode:?}");
+            assert_eq!(report.pattern_mix.counts["other"], 2, "{mode:?}");
+            assert_eq!(report.pattern_mix.counts["timeout"], 1, "{mode:?}");
+            assert_eq!(report.summary.anomalous_rearms, 1, "{mode:?}");
+            assert_eq!(report.provenance.len(), 1, "{mode:?}");
+            let row = &report.provenance[0];
+            assert_eq!((row.seconds, row.count), (0.1, 6), "{mode:?}");
+            let origins: Vec<(&str, &str, u64)> = row
+                .origins
+                .iter()
+                .map(|(o, c, n)| (o.as_str(), c.as_str(), *n))
+                .collect();
+            assert_eq!(
+                origins,
+                [
+                    ("z:first-interned", "other", 3),
+                    ("a:second-interned", "timeout", 3)
+                ],
+                "{mode:?}"
+            );
+        }
     }
 }

@@ -6,9 +6,10 @@
 //! requested timeout values, and the log₂ histogram of set-vs-fired
 //! slack (delivery instant minus armed expiry — both carried on the
 //! expiry event itself, so no per-timer state is needed). The fold is a
-//! pure function of the event stream: accumulators are keyed by
-//! [`OriginId`] in a `BTreeMap`, and [`finish`](AttributionTracker::finish)
-//! resolves labels through the (deterministic) trace string table into a
+//! pure function of the event stream: accumulators sit in a `Vec`
+//! indexed by [`OriginId`](trace::OriginId), and
+//! [`finish`](AttributionTracker::finish) resolves labels through the
+//! (deterministic) trace string table into a
 //! [`telemetry::OriginTable`] in canonical row order. That is what lets
 //! the table ride inside [`Report`](crate::Report) — byte-identical
 //! across serial, parallel, cached-replay and every queue backend.

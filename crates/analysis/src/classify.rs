@@ -67,18 +67,16 @@ impl PatternClass {
     }
 }
 
-/// A cluster key: how episodes are grouped into "a timer".
+/// One cluster's accumulated behaviour, and its classifier: "a timer"
+/// for Figure 2 and an origin for Table 3.
 ///
-/// On Linux, static allocation makes the address the natural identity; on
-/// Vista, dynamic allocation forces clustering by call-site and process
-/// (§3.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ClusterKey(pub u64, pub u64);
-
-/// Per-cluster accumulated behaviour.
-#[derive(Debug, Default, Clone)]
-struct KeyState {
-    episodes: u64,
+/// On Linux, static allocation makes the address the natural identity,
+/// so a timer's cluster lives in its lifecycle-table slot; on Vista,
+/// dynamic allocation forces clustering by call-site and process (§3.3),
+/// so the cluster lives in its origin's slot under the pid. Table 3's
+/// per-origin cluster sits in the origin's slot on both.
+#[derive(Debug, Default)]
+pub struct Classifier {
     expires: u64,
     cancels: u64,
     resets: u64,
@@ -91,17 +89,8 @@ struct KeyState {
     /// Re-sets stamped *before* the previous episode's recorded end —
     /// clock skew or reordering, excluded from the periodic/delay vote.
     anomalous_rearms: u64,
-    /// Cancels that happened early in the timer's life (< 50 % of value).
-    early_cancels: u64,
     /// End of the previous episode, to measure re-arm gaps.
     last_end_ns: Option<(u64, Outcome)>,
-}
-
-/// The streaming classifier.
-#[derive(Debug)]
-pub struct Classifier {
-    tolerance: SimDuration,
-    keys: FoldMap<ClusterKey, KeyState>,
 }
 
 /// The classified population: cluster count per class (Figure 2's
@@ -116,6 +105,18 @@ pub struct PatternMix {
 }
 
 impl PatternMix {
+    /// The mix over `clusters`, each classified once.
+    pub fn of<'a>(clusters: impl IntoIterator<Item = &'a Classifier>) -> Self {
+        let mut mix = PatternMix::default();
+        for cluster in clusters {
+            *mix.counts
+                .entry(cluster.class().label().to_owned())
+                .or_insert(0) += 1;
+            mix.total += 1;
+        }
+        mix
+    }
+
     /// Percentage of timers in `class`.
     pub fn percent(&self, class: PatternClass) -> f64 {
         if self.total == 0 {
@@ -126,77 +127,66 @@ impl PatternMix {
 }
 
 impl Classifier {
-    /// Creates a classifier with the paper's 2 ms tolerance.
-    pub fn new(tolerance: SimDuration) -> Self {
-        Classifier {
-            tolerance,
-            keys: FoldMap::default(),
-        }
+    /// Closed episodes fed so far.
+    fn episodes(&self) -> u64 {
+        self.expires + self.cancels + self.resets
     }
 
-    /// Buckets a value by the tolerance.
-    fn bucket(&self, d: SimDuration) -> u64 {
-        let tol = self.tolerance.as_nanos().max(1);
-        d.as_nanos() / tol
+    /// Returns `true` if no episode was fed: a timer that never closed
+    /// one is not a cluster.
+    pub fn is_empty(&self) -> bool {
+        self.episodes() == 0
     }
 
-    /// Feeds one completed episode under its cluster key.
-    pub fn push(&mut self, key: ClusterKey, sample: &Sample) {
-        let tol_ns = self.tolerance.as_nanos();
-        let bucket = sample.timeout.map(|d| self.bucket(d));
-        let state = self.keys.entry(key).or_default();
-        state.episodes += 1;
-        if let Some(b) = bucket {
-            *state.value_counts.entry(b).or_insert(0) += 1;
+    /// Feeds one completed episode; `tolerance` is the jitter tolerance
+    /// that buckets values and separates immediate from gapped re-arms.
+    pub fn push(&mut self, sample: &Sample, tolerance: SimDuration) {
+        let tol_ns = tolerance.as_nanos();
+        if let Some(d) = sample.timeout {
+            *self
+                .value_counts
+                .entry(d.as_nanos() / tol_ns.max(1))
+                .or_insert(0) += 1;
         }
         // Gap between the previous episode's end and this set. A set
         // stamped before the recorded end used to clamp to gap 0 via
         // saturating_sub and masquerade as an immediate (periodic)
         // re-arm; such negative gaps are anomalies, not votes.
-        if let Some((end_ns, prev_outcome)) = state.last_end_ns {
-            if prev_outcome == Outcome::Expired {
-                let set_ns = sample.set_ts.as_nanos();
-                if set_ns < end_ns {
-                    state.anomalous_rearms += 1;
-                } else if set_ns - end_ns <= tol_ns {
-                    state.immediate_rearms += 1;
-                } else {
-                    state.gap_rearms += 1;
-                }
+        if let Some((end_ns, Outcome::Expired)) = self.last_end_ns {
+            let set_ns = sample.set_ts.as_nanos();
+            if set_ns < end_ns {
+                self.anomalous_rearms += 1;
+            } else if set_ns - end_ns <= tol_ns {
+                self.immediate_rearms += 1;
+            } else {
+                self.gap_rearms += 1;
             }
         }
         match sample.outcome {
-            Outcome::Expired => state.expires += 1,
-            Outcome::Canceled => {
-                state.cancels += 1;
-                if let Some(p) = sample.percent_of_set() {
-                    if p < 50.0 {
-                        state.early_cancels += 1;
-                    }
-                }
-            }
-            Outcome::Reset => state.resets += 1,
+            Outcome::Expired => self.expires += 1,
+            Outcome::Canceled => self.cancels += 1,
+            Outcome::Reset => self.resets += 1,
         }
-        state.last_end_ns = Some((sample.end_ts.as_nanos(), sample.outcome));
+        self.last_end_ns = Some((sample.end_ts.as_nanos(), sample.outcome));
     }
 
-    /// Classifies one cluster's accumulated behaviour.
-    fn classify(state: &KeyState) -> PatternClass {
-        let n = state.episodes;
+    /// Classifies the accumulated behaviour.
+    pub fn class(&self) -> PatternClass {
+        let n = self.episodes();
         if n < 3 {
             return PatternClass::Other;
         }
         // Value constancy: the dominant value bucket must cover most sets.
-        let dominant = state.value_counts.values().copied().max().unwrap_or(0);
+        let dominant = self.value_counts.values().copied().max().unwrap_or(0);
         if (dominant as f64) < 0.7 * n as f64 {
             return PatternClass::Other;
         }
-        let exp_f = state.expires as f64 / n as f64;
-        let res_f = state.resets as f64 / n as f64;
-        let can_f = state.cancels as f64 / n as f64;
+        let exp_f = self.expires as f64 / n as f64;
+        let res_f = self.resets as f64 / n as f64;
+        let can_f = self.cancels as f64 / n as f64;
         if exp_f >= 0.85 {
-            let rearms = state.immediate_rearms + state.gap_rearms;
-            if rearms > 0 && state.immediate_rearms as f64 >= 0.7 * rearms as f64 {
+            let rearms = self.immediate_rearms + self.gap_rearms;
+            if rearms > 0 && self.immediate_rearms as f64 >= 0.7 * rearms as f64 {
                 PatternClass::Periodic
             } else {
                 PatternClass::Delay
@@ -214,26 +204,10 @@ impl Classifier {
         }
     }
 
-    /// Classifies one key now (for tests and provenance).
-    pub fn class_of(&self, key: ClusterKey) -> Option<PatternClass> {
-        self.keys.get(&key).map(Self::classify)
-    }
-
-    /// Finishes: the population mix over all clusters.
-    pub fn finish(&self) -> PatternMix {
-        let mut mix = PatternMix::default();
-        for state in self.keys.values() {
-            let class = Self::classify(state);
-            *mix.counts.entry(class.label().to_owned()).or_insert(0) += 1;
-            mix.total += 1;
-        }
-        mix
-    }
-
-    /// Total re-sets across all clusters whose timestamp preceded the
-    /// previous episode's recorded end (clock skew / reordering).
+    /// Re-sets whose timestamp preceded the previous episode's recorded
+    /// end (clock skew / reordering).
     pub fn anomalous_rearms(&self) -> u64 {
-        self.keys.values().map(|s| s.anomalous_rearms).sum()
+        self.anomalous_rearms
     }
 }
 
@@ -247,7 +221,6 @@ mod tests {
 
     fn sample(set_ms: u64, end_ms: u64, timeout_ms: u64, outcome: Outcome) -> Sample {
         Sample {
-            addr: 1,
             origin: 1,
             pid: 0,
             tid: 0,
@@ -260,126 +233,94 @@ mod tests {
         }
     }
 
-    const KEY: ClusterKey = ClusterKey(1, 0);
+    /// A cluster fed `samples` in order.
+    fn cluster(samples: impl IntoIterator<Item = Sample>) -> Classifier {
+        let mut c = Classifier::default();
+        for s in samples {
+            c.push(&s, TOL);
+        }
+        c
+    }
 
     #[test]
     fn periodic_pattern() {
-        let mut c = Classifier::new(TOL);
         // Expires at t, re-set at ~t (immediate), same value.
-        for i in 0..10u64 {
-            c.push(
-                KEY,
-                &sample(i * 1000, i * 1000 + 1000, 1000, Outcome::Expired),
-            );
-        }
-        assert_eq!(c.class_of(KEY), Some(PatternClass::Periodic));
+        let c =
+            cluster((0..10u64).map(|i| sample(i * 1000, i * 1000 + 1000, 1000, Outcome::Expired)));
+        assert_eq!(c.class(), PatternClass::Periodic);
     }
 
     #[test]
     fn delay_pattern() {
-        let mut c = Classifier::new(TOL);
         // Expires, then re-set 500 ms later (non-trivial gap).
-        for i in 0..10u64 {
-            c.push(
-                KEY,
-                &sample(i * 1500, i * 1500 + 1000, 1000, Outcome::Expired),
-            );
-        }
-        assert_eq!(c.class_of(KEY), Some(PatternClass::Delay));
+        let c =
+            cluster((0..10u64).map(|i| sample(i * 1500, i * 1500 + 1000, 1000, Outcome::Expired)));
+        assert_eq!(c.class(), PatternClass::Delay);
     }
 
     #[test]
     fn watchdog_pattern() {
-        let mut c = Classifier::new(TOL);
         // Re-set every 200 ms, never expires.
-        for i in 0..20u64 {
-            c.push(KEY, &sample(i * 200, (i + 1) * 200, 1000, Outcome::Reset));
-        }
-        assert_eq!(c.class_of(KEY), Some(PatternClass::Watchdog));
+        let c = cluster((0..20u64).map(|i| sample(i * 200, (i + 1) * 200, 1000, Outcome::Reset)));
+        assert_eq!(c.class(), PatternClass::Watchdog);
     }
 
     #[test]
     fn timeout_pattern() {
-        let mut c = Classifier::new(TOL);
         // Cancelled early each time.
-        for i in 0..10u64 {
-            c.push(
-                KEY,
-                &sample(i * 5000, i * 5000 + 100, 5000, Outcome::Canceled),
-            );
-        }
-        assert_eq!(c.class_of(KEY), Some(PatternClass::Timeout));
+        let c =
+            cluster((0..10u64).map(|i| sample(i * 5000, i * 5000 + 100, 5000, Outcome::Canceled)));
+        assert_eq!(c.class(), PatternClass::Timeout);
     }
 
     #[test]
     fn deferred_pattern() {
-        let mut c = Classifier::new(TOL);
         // Deferred a few times, then expires — the Vista registry idiom.
-        for round in 0..5u64 {
+        let c = cluster((0..5u64).flat_map(|round| {
             let base = round * 4000;
-            for i in 0..3u64 {
-                c.push(
-                    KEY,
-                    &sample(base + i * 500, base + (i + 1) * 500, 1000, Outcome::Reset),
-                );
-            }
-            c.push(
-                KEY,
-                &sample(base + 1500, base + 2500, 1000, Outcome::Expired),
-            );
-        }
-        assert_eq!(c.class_of(KEY), Some(PatternClass::Deferred));
+            (0..3u64)
+                .map(move |i| sample(base + i * 500, base + (i + 1) * 500, 1000, Outcome::Reset))
+                .chain([sample(base + 1500, base + 2500, 1000, Outcome::Expired)])
+        }));
+        assert_eq!(c.class(), PatternClass::Deferred);
     }
 
     #[test]
     fn re_set_before_recorded_end_is_not_periodic() {
-        let mut c = Classifier::new(TOL);
         // Every episode "ends" 50 ms *after* the next set's timestamp —
         // a re-set-before-expiry pair as seen under clock skew. The old
         // saturating_sub clamp scored these as immediate re-arms and
         // called the timer Periodic.
-        for i in 0..10u64 {
-            c.push(
-                KEY,
-                &sample(i * 1000, i * 1000 + 1050, 1000, Outcome::Expired),
-            );
-        }
-        assert_eq!(c.class_of(KEY), Some(PatternClass::Delay));
+        let c =
+            cluster((0..10u64).map(|i| sample(i * 1000, i * 1000 + 1050, 1000, Outcome::Expired)));
+        assert_eq!(c.class(), PatternClass::Delay);
         assert_eq!(c.anomalous_rearms(), 9);
     }
 
     #[test]
     fn varying_values_are_other() {
-        let mut c = Classifier::new(TOL);
         // A countdown: values decline each set.
-        for i in 0..10u64 {
-            let v = 1000 - i * 100;
-            c.push(KEY, &sample(i * 100, i * 100 + 50, v, Outcome::Canceled));
-        }
-        assert_eq!(c.class_of(KEY), Some(PatternClass::Other));
+        let c = cluster(
+            (0..10u64).map(|i| sample(i * 100, i * 100 + 50, 1000 - i * 100, Outcome::Canceled)),
+        );
+        assert_eq!(c.class(), PatternClass::Other);
     }
 
     #[test]
     fn too_few_episodes_are_other() {
-        let mut c = Classifier::new(TOL);
-        c.push(KEY, &sample(0, 1000, 1000, Outcome::Expired));
-        assert_eq!(c.class_of(KEY), Some(PatternClass::Other));
+        let c = cluster([sample(0, 1000, 1000, Outcome::Expired)]);
+        assert!(!c.is_empty());
+        assert_eq!(c.class(), PatternClass::Other);
+        assert!(Classifier::default().is_empty());
     }
 
     #[test]
     fn mix_percentages() {
-        let mut c = Classifier::new(TOL);
-        for i in 0..10u64 {
-            c.push(
-                ClusterKey(1, 0),
-                &sample(i * 1000, i * 1000 + 1000, 1000, Outcome::Expired),
-            );
-            c.push(
-                ClusterKey(2, 0),
-                &sample(i * 5000, i * 5000 + 100, 5000, Outcome::Canceled),
-            );
-        }
-        let mix = c.finish();
+        let periodic =
+            cluster((0..10u64).map(|i| sample(i * 1000, i * 1000 + 1000, 1000, Outcome::Expired)));
+        let timeout =
+            cluster((0..10u64).map(|i| sample(i * 5000, i * 5000 + 100, 5000, Outcome::Canceled)));
+        let mix = PatternMix::of([&periodic, &timeout]);
         assert_eq!(mix.total, 2);
         assert!((mix.percent(PatternClass::Periodic) - 50.0).abs() < 1e-9);
         assert!((mix.percent(PatternClass::Timeout) - 50.0).abs() < 1e-9);

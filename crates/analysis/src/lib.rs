@@ -13,10 +13,10 @@
 //! * [`lifecycle`] — the one table of per-timer state, keyed by timer
 //!   address: reconstructs set → (expire | cancel | re-set) episodes,
 //!   the raw material for everything below, and holds each timer's
-//!   countdown chain;
+//!   countdown chain and, on Linux, its pattern cluster;
 //! * [`classify`] — the usage-pattern taxonomy of §4.1.1: periodic,
 //!   watchdog, delay, timeout, deferred, other, with the experimentally
-//!   determined 2 ms jitter tolerance;
+//!   determined 2 ms jitter tolerance, as one cluster's state;
 //! * [`values`] — the commonly-used-value histograms of §4.2 (Figures 3,
 //!   5, 6, 7), fed by one pass, with the ≥ 2 % reporting rule, the
 //!   X/icewm filter and the one 0.1 ms bucket rule;
@@ -24,8 +24,10 @@
 //!   Figure 4 dot-plot series;
 //! * [`scatter`] — the set-value versus percent-of-value-at-end scatter
 //!   data of Figures 8–11 (250 % cut-off, immediate-expiry exclusion);
-//! * [`provenance`] — Table 3: which origin sets which frequent value,
-//!   and how that timer classifies.
+//! * [`provenance`] — the one table of per-origin state, indexed by
+//!   origin id: Table 3 (which origin sets which frequent value, and how
+//!   that origin classifies) and, on Vista, the per-process pattern
+//!   clusters.
 //!
 //! [`TraceAnalyzer`] composes all of them behind that one fold.
 

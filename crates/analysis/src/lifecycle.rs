@@ -7,13 +7,15 @@
 //! (§3), emitted as [`Sample`]s. The table is keyed by timer address:
 //! Linux `timer_list` structs are static and reused, so the address
 //! names the timer (§3.3). Each event probes it once, and the entry holds
-//! the open episode and the countdown [`Chain`]. Entries are never
+//! the open episode, the countdown [`Chain`] and, when episodes cluster
+//! by address, the timer's pattern [`Classifier`]. Entries are never
 //! removed, so the table's length is the Timers row.
 
 use simtime::fasthash::FoldMap;
 use simtime::{SimDuration, SimInstant};
 use trace::{Event, EventKind, OriginId, Pid, Space, Tid, TimerAddr};
 
+use crate::classify::Classifier;
 use crate::countdown::Chain;
 
 /// How an episode ended.
@@ -31,8 +33,6 @@ pub enum Outcome {
 /// One completed set→end episode.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sample {
-    /// Timer address.
-    pub addr: TimerAddr,
     /// Interned provenance of the set.
     pub origin: OriginId,
     /// Owning process and thread.
@@ -85,11 +85,15 @@ struct Open {
 
 /// One timer's entry in the table.
 #[derive(Debug, Default)]
-struct TimerSlot {
+pub struct TimerSlot {
     /// The armed episode, if the timer is armed.
     open: Option<Open>,
     /// The countdown detector's state for this timer.
-    chain: Chain,
+    pub(crate) chain: Chain,
+    /// The timer's pattern cluster under
+    /// [`ClusterMode::ByAddress`](crate::ClusterMode::ByAddress); empty
+    /// otherwise.
+    pub(crate) cluster: Classifier,
 }
 
 /// The lifecycle reconstructor and owner of the per-timer table.
@@ -116,8 +120,8 @@ impl LifecycleTracker {
     }
 
     /// Feeds one event; returns the completed episode, if this event
-    /// closed one, and the countdown chain of the event's timer.
-    pub fn push(&mut self, event: &Event) -> (Option<Sample>, &mut Chain) {
+    /// closed one, and the event's timer slot.
+    pub fn push(&mut self, event: &Event) -> (Option<Sample>, &mut TimerSlot) {
         let slot = self.timers.entry(event.timer).or_default();
         let sample = match event.kind {
             EventKind::Init => None,
@@ -135,7 +139,7 @@ impl LifecycleTracker {
                     self.open_count += 1;
                     self.peak_concurrency = self.peak_concurrency.max(self.open_count);
                 }
-                prev.map(|o| close(event.timer, o, event.ts, Outcome::Reset))
+                prev.map(|o| close(o, event.ts, Outcome::Reset))
             }
             end => match slot.open.take() {
                 Some(o) => {
@@ -145,7 +149,7 @@ impl LifecycleTracker {
                     } else {
                         Outcome::Canceled
                     };
-                    Some(close(event.timer, o, event.ts, outcome))
+                    Some(close(o, event.ts, outcome))
                 }
                 None => {
                     self.orphan_ends += 1;
@@ -153,7 +157,7 @@ impl LifecycleTracker {
                 }
             },
         };
-        (sample, &mut slot.chain)
+        (sample, slot)
     }
 
     /// Peak concurrency seen so far.
@@ -177,6 +181,15 @@ impl LifecycleTracker {
         self.timers.values().map(|slot| &slot.chain)
     }
 
+    /// The pattern cluster of every timer that closed an episode, in no
+    /// particular order.
+    pub(crate) fn clusters(&self) -> impl Iterator<Item = &Classifier> {
+        self.timers
+            .values()
+            .map(|slot| &slot.cluster)
+            .filter(|cluster| !cluster.is_empty())
+    }
+
     /// End events (cancel/expiry) that matched no open episode — evidence
     /// of lost `Set` records in an incomplete trace.
     pub fn orphan_ends(&self) -> u64 {
@@ -184,9 +197,8 @@ impl LifecycleTracker {
     }
 }
 
-fn close(addr: TimerAddr, open: Open, end_ts: SimInstant, outcome: Outcome) -> Sample {
+fn close(open: Open, end_ts: SimInstant, outcome: Outcome) -> Sample {
     Sample {
-        addr,
         origin: open.origin,
         pid: open.pid,
         tid: open.tid,

@@ -93,7 +93,6 @@ mod tests {
 
     fn sample(timeout_ms: u64, ran_ms: u64, outcome: Outcome) -> Sample {
         Sample {
-            addr: 1,
             origin: 0,
             pid: 0,
             tid: 0,

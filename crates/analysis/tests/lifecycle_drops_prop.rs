@@ -121,7 +121,7 @@ proptest! {
                 }
                 if let Some(s) = lt.push(e).0 {
                     samples += 1;
-                    *samples_per_addr.entry(s.addr).or_insert(0) += 1;
+                    *samples_per_addr.entry(e.timer).or_insert(0) += 1;
                     prop_assert!(s.end_ts >= s.set_ts, "episode runs backwards");
                 }
             }

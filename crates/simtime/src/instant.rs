@@ -108,11 +108,6 @@ impl SimDuration {
         self.0.checked_add(rhs.0).map(SimDuration)
     }
 
-    /// Checked subtraction; `None` on underflow.
-    pub fn checked_sub(self, rhs: SimDuration) -> Option<SimDuration> {
-        self.0.checked_sub(rhs.0).map(SimDuration)
-    }
-
     /// Saturating addition.
     pub fn saturating_add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_add(rhs.0))

@@ -51,16 +51,6 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// Returns `true` if this kind arms a timer.
-    pub fn is_set(self) -> bool {
-        matches!(self, EventKind::Set)
-    }
-
-    /// Returns `true` if this kind ends a pending timer without expiry.
-    pub fn is_cancel(self) -> bool {
-        matches!(self, EventKind::Cancel | EventKind::WaitSatisfied)
-    }
-
     /// Returns `true` if this kind represents an expiry.
     pub fn is_expire(self) -> bool {
         matches!(self, EventKind::Expire | EventKind::WaitTimedOut)
@@ -161,12 +151,10 @@ mod tests {
 
     #[test]
     fn kind_predicates() {
-        assert!(EventKind::Set.is_set());
-        assert!(EventKind::Cancel.is_cancel());
-        assert!(EventKind::WaitSatisfied.is_cancel());
         assert!(EventKind::Expire.is_expire());
         assert!(EventKind::WaitTimedOut.is_expire());
-        assert!(!EventKind::Init.is_set());
+        assert!(!EventKind::Cancel.is_expire());
+        assert!(!EventKind::WaitSatisfied.is_expire());
     }
 
     #[test]

@@ -101,11 +101,6 @@ impl FaultSink {
     pub fn inner_mut(&mut self) -> &mut dyn TraceSink {
         self.inner.as_mut()
     }
-
-    /// Consumes the adaptor, returning the wrapped sink and the drop count.
-    pub fn into_parts(self) -> (Box<dyn TraceSink>, u64) {
-        (self.inner, self.dropped)
-    }
 }
 
 impl std::fmt::Debug for FaultSink {

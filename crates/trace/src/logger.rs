@@ -9,7 +9,6 @@
 
 use bytes::BytesMut;
 use serde::{Deserialize, Serialize};
-use simtime::fasthash::FoldMap;
 use simtime::SimDuration;
 
 use crate::codec;
@@ -153,10 +152,9 @@ impl EventCounts {
 /// the <0.1 % CPU overhead claim can be re-derived.
 pub const MODELED_RECORD_COST: SimDuration = SimDuration::from_nanos(89);
 
-/// The instrumentation facade: interning, process table, counters, sink.
+/// The instrumentation facade: interning, counters, sink.
 pub struct TraceLog {
     strings: StringTable,
-    processes: FoldMap<Pid, OriginId>,
     counts: EventCounts,
     sink: Box<dyn TraceSink>,
     records_logged: u64,
@@ -166,7 +164,6 @@ impl std::fmt::Debug for TraceLog {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TraceLog")
             .field("strings", &self.strings.len())
-            .field("processes", &self.processes.len())
             .field("counts", &self.counts)
             .field("records_logged", &self.records_logged)
             .finish()
@@ -178,7 +175,6 @@ impl TraceLog {
     pub fn new(sink: Box<dyn TraceSink>) -> Self {
         TraceLog {
             strings: StringTable::new(),
-            processes: FoldMap::default(),
             counts: EventCounts::default(),
             sink,
             records_logged: 0,
@@ -200,18 +196,11 @@ impl TraceLog {
         &self.strings
     }
 
-    /// Registers a process name for `pid`.
-    pub fn register_process(&mut self, pid: Pid, name: &str) {
-        let id = self.strings.intern(name);
-        self.processes.insert(pid, id);
-    }
-
-    /// Resolves a process name (`"?"` if unregistered).
-    pub fn process_name(&self, pid: Pid) -> &str {
-        match self.processes.get(&pid) {
-            Some(&id) => self.strings.resolve(id),
-            None => "?",
-        }
+    /// Registers a process name. The name is interned like a provenance
+    /// label, so it takes an origin id and every later label's id counts
+    /// it; no pid-to-name table is kept.
+    pub fn register_process(&mut self, _pid: Pid, name: &str) {
+        self.strings.intern(name);
     }
 
     /// Logs one event.
@@ -283,9 +272,10 @@ mod tests {
     #[test]
     fn process_table() {
         let mut log = TraceLog::collecting();
+        let before = log.strings().len() as OriginId;
         log.register_process(42, "firefox");
-        assert_eq!(log.process_name(42), "firefox");
-        assert_eq!(log.process_name(43), "?");
+        assert_eq!(log.strings().lookup("firefox"), Some(before));
+        assert_eq!(log.intern("tcp:rto"), before + 1);
     }
 
     #[test]

@@ -59,11 +59,6 @@ impl HashedWheel {
         }
     }
 
-    /// Creates the 256-slot wheel used as the default ring size.
-    pub fn with_default_size() -> Self {
-        HashedWheel::new(256)
-    }
-
     /// Number of not-yet-due entries revisited during slot processing.
     pub fn revisits(&self) -> u64 {
         self.revisits
@@ -168,7 +163,7 @@ mod tests {
 
     #[test]
     fn fires_at_exact_tick() {
-        let mut w = HashedWheel::with_default_size();
+        let mut w = HashedWheel::new(256);
         w.schedule(1, 10);
         assert!(collect_fired(&mut w, 9).is_empty());
         assert_eq!(collect_fired(&mut w, 10), vec![(1, 10)]);

@@ -6,7 +6,7 @@
 //! sanity-check its traces, so the simulation reproduces it: at chosen
 //! sim instants, each kernel dumps a [`TimerListCapture`] — one
 //! [`QueueListing`] per timer structure it runs — built from the uniform
-//! [`QueueSnapshot`](crate::api::QueueSnapshot) every queue implements.
+//! [`QueueSnapshot`] every queue implements.
 //!
 //! # Plan / capture protocol
 //!
