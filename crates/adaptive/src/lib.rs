@@ -40,7 +40,6 @@ pub mod usecase;
 pub use backoff::ExponentialBackoff;
 pub use estimator::AdaptiveTimeout;
 pub use policy::AdaptivePolicy;
-pub use quantile::P2Quantile;
 pub use rtt::{RttEstimator, RttSmoother};
 pub use timespec::{Coalescer, TimeSpec};
 pub use usecase::TimeoutGuard;

@@ -251,11 +251,6 @@ impl TraceAnalyzer {
             countdown_validation: self.countdown.validation_counts(self.lifecycle.chains()),
         }
     }
-
-    /// Aggregate counters so far (for progress displays).
-    pub fn counts(&self) -> EventCounts {
-        self.counts
-    }
 }
 
 #[cfg(test)]

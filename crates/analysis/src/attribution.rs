@@ -15,9 +15,9 @@
 //! across serial, parallel, cached-replay and every queue backend.
 //!
 //! Recording is gated on [`telemetry::enabled`], making the tracker part
-//! of the telemetry plane's measured overhead: the `telemetry_overhead`
-//! bench and the 10 % budget smoke test compare enabled-vs-disabled runs,
-//! and this fold is on the enabled side of that line.
+//! of the telemetry plane's measured overhead: the 10 % budget smoke test
+//! compares enabled-vs-disabled runs, and this fold is on the enabled
+//! side of that line. `bench_all`'s `attribution_fold` row times it alone.
 
 use telemetry::{LogHistogram, OriginRow, OriginTable};
 use trace::{Event, EventKind, StringTable};
@@ -48,14 +48,6 @@ impl AttributionTracker {
     /// Creates an empty tracker.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Feeds one event.
-    pub fn push(&mut self, event: &Event) {
-        if !telemetry::enabled() {
-            return;
-        }
-        self.fold(event);
     }
 
     fn fold(&mut self, event: &Event) {
@@ -148,27 +140,21 @@ mod tests {
         let rto = log.intern("tcp:rto");
         let wdt = log.intern("app:watchdog");
 
-        let mut t = AttributionTracker::new();
-        t.push(&set(0, rto, 200));
-        t.push(&set(1_000, wdt, 30_000));
-        // rto fires 1 ms late.
+        // rto fires 1 ms late; watchdog is cancelled.
         let armed = SimInstant::from_nanos(0) + SimDuration::from_millis(200);
-        t.push(
-            &Event::new(
+        let mut t = AttributionTracker::new();
+        t.push_chunk(&[
+            set(0, rto, 200),
+            set(1_000, wdt, 30_000),
+            Event::new(
                 armed + SimDuration::from_millis(1),
                 EventKind::Expire,
                 0x100,
                 rto,
             )
             .with_expires(armed),
-        );
-        // watchdog cancelled.
-        t.push(&Event::new(
-            SimInstant::from_nanos(5_000),
-            EventKind::Cancel,
-            0x100,
-            wdt,
-        ));
+            Event::new(SimInstant::from_nanos(5_000), EventKind::Cancel, 0x100, wdt),
+        ]);
 
         let table = t.finish(log.strings());
         assert_eq!(table.rows.len(), 2);
@@ -188,8 +174,10 @@ mod tests {
         let o = log.intern("vista:wait");
         let mut t = AttributionTracker::new();
         let ts = SimInstant::from_nanos(10);
-        t.push(&Event::new(ts, EventKind::WaitSatisfied, 1, o));
-        t.push(&Event::new(ts, EventKind::WaitTimedOut, 1, o).with_expires(ts));
+        t.push_chunk(&[
+            Event::new(ts, EventKind::WaitSatisfied, 1, o),
+            Event::new(ts, EventKind::WaitTimedOut, 1, o).with_expires(ts),
+        ]);
         let table = t.finish(log.strings());
         assert_eq!(table.rows[0].cancels, 1);
         assert_eq!(table.rows[0].expirations, 1);

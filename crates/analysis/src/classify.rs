@@ -215,7 +215,6 @@ impl Classifier {
 mod tests {
     use super::*;
     use simtime::SimInstant;
-    use trace::Space;
 
     const TOL: SimDuration = SimDuration::from_millis(2);
 
@@ -223,13 +222,10 @@ mod tests {
         Sample {
             origin: 1,
             pid: 0,
-            tid: 0,
-            space: Space::Kernel,
             set_ts: SimInstant::BOOT + SimDuration::from_millis(set_ms),
             end_ts: SimInstant::BOOT + SimDuration::from_millis(end_ms),
             timeout: Some(SimDuration::from_millis(timeout_ms)),
             outcome,
-            countdown_flag: false,
         }
     }
 

@@ -13,7 +13,7 @@
 
 use simtime::fasthash::FoldMap;
 use simtime::{SimDuration, SimInstant};
-use trace::{Event, EventKind, OriginId, Pid, Space, Tid, TimerAddr};
+use trace::{Event, EventKind, OriginId, Pid, TimerAddr};
 
 use crate::classify::Classifier;
 use crate::countdown::Chain;
@@ -35,12 +35,8 @@ pub enum Outcome {
 pub struct Sample {
     /// Interned provenance of the set.
     pub origin: OriginId,
-    /// Owning process and thread.
+    /// Owning process.
     pub pid: Pid,
-    /// Owning thread.
-    pub tid: Tid,
-    /// User or kernel set.
-    pub space: Space,
     /// When the timer was armed.
     pub set_ts: SimInstant,
     /// When the episode ended (delivery-time for expiries, which is how
@@ -50,8 +46,6 @@ pub struct Sample {
     pub timeout: Option<SimDuration>,
     /// How it ended.
     pub outcome: Outcome,
-    /// The set carried the ground-truth countdown flag.
-    pub countdown_flag: bool,
 }
 
 impl Sample {
@@ -76,11 +70,8 @@ impl Sample {
 struct Open {
     origin: OriginId,
     pid: Pid,
-    tid: Tid,
-    space: Space,
     set_ts: SimInstant,
     timeout: Option<SimDuration>,
-    countdown_flag: bool,
 }
 
 /// One timer's entry in the table.
@@ -129,11 +120,8 @@ impl LifecycleTracker {
                 let prev = slot.open.replace(Open {
                     origin: event.origin,
                     pid: event.pid,
-                    tid: event.tid,
-                    space: event.space,
                     set_ts: event.ts,
                     timeout: event.timeout,
-                    countdown_flag: event.flags.countdown,
                 });
                 if prev.is_none() {
                     self.open_count += 1;
@@ -201,20 +189,16 @@ fn close(open: Open, end_ts: SimInstant, outcome: Outcome) -> Sample {
     Sample {
         origin: open.origin,
         pid: open.pid,
-        tid: open.tid,
-        space: open.space,
         set_ts: open.set_ts,
         end_ts,
         timeout: open.timeout,
         outcome,
-        countdown_flag: open.countdown_flag,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trace::EventFlags;
 
     fn ev(kind: EventKind, addr: TimerAddr, ms: u64) -> Event {
         Event::new(
@@ -286,19 +270,6 @@ mod tests {
         lt.push(&ev(EventKind::Set, 50, 200));
         assert_eq!(lt.peak_concurrency(), 10);
         assert_eq!(lt.open_count(), 6);
-    }
-
-    #[test]
-    fn countdown_flag_propagates() {
-        let mut lt = LifecycleTracker::new();
-        let mut e = ev(EventKind::Set, 1, 0);
-        e.flags = EventFlags {
-            countdown: true,
-            ..EventFlags::default()
-        };
-        lt.push(&e);
-        let s = lt.push(&ev(EventKind::Expire, 1, 10)).0.unwrap();
-        assert!(s.countdown_flag);
     }
 
     #[test]

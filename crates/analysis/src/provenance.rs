@@ -92,32 +92,37 @@ impl Origins {
         max_origins: usize,
         resolve: impl Fn(OriginId) -> String,
     ) -> Vec<ProvenanceRow> {
-        let total: u64 = self.slots.iter().flat_map(|s| s.values.values()).sum();
+        // Per-bucket totals first: only the few buckets that pass the rule
+        // collect their origins, not every value any origin set.
+        let mut totals: FoldMap<u64, u64> = FoldMap::default();
+        for slot in &self.slots {
+            for (&bucket, &count) in &slot.values {
+                *totals.entry(bucket).or_insert(0) += count;
+            }
+        }
+        let total: u64 = totals.values().sum();
         if total == 0 {
             return Vec::new();
         }
-        // Regroup by value bucket.
-        let mut by_value: FoldMap<u64, Vec<(OriginId, u64)>> = FoldMap::default();
+        let mut by_value: FoldMap<u64, (u64, Vec<(OriginId, u64)>)> = totals
+            .into_iter()
+            .filter(|&(_, count)| 100.0 * count as f64 / total as f64 >= min_percent)
+            .map(|(bucket, count)| (bucket, (count, Vec::new())))
+            .collect();
         for (origin, slot) in self.slots.iter().enumerate() {
-            for (&bucket, &count) in &slot.values {
-                by_value
-                    .entry(bucket)
-                    .or_default()
-                    .push((origin as OriginId, count));
+            for (bucket, &count) in &slot.values {
+                if let Some((_, origins)) = by_value.get_mut(bucket) {
+                    origins.push((origin as OriginId, count));
+                }
             }
         }
         let mut rows: Vec<ProvenanceRow> = by_value
             .into_iter()
-            .filter_map(|(bucket, mut origins)| {
-                let count: u64 = origins.iter().map(|&(_, c)| c).sum();
-                let percent = 100.0 * count as f64 / total as f64;
-                if percent < min_percent {
-                    return None;
-                }
+            .map(|(bucket, (count, mut origins))| {
                 // Ties broken by origin id for deterministic output.
                 origins.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
                 origins.truncate(max_origins);
-                Some(ProvenanceRow {
+                ProvenanceRow {
                     seconds: bucket_seconds(bucket),
                     count,
                     origins: origins
@@ -127,7 +132,7 @@ impl Origins {
                             (resolve(o), class.label().to_owned(), c)
                         })
                         .collect(),
-                })
+                }
             })
             .collect();
         rows.sort_by(|a, b| a.seconds.partial_cmp(&b.seconds).expect("finite"));
@@ -140,19 +145,15 @@ mod tests {
     use super::*;
     use crate::lifecycle::Outcome;
     use simtime::SimInstant;
-    use trace::Space;
 
     fn sample(origin: OriginId, secs: f64) -> Sample {
         Sample {
             origin,
             pid: 0,
-            tid: 0,
-            space: Space::Kernel,
             set_ts: SimInstant::BOOT,
             end_ts: SimInstant::BOOT + SimDuration::from_secs(1),
             timeout: Some(SimDuration::from_secs_f64(secs)),
             outcome: Outcome::Expired,
-            countdown_flag: false,
         }
     }
 

@@ -89,19 +89,15 @@ impl ScatterBuilder {
 mod tests {
     use super::*;
     use simtime::{SimDuration, SimInstant};
-    use trace::Space;
 
     fn sample(timeout_ms: u64, ran_ms: u64, outcome: Outcome) -> Sample {
         Sample {
             origin: 0,
             pid: 0,
-            tid: 0,
-            space: Space::Kernel,
             set_ts: SimInstant::BOOT,
             end_ts: SimInstant::BOOT + SimDuration::from_millis(ran_ms),
             timeout: Some(SimDuration::from_millis(timeout_ms)),
             outcome,
-            countdown_flag: false,
         }
     }
 

@@ -165,8 +165,8 @@ proptest! {
                     episodes += 1;
                 }
             }
-            let accesses = analyzer.counts().accesses;
             let report = analyzer.finish(&StringTable::new());
+            let accesses = report.summary.accesses;
             prop_assert!(episodes <= prev_episodes,
                 "episodes grew under heavier drops: {episodes} > {prev_episodes}");
             prop_assert!(report.pattern_mix.total <= prev_clusters,

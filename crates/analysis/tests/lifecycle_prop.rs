@@ -123,8 +123,8 @@ proptest! {
             analyzer.push(&build(raw, clock));
             expected += 1;
         }
-        prop_assert_eq!(analyzer.counts().accesses, expected);
         let report = analyzer.finish(&StringTable::new());
+        prop_assert_eq!(report.summary.accesses, expected);
         // Scatter points obey the cut-off and value rows the 2 % rule.
         for p in &report.scatter {
             prop_assert!(p.percent <= 250.0 + 1e-9);

@@ -20,7 +20,6 @@ fn disabled_telemetry_records_nothing() {
 
     let mut tracker = AttributionTracker::new();
     telemetry::set_enabled(false);
-    tracker.push(&set);
     tracker.push_chunk(&[set, set]);
     telemetry::set_enabled(true);
     assert_eq!(tracker.origin_count(), 0);

@@ -1,16 +1,16 @@
-//! The recorded performance trajectory: one bin, every hot path.
+//! The repository's one micro-benchmark record: one bin, every hot path.
 //!
-//! Criterion gives interactive statistics, but nothing in the repo
-//! remembered how fast the hot paths *were* — so regressions could land
-//! silently. This bin times a fixed micro-suite (the timer-queue
-//! structures; the streaming-analysis event path) with hand-rolled
-//! best-of-N wall timing and emits a `{name: ns_per_op}` map:
+//! This bin times a fixed micro-suite (the timer-queue structures, the
+//! streaming-analysis event path, the attribution fold and §3.2's
+//! per-record logging cost) with hand-rolled best-of-N wall timing and
+//! emits a `{name: ns_per_op}` map:
 //!
 //! - `bench_all --write[=PATH]` records the baseline (default
 //!   `BENCH_baseline.json`, committed at the repo root);
 //! - `bench_all --check[=PATH]` re-runs the suite and fails (exit 1) if
 //!   any benchmark runs slower than the recorded baseline by more than
-//!   the tolerance factor — loose (8×) because CI machines differ from
+//!   the tolerance factor, if a row has no baseline entry, or if an entry
+//!   has no row. The factor is loose (8×) because CI machines differ from
 //!   the machine that recorded the baseline; the gate is for
 //!   order-of-magnitude regressions (an accidental O(n²), a lost cache),
 //!   not percent-level noise. The rows the zero-copy refactor sped up
@@ -23,11 +23,12 @@
 //! Any other argument is a usage error (exit 2), so a misspelt `--check`
 //! never silently skips the gate.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
 use bench::Takes;
-use simtime::SimRng;
+use simtime::{SimDuration, SimInstant, SimRng};
+use trace::{codec::RECORD_SIZE, Event, EventKind, RingBuffer, RingSink, Space, TraceLog};
 use wheel::{HashedWheel, HierarchicalWheel, SortedList, TimerQueue};
 
 const USAGE: &str = "usage: bench_all [--write[=PATH]] [--check[=PATH]]";
@@ -137,6 +138,40 @@ fn bench_attribution_fold() -> f64 {
     })
 }
 
+/// The paper's §3.2 instrumentation cost ("236 cycles" per record, about
+/// 89 ns): one Set event gathered and logged through [`TraceLog`] into a
+/// 64 MiB relayfs-style ring, exactly as many times as the ring holds.
+/// Every record takes the store path: after every call the ring must
+/// have dropped none, so no record's cost is the full-ring drop branch's.
+fn bench_log_record_ring() -> f64 {
+    const RING_BYTES: usize = 64 * 1024 * 1024;
+    let records = (RING_BYTES / RECORD_SIZE) as u64;
+    time_ns_per_op(records, || {
+        let mut log = TraceLog::new(Box::new(RingSink::new(RingBuffer::new(RING_BYTES))));
+        for i in 0..records {
+            log.log(
+                Event::new(
+                    SimInstant::from_nanos(i * 1_000),
+                    EventKind::Set,
+                    0xC100_0000 + (i % 64) * 0x40,
+                    (i % 32) as u32,
+                )
+                .with_timeout(SimDuration::from_millis(i % 500))
+                .with_expires(SimInstant::from_nanos(i * 1_000 + 4_000_000))
+                .with_task(100, 100, Space::User),
+            );
+        }
+        let ring = log
+            .sink_mut()
+            .as_any_mut()
+            .and_then(|sink| sink.downcast_mut::<RingSink>())
+            .expect("the log writes into a ring")
+            .ring();
+        assert_eq!(ring.dropped(), 0, "the ring must keep every timed record");
+        ring.record_count() as u64
+    })
+}
+
 fn run_suite() -> BTreeMap<String, f64> {
     let queues: [(&str, NewQueue); 3] = [
         ("hierarchical", || Box::new(HierarchicalWheel::new())),
@@ -149,6 +184,7 @@ fn run_suite() -> BTreeMap<String, f64> {
     }
     results.insert("analysis_chunk".to_string(), bench_analysis_chunk());
     results.insert("attribution_fold".to_string(), bench_attribution_fold());
+    results.insert("log_record/ring".to_string(), bench_log_record_ring());
     results
 }
 
@@ -186,6 +222,30 @@ fn parse_baseline(text: &str) -> Option<BTreeMap<String, f64>> {
     Some(out)
 }
 
+/// The `--check` verdict on one name, given its current time and its
+/// baseline entry (either may be missing): `Ok` with the line to print
+/// when it passes, `Err` with the failure otherwise. A row with no
+/// baseline entry fails, since nothing would gate it, and so does an
+/// entry whose row is gone.
+fn gate(name: &str, current: Option<f64>, baseline: Option<f64>) -> Result<String, String> {
+    let tolerance = tolerance_of(name);
+    match (current, baseline) {
+        (Some(ns), Some(base)) if ns > base * tolerance => Err(format!(
+            "FAIL: {name} regressed {:.1}x over baseline \
+             ({ns:.1} vs {base:.1} ns/op, gate {tolerance}x)",
+            ns / base
+        )),
+        (Some(ns), Some(base)) => Ok(format!(
+            "ok: {name} {ns:.1} ns/op (baseline {base:.1}, {:.2}x, gate {tolerance}x)",
+            ns / base
+        )),
+        (Some(ns), None) => Err(format!(
+            "FAIL: {name} ({ns:.1} ns/op) has no baseline entry to gate it"
+        )),
+        (None, _) => Err(format!("FAIL: baseline entry {name} no longer benchmarked")),
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     bench::check_args(&args, &FLAGS, USAGE);
@@ -215,34 +275,17 @@ fn main() {
         let text =
             std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
         let baseline = parse_baseline(&text).expect("baseline is a {name: ns} JSON object");
+        let names: BTreeSet<&String> = results.keys().chain(baseline.keys()).collect();
         let mut failed = false;
-        for (name, &ns) in &results {
-            let tolerance = tolerance_of(name);
-            match baseline.get(name) {
-                Some(&base) if ns > base * tolerance => {
-                    eprintln!(
-                        "FAIL: {name} regressed {:.1}x over baseline \
-                         ({ns:.1} vs {base:.1} ns/op, gate {tolerance}x)",
-                        ns / base
-                    );
-                    failed = true;
-                }
-                Some(&base) => {
-                    eprintln!(
-                        "ok: {name} {ns:.1} ns/op (baseline {base:.1}, {:.2}x, gate {tolerance}x)",
-                        ns / base
-                    );
-                }
-                None => {
-                    eprintln!("note: {name} has no baseline entry; re-record with --write");
-                }
-            }
-        }
-        for name in baseline.keys() {
-            if !results.contains_key(name) {
-                eprintln!("FAIL: baseline entry {name} no longer benchmarked");
-                failed = true;
-            }
+        for name in names {
+            let verdict = gate(
+                name,
+                results.get(name).copied(),
+                baseline.get(name).copied(),
+            );
+            failed |= verdict.is_err();
+            let (Ok(line) | Err(line)) = verdict;
+            eprintln!("{line}");
         }
         if failed {
             std::process::exit(1);
@@ -252,5 +295,43 @@ fn main() {
              ({TIGHT_TOLERANCE}x on refactored rows, {TOLERANCE}x elsewhere)",
             results.len()
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_row_within_its_gate_passes() {
+        assert!(gate("queue_mix/hashed", Some(600.0), Some(305.0)).is_ok());
+        assert!(gate("queue_mix/hierarchical", Some(700.0), Some(92.7)).is_ok());
+        assert!(gate("log_record/ring", Some(100.0), Some(100.0)).is_ok());
+    }
+
+    #[test]
+    fn a_row_over_its_gate_fails_at_its_factor() {
+        for tight in TIGHT_ROWS {
+            assert!(gate(tight, Some(200.0), Some(100.0)).is_ok(), "{tight}");
+            assert!(gate(tight, Some(201.0), Some(100.0)).is_err(), "{tight}");
+        }
+        for loose in [
+            "queue_mix/hierarchical",
+            "attribution_fold",
+            "log_record/ring",
+        ] {
+            assert!(gate(loose, Some(800.0), Some(100.0)).is_ok(), "{loose}");
+            assert!(gate(loose, Some(801.0), Some(100.0)).is_err(), "{loose}");
+        }
+    }
+
+    #[test]
+    fn a_row_with_no_baseline_entry_fails() {
+        assert!(gate("log_record/ring", Some(100.0), None).is_err());
+    }
+
+    #[test]
+    fn a_baseline_entry_with_no_row_fails() {
+        assert!(gate("log_record/ring", None, Some(100.0)).is_err());
     }
 }

@@ -12,7 +12,9 @@
 //! Set and cancel are O(1); tick processing is amortised O(1) per timer.
 //! The price, relative to an exact priority queue, is that a cancelled
 //! timer's slot entry lingers until its slot is visited (lazy deletion) and
-//! cascades do bursty work — both measured in the `wheel_ops` benchmark.
+//! cascades do bursty work. `benchmark trace` counts that work
+//! (`wheel.cascade_moves`) and times the wheel on real schedules and
+//! cancels (`wheel.replay_ns_per_op`).
 
 use crate::api::{Tick, TimerId, TimerQueue};
 use crate::arena::{NodeArena, NodeHandle};
