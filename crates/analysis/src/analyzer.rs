@@ -5,9 +5,8 @@ use simtime::fasthash::FoldMap;
 use simtime::SimDuration;
 use trace::{Event, EventCounts, Pid, StringTable};
 
-use crate::attribution::AttributionTracker;
 use crate::classify::{Classifier, PatternMix};
-use crate::countdown::{CountdownDetector, Dot};
+use crate::countdown::{Dot, DotSeries};
 use crate::lifecycle::LifecycleTracker;
 use crate::provenance::{Origins, ProvenanceRow};
 use crate::scatter::{ScatterBuilder, ScatterPoint};
@@ -101,12 +100,6 @@ pub struct Report {
     /// canonical order. Riding inside the report keeps it byte-identical
     /// across execution modes and cache replay for free.
     pub attribution: telemetry::OriginTable,
-    /// Number of timers the countdown detector flagged (≥ 50 % countdown
-    /// re-issues).
-    pub countdown_timer_count: usize,
-    /// Detector-vs-ground-truth counts, per set: (true positives,
-    /// detected, flagged).
-    pub countdown_validation: (u64, u64, u64),
 }
 
 /// The composed streaming analyzer.
@@ -116,10 +109,9 @@ pub struct TraceAnalyzer {
     counts: EventCounts,
     origins: Origins,
     values: SetValues,
-    countdown: CountdownDetector,
+    dots: DotSeries,
     scatter: ScatterBuilder,
     rates: RateSeries,
-    attribution: AttributionTracker,
     /// Records the trace layer decoded unsuccessfully before this
     /// analyzer ever saw them (lossy-merge accounting), folded into the
     /// summary's lost-record rows.
@@ -142,10 +134,9 @@ impl TraceAnalyzer {
             counts: EventCounts::default(),
             origins: Origins::default(),
             values: SetValues::default(),
-            countdown: CountdownDetector::new(cfg.tolerance, cfg.dot_pids.clone()),
+            dots: DotSeries::new(cfg.dot_pids.clone()),
             scatter: ScatterBuilder::new(),
             rates: RateSeries::new(cfg.rate_groups.clone()),
-            attribution: AttributionTracker::new(),
             decode_lost: 0,
             cfg,
         }
@@ -180,18 +171,24 @@ impl TraceAnalyzer {
         for event in events {
             self.values.push(event, &self.cfg.exclude_pids);
         }
-        self.attribution.push_chunk(events);
+        // The telemetry switch is read once per chunk.
+        let attribute = telemetry::enabled();
         for event in events {
-            self.push_timer(event);
+            self.push_keyed(event, attribute);
         }
     }
 
-    /// The per-timer pass: one timer-table probe feeds the countdown
-    /// detector, and a closed episode goes to its pattern cluster, its
-    /// origin's entry and the scatter.
-    fn push_timer(&mut self, event: &Event) {
+    /// The per-key pass: the event counts toward its origin's attribution
+    /// row when `attribute` is set and probes the timer table once, a
+    /// timed Set of a followed process becomes a Figure 4 dot, and a
+    /// closed episode goes to its pattern cluster, its origin's entry and
+    /// the scatter.
+    fn push_keyed(&mut self, event: &Event, attribute: bool) {
+        if attribute {
+            self.origins.slot(event.origin).attribute(event);
+        }
         let (sample, slot) = self.lifecycle.push(event);
-        self.countdown.push(&mut slot.chain, event);
+        self.dots.push(event);
         let Some(sample) = sample else {
             return;
         };
@@ -217,12 +214,13 @@ impl TraceAnalyzer {
         );
         summary.orphan_ends = self.lifecycle.orphan_ends();
         summary.decode_lost = self.decode_lost;
-        summary.out_of_order_sets = self.countdown.out_of_order_sets();
+        summary.out_of_order_sets = self.lifecycle.out_of_order_sets();
         // One cluster mode fills the timer table's clusters, the other the
         // origin table's per-pid ones. Table 3's per-origin clusters see
         // the same episodes again and would double-count.
         let clusters = || self.lifecycle.clusters().chain(self.origins.pid_clusters());
         summary.anomalous_rearms = clusters().map(Classifier::anomalous_rearms).sum();
+        let pattern_mix = PatternMix::of(clusters());
         // Built first, so its value regrouping is freed before the report's
         // copies of the Figure 4 dots and the scatter points are made.
         let provenance = self.origins.rows(1.0, 4, |o| strings.resolve(o).to_owned());
@@ -232,23 +230,17 @@ impl TraceAnalyzer {
         }
         Report {
             summary,
-            pattern_mix: PatternMix::of(clusters()),
+            pattern_mix,
             values_all: self.values.all.rows(2.0),
             values_all_coverage: self.values.all.coverage(2.0),
             values_filtered: self.values.filtered.rows(2.0),
             values_filtered_coverage: self.values.filtered.coverage(2.0),
             values_user: self.values.user.rows(2.0),
             scatter: self.scatter.points(),
-            fig4_dots: self.countdown.dots().to_vec(),
+            fig4_dots: self.dots.dots().to_vec(),
             rate_series,
             provenance,
-            attribution: self.attribution.finish(strings),
-            countdown_timer_count: self
-                .lifecycle
-                .chains()
-                .filter(|c| c.is_countdown(0.5))
-                .count(),
-            countdown_validation: self.countdown.validation_counts(self.lifecycle.chains()),
+            attribution: self.origins.attribution(|o| strings.resolve(o)),
         }
     }
 }
@@ -260,52 +252,76 @@ mod tests {
     use trace::EventKind::{self, Cancel, Expire, Init, Set, WaitTimedOut};
 
     /// An event at `ms` on timer `addr`; a `timeout_ms` of 0 means none.
-    fn ev(ms: u64, kind: EventKind, addr: u64, timeout_ms: u64, flagged: bool) -> Event {
-        let mut e = Event::new(
+    fn ev(ms: u64, kind: EventKind, addr: u64, timeout_ms: u64) -> Event {
+        let e = Event::new(
             SimInstant::BOOT + SimDuration::from_millis(ms),
             kind,
             addr,
             0,
         );
         if timeout_ms > 0 {
-            e = e.with_timeout(SimDuration::from_millis(timeout_ms));
+            e.with_timeout(SimDuration::from_millis(timeout_ms))
+        } else {
+            e
         }
-        e.flags.countdown = flagged;
-        e
     }
 
     /// The per-timer table's edges: Init-only and orphan addresses are
-    /// timers, a reset keeps concurrency, a closed address is reusable,
-    /// and Sets without a timeout never reach the countdown counts.
+    /// timers, a reset keeps concurrency, and a closed address is
+    /// reusable. A timed Set is out of order when stamped at or before
+    /// the timer's previous timed Set, even across an episode end, while
+    /// untimed Sets neither count nor move that instant. Attribution rows
+    /// go to exactly the origins that logged.
     #[test]
     fn per_timer_edges() {
+        let mut strings = StringTable::new();
+        let never_logged = strings.intern("never-logged");
+        let only_cancels = strings.intern("only-cancels");
+        assert!(never_logged < only_cancels);
         let events = [
-            ev(0, Init, 1, 0, false),
-            ev(1, Cancel, 2, 0, false), // orphan
-            ev(2, Set, 3, 100, false),
-            ev(3, Set, 4, 50, false),
-            ev(4, Set, 5, 0, false),   // no timeout
-            ev(12, Set, 3, 90, true),  // reset; countdown, flagged
-            ev(22, Set, 3, 80, true),  // reset; countdown, flagged
-            ev(32, Set, 3, 70, false), // reset; countdown, unflagged
-            ev(53, Expire, 4, 0, false),
-            ev(60, Set, 4, 50, false), // reuse after the episode closed
-            ev(61, Set, 5, 0, true),   // reset; flagged, but no timeout
-            ev(62, Set, 5, 0, false),  // reset
-            ev(63, Set, 6, 10, false), // the fourth open timer
-            ev(70, Cancel, 4, 0, false),
-            ev(73, Expire, 6, 0, false),
-            ev(102, Expire, 3, 0, false),
-            ev(110, WaitTimedOut, 7, 0, false), // orphan
+            ev(0, Init, 1, 0),
+            ev(1, Cancel, 2, 0), // orphan
+            ev(2, Set, 3, 100),
+            ev(3, Set, 4, 50),
+            ev(4, Set, 5, 0),   // no timeout
+            ev(12, Set, 3, 90), // reset
+            ev(22, Set, 3, 80), // reset
+            ev(32, Set, 3, 70), // reset
+            ev(53, Expire, 4, 0),
+            ev(60, Set, 4, 50), // reuse after the episode closed
+            ev(61, Set, 5, 0),  // reset, no timeout
+            ev(62, Set, 5, 0),  // reset
+            ev(63, Set, 6, 10), // the fourth open timer
+            ev(70, Cancel, 4, 0),
+            ev(73, Expire, 6, 0),
+            ev(102, Expire, 3, 0),
+            ev(110, WaitTimedOut, 7, 0), // orphan
+            ev(80, Set, 8, 10),
+            ev(90, Expire, 8, 0),
+            ev(75, Set, 8, 10), // before the Set at 80, across its expiry
+            ev(200, Set, 9, 10),
+            ev(190, Set, 9, 0),  // untimed: not counted, 200 stays
+            ev(195, Set, 9, 10), // before the Set at 200
+            Event {
+                origin: only_cancels,
+                ..ev(210, Cancel, 9, 0)
+            },
         ];
         let mut analyzer = TraceAnalyzer::new(AnalyzerConfig::linux());
         analyzer.push_chunk(&events);
-        let report = analyzer.finish(&StringTable::new());
-        assert_eq!(report.summary.timers, 7);
+        let report = analyzer.finish(&strings);
+        assert_eq!(report.summary.timers, 9);
         assert_eq!(report.summary.concurrency, 4);
         assert_eq!(report.summary.orphan_ends, 2);
-        assert_eq!(report.countdown_timer_count, 1);
-        assert_eq!(report.countdown_validation, (2, 3, 2));
+        assert_eq!(report.summary.out_of_order_sets, 2);
+        let rows = &report.attribution.rows;
+        let labels: Vec<&str> = rows.iter().map(|r| r.label.as_str()).collect();
+        assert_eq!(labels, ["?", "only-cancels"]);
+        let row = &rows[1];
+        assert_eq!(
+            (row.inits, row.sets, row.cancels, row.expirations),
+            (0, 0, 1, 0)
+        );
     }
 
     /// An event at `ms` on timer `addr`, set by `origin` in process `pid`;
@@ -320,7 +336,7 @@ mod tests {
     ) -> Event {
         Event {
             origin,
-            ..ev(ms, kind, addr, timeout_ms, false)
+            ..ev(ms, kind, addr, timeout_ms)
         }
         .with_task(pid, pid, trace::Space::Kernel)
     }

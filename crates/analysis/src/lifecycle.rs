@@ -7,16 +7,15 @@
 //! (§3), emitted as [`Sample`]s. The table is keyed by timer address:
 //! Linux `timer_list` structs are static and reused, so the address
 //! names the timer (§3.3). Each event probes it once, and the entry holds
-//! the open episode, the countdown [`Chain`] and, when episodes cluster
-//! by address, the timer's pattern [`Classifier`]. Entries are never
-//! removed, so the table's length is the Timers row.
+//! the open episode, the instant of the timer's previous timed Set and,
+//! when episodes cluster by address, the timer's pattern [`Classifier`].
+//! Entries are never removed, so the table's length is the Timers row.
 
 use simtime::fasthash::FoldMap;
 use simtime::{SimDuration, SimInstant};
 use trace::{Event, EventKind, OriginId, Pid, TimerAddr};
 
 use crate::classify::Classifier;
-use crate::countdown::Chain;
 
 /// How an episode ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -79,8 +78,10 @@ struct Open {
 pub struct TimerSlot {
     /// The armed episode, if the timer is armed.
     open: Option<Open>,
-    /// The countdown detector's state for this timer.
-    pub(crate) chain: Chain,
+    /// When the timer's previous timed Set was stamped. An episode's end
+    /// leaves it, so a Set is compared with the one before it even
+    /// across an expiry or a cancel.
+    last_timed_set: Option<SimInstant>,
     /// The timer's pattern cluster under
     /// [`ClusterMode::ByAddress`](crate::ClusterMode::ByAddress); empty
     /// otherwise.
@@ -102,6 +103,9 @@ pub struct LifecycleTracker {
     peak_concurrency: usize,
     /// End events whose opening `Set` was never seen.
     orphan_ends: u64,
+    /// Timed Sets stamped at or before the same timer's previous timed
+    /// Set.
+    out_of_order_sets: u64,
 }
 
 impl LifecycleTracker {
@@ -117,6 +121,12 @@ impl LifecycleTracker {
         let sample = match event.kind {
             EventKind::Init => None,
             EventKind::Set => {
+                if event.timeout.is_some() {
+                    if slot.last_timed_set.is_some_and(|last| event.ts <= last) {
+                        self.out_of_order_sets += 1;
+                    }
+                    slot.last_timed_set = Some(event.ts);
+                }
                 let prev = slot.open.replace(Open {
                     origin: event.origin,
                     pid: event.pid,
@@ -164,11 +174,6 @@ impl LifecycleTracker {
         self.timers.len()
     }
 
-    /// Every timer's countdown chain, in no particular order.
-    pub(crate) fn chains(&self) -> impl Iterator<Item = &Chain> {
-        self.timers.values().map(|slot| &slot.chain)
-    }
-
     /// The pattern cluster of every timer that closed an episode, in no
     /// particular order.
     pub(crate) fn clusters(&self) -> impl Iterator<Item = &Classifier> {
@@ -182,6 +187,12 @@ impl LifecycleTracker {
     /// of lost `Set` records in an incomplete trace.
     pub fn orphan_ends(&self) -> u64 {
         self.orphan_ends
+    }
+
+    /// Timed Sets stamped at or before the previous timed Set on the same
+    /// timer: evidence of a backwards or duplicated clock.
+    pub fn out_of_order_sets(&self) -> u64 {
+        self.out_of_order_sets
     }
 }
 
@@ -270,6 +281,31 @@ mod tests {
         lt.push(&ev(EventKind::Set, 50, 200));
         assert_eq!(lt.peak_concurrency(), 10);
         assert_eq!(lt.open_count(), 6);
+    }
+
+    fn timed_set(addr: TimerAddr, ms: u64, value_ms: u64) -> Event {
+        ev(EventKind::Set, addr, ms).with_timeout(SimDuration::from_millis(value_ms))
+    }
+
+    #[test]
+    fn out_of_order_sets_break_the_chain() {
+        let mut lt = LifecycleTracker::new();
+        // A reordered trace: the "later" set carries an earlier timestamp.
+        lt.push(&timed_set(1, 1000, 500));
+        lt.push(&timed_set(1, 400, 500)); // backwards
+        assert_eq!(lt.out_of_order_sets(), 1);
+    }
+
+    #[test]
+    fn duplicated_timestamps_break_the_chain() {
+        let mut lt = LifecycleTracker::new();
+        lt.push(&timed_set(1, 100, 500));
+        lt.push(&timed_set(1, 100, 500)); // duplicate ts, same value
+        lt.push(&timed_set(1, 100, 500));
+        assert_eq!(lt.out_of_order_sets(), 2);
+        // A Set stamped after the previous one is in order again.
+        lt.push(&timed_set(1, 300, 300));
+        assert_eq!(lt.out_of_order_sets(), 2);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Timeout provenance: which subsystem sets which value (Table 3), over
+//! Timeout provenance: which subsystem sets which value (Table 3) and
+//! what each origin did with its timers (§5's provenance proposal), over
 //! the analysis fold's one table of per-origin state.
 //!
 //! "In Linux we see a high correlation between timeout values and the
@@ -10,13 +11,20 @@
 //!
 //! The table is indexed by [`OriginId`], a dense string-table index. An
 //! origin's entry holds its 0.1 ms value counts, its Table 3 pattern
-//! cluster and, when episodes cluster by origin and process (Vista,
-//! §3.3), one pattern cluster per pid.
+//! cluster, when episodes cluster by origin and process (Vista, §3.3),
+//! one pattern cluster per pid and, while [`telemetry::enabled`], its
+//! attribution row: init, set, cancel and expiry counts and the log₂
+//! histograms of requested timeouts and of set-vs-fired slack. The
+//! attribution is a pure function of the event stream, labelled through
+//! the (deterministic) trace string table, so the
+//! [`OriginTable`] rides inside [`Report`](crate::Report) byte-identical
+//! across every execution mode.
 
 use serde::{Deserialize, Serialize};
 use simtime::fasthash::FoldMap;
 use simtime::SimDuration;
-use trace::{OriginId, Pid};
+use telemetry::{OriginRow, OriginTable};
+use trace::{Event, EventKind, OriginId, Pid};
 
 use crate::classify::Classifier;
 use crate::lifecycle::Sample;
@@ -44,6 +52,9 @@ pub(crate) struct OriginSlot {
     /// [`ClusterMode::ByOriginPid`](crate::ClusterMode::ByOriginPid);
     /// empty otherwise.
     by_pid: FoldMap<Pid, Classifier>,
+    /// Every event of the origin counted while telemetry records, as its
+    /// attribution row; labelled when the table is built.
+    attribution: OriginRow,
 }
 
 impl OriginSlot {
@@ -59,6 +70,38 @@ impl OriginSlot {
             *self.values.entry(bucket(timeout)).or_insert(0) += 1;
         }
         self.cluster.push(sample, tolerance);
+    }
+
+    /// Counts one of this origin's events into its attribution row.
+    pub(crate) fn attribute(&mut self, event: &Event) {
+        let row = &mut self.attribution;
+        match event.kind {
+            EventKind::Init => row.inits += 1,
+            EventKind::Set => {
+                row.sets += 1;
+                if let Some(timeout) = event.timeout {
+                    row.timeout_ns.record(timeout.as_nanos());
+                }
+            }
+            EventKind::Cancel | EventKind::WaitSatisfied => row.cancels += 1,
+            EventKind::Expire | EventKind::WaitTimedOut => {
+                row.expirations += 1;
+                if let Some(expires) = event.expires {
+                    // Saturating: a perturbed-clock fault can stamp delivery
+                    // before the armed expiry; that is slack 0, not underflow.
+                    let slack = event.ts.duration_since(expires);
+                    row.slack_ns.record(slack.as_nanos());
+                }
+            }
+        }
+    }
+
+    /// Whether any of this origin's events was counted into its
+    /// attribution row: each one counts toward exactly one of the four
+    /// counts.
+    fn attributed(&self) -> bool {
+        let row = &self.attribution;
+        row.inits + row.sets + row.cancels + row.expirations > 0
     }
 }
 
@@ -138,6 +181,29 @@ impl Origins {
         rows.sort_by(|a, b| a.seconds.partial_cmp(&b.seconds).expect("finite"));
         rows
     }
+
+    /// The attribution table: one row per origin with a counted event,
+    /// labelled by `resolve`, in canonical order. The origins are put in
+    /// that order before their rows are moved out, so no kilobyte-sized
+    /// row is moved by the sort.
+    pub(crate) fn attribution<'a>(mut self, resolve: impl Fn(OriginId) -> &'a str) -> OriginTable {
+        let mut order: Vec<(&str, usize)> = (0..self.slots.len())
+            .filter(|&origin| self.slots[origin].attributed())
+            .map(|origin| (resolve(origin as OriginId), origin))
+            .collect();
+        order.sort_by_key(|&(label, origin)| {
+            OriginTable::row_key(self.slots[origin].attribution.sets, label)
+        });
+        OriginTable {
+            rows: order
+                .into_iter()
+                .map(|(label, origin)| OriginRow {
+                    label: label.to_owned(),
+                    ..std::mem::take(&mut self.slots[origin].attribution)
+                })
+                .collect(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -145,6 +211,7 @@ mod tests {
     use super::*;
     use crate::lifecycle::Outcome;
     use simtime::SimInstant;
+    use trace::{Space, StringTable};
 
     fn sample(origin: OriginId, secs: f64) -> Sample {
         Sample {
@@ -189,5 +256,70 @@ mod tests {
         let t = table((0..99).map(|_| sample(1, 1.0)).chain([sample(2, 9.0)])); // 1 % < 2 %.
         let rows = t.rows(2.0, 4, |o| o.to_string());
         assert_eq!(rows.len(), 1);
+    }
+
+    /// A table whose attribution rows counted `events`.
+    fn attribution_of(events: &[Event]) -> Origins {
+        let mut t = Origins::default();
+        for e in events {
+            t.slot(e.origin).attribute(e);
+        }
+        t
+    }
+
+    fn set(at: u64, origin: OriginId, timeout_ms: u64) -> Event {
+        let ts = SimInstant::from_nanos(at);
+        Event::new(ts, EventKind::Set, 0x100, origin)
+            .with_timeout(SimDuration::from_millis(timeout_ms))
+            .with_expires(ts + SimDuration::from_millis(timeout_ms))
+            .with_task(10, 10, Space::Kernel)
+    }
+
+    #[test]
+    fn counts_and_histograms_fold_per_origin() {
+        let mut strings = StringTable::new();
+        let rto = strings.intern("tcp:rto");
+        let wdt = strings.intern("app:watchdog");
+
+        // rto fires 1 ms late; watchdog is cancelled.
+        let armed = SimInstant::from_nanos(0) + SimDuration::from_millis(200);
+        let t = attribution_of(&[
+            set(0, rto, 200),
+            set(1_000, wdt, 30_000),
+            Event::new(
+                armed + SimDuration::from_millis(1),
+                EventKind::Expire,
+                0x100,
+                rto,
+            )
+            .with_expires(armed),
+            Event::new(SimInstant::from_nanos(5_000), EventKind::Cancel, 0x100, wdt),
+        ]);
+
+        let table = t.attribution(|o| strings.resolve(o));
+        assert_eq!(table.rows.len(), 2);
+        // Tied set counts: label order breaks the tie.
+        assert_eq!(table.rows[0].label, "app:watchdog");
+        assert_eq!(table.rows[0].cancels, 1);
+        assert_eq!(table.rows[1].label, "tcp:rto");
+        assert_eq!(table.rows[1].expirations, 1);
+        assert_eq!(table.rows[1].slack_ns.count(), 1);
+        assert_eq!(table.rows[1].slack_ns.sum(), 1_000_000);
+        assert_eq!(table.rows[1].timeout_ns.sum(), 200_000_000);
+    }
+
+    #[test]
+    fn wait_kinds_map_to_cancel_and_expire() {
+        let mut strings = StringTable::new();
+        let o = strings.intern("vista:wait");
+        let ts = SimInstant::from_nanos(10);
+        let t = attribution_of(&[
+            Event::new(ts, EventKind::WaitSatisfied, 1, o),
+            Event::new(ts, EventKind::WaitTimedOut, 1, o).with_expires(ts),
+        ]);
+        let table = t.attribution(|o| strings.resolve(o));
+        assert_eq!(table.rows[0].cancels, 1);
+        assert_eq!(table.rows[0].expirations, 1);
+        assert_eq!(table.rows[0].slack_ns.count(), 1);
     }
 }

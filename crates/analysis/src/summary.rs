@@ -34,9 +34,9 @@ pub struct TraceSummary {
     /// [`TraceAnalyzer::note_decode_lost`](crate::TraceAnalyzer::note_decode_lost)
     /// reports them. Zero on a healthy trace.
     pub decode_lost: u64,
-    /// Countdown-chain breaks: sets stamped at or before the previous set
-    /// on the same timer (backwards/duplicated clock). Zero on a
-    /// monotonic trace.
+    /// Timed sets stamped at or before the previous timed set on the same
+    /// timer (backwards/duplicated clock), as the per-timer table counts
+    /// them. Zero on a monotonic trace.
     pub out_of_order_sets: u64,
     /// Re-sets stamped before the previous episode's recorded end —
     /// excluded from the periodic/delay vote. Zero on a monotonic trace.

@@ -1,7 +1,7 @@
 //! The repository's one micro-benchmark record: one bin, every hot path.
 //!
 //! This bin times a fixed micro-suite (the timer-queue structures, the
-//! streaming-analysis event path, the attribution fold and §3.2's
+//! streaming-analysis event path, attribution counts included, and §3.2's
 //! per-record logging cost) with hand-rolled best-of-N wall timing and
 //! emits a `{name: ns_per_op}` map:
 //!
@@ -88,6 +88,8 @@ fn bench_queue_mix(new_queue: NewQueue) -> f64 {
 }
 
 /// The streaming analyzer's per-event cost on a synthetic trace chunk.
+/// Telemetry records here, so the per-origin attribution counts are part
+/// of the cost.
 fn bench_analysis_chunk() -> f64 {
     use trace::{Event, EventKind};
     const N: u64 = 65_536;
@@ -109,32 +111,6 @@ fn bench_analysis_chunk() -> f64 {
             analyzer.push_chunk(chunk);
         }
         events.len() as u64
-    })
-}
-
-/// The attribution tracker's per-event fold cost — the provenance
-/// tables the run report carries per experiment.
-fn bench_attribution_fold() -> f64 {
-    use trace::{Event, EventKind};
-    const N: u64 = 65_536;
-    let events: Vec<Event> = (0..N)
-        .map(|i| {
-            let at = simtime::SimInstant::BOOT + simtime::SimDuration::from_micros(i * 7);
-            let origin = (i % 24) as u32;
-            match i % 3 {
-                0 => Event::new(at, EventKind::Set, i % 512, origin)
-                    .with_timeout(simtime::SimDuration::from_millis(1 + i % 90))
-                    .with_expires(at + simtime::SimDuration::from_millis(1 + i % 90)),
-                1 => Event::new(at, EventKind::Expire, i % 512, origin)
-                    .with_expires(at - simtime::SimDuration::from_micros(i % 900)),
-                _ => Event::new(at, EventKind::Cancel, i % 512, origin),
-            }
-        })
-        .collect();
-    time_ns_per_op(N, || {
-        let mut tracker = analysis::AttributionTracker::new();
-        tracker.push_chunk(&events);
-        tracker.origin_count() as u64
     })
 }
 
@@ -183,7 +159,6 @@ fn run_suite() -> BTreeMap<String, f64> {
         results.insert(format!("queue_mix/{name}"), bench_queue_mix(new_queue));
     }
     results.insert("analysis_chunk".to_string(), bench_analysis_chunk());
-    results.insert("attribution_fold".to_string(), bench_attribution_fold());
     results.insert("log_record/ring".to_string(), bench_log_record_ring());
     results
 }
@@ -315,11 +290,7 @@ mod tests {
             assert!(gate(tight, Some(200.0), Some(100.0)).is_ok(), "{tight}");
             assert!(gate(tight, Some(201.0), Some(100.0)).is_err(), "{tight}");
         }
-        for loose in [
-            "queue_mix/hierarchical",
-            "attribution_fold",
-            "log_record/ring",
-        ] {
+        for loose in ["queue_mix/hierarchical", "log_record/ring"] {
             assert!(gate(loose, Some(800.0), Some(100.0)).is_ok(), "{loose}");
             assert!(gate(loose, Some(801.0), Some(100.0)).is_err(), "{loose}");
         }

@@ -26,10 +26,6 @@
 //! thread counts and cached runs of the same parameters; see the
 //! Observability section of the README.
 //!
-//! `--top-origins[=N]` prints the paper-Table-3-style "top timer users"
-//! table (default N = 10): per origin, total sets with expired/cancelled
-//! percentages, folded from every experiment's attribution table.
-//!
 //! `--timer-list=SIM_SECS[,SIM_SECS...]` runs one dedicated, uncached
 //! Linux and Vista webserver experiment and dumps a deterministic
 //! `/proc/timer_list`-style snapshot of every simulated timer queue at
@@ -59,38 +55,18 @@ use timerstudy::FaultSpec;
 const SEED: u64 = 7;
 
 const USAGE: &str = "usage: repro_all [--artifacts DIR] \
-     [--metrics[=DIR]] [--top-origins[=N]] [--timer-list SECS[,SECS...]] \
+     [--metrics[=DIR]] [--timer-list SECS[,SECS...]] \
      [--assert-peak-resident-below N] [--faults SPEC] [--adaptive]";
 
 /// Every flag, spelled the way its parser below reads it.
-const FLAGS: [(&str, Takes); 7] = [
+const FLAGS: [(&str, Takes); 6] = [
     ("--metrics", Takes::Inline),
-    ("--top-origins", Takes::Inline),
     ("--adaptive", Takes::Nothing),
     ("--artifacts", Takes::Next),
     ("--assert-peak-resident-below", Takes::Next),
     ("--faults", Takes::Next),
     ("--timer-list", Takes::Either),
 ];
-
-/// Parses `--top-origins` / `--top-origins=N` (default 10).
-fn top_origins(args: &[String]) -> Option<usize> {
-    for arg in args {
-        if arg == "--top-origins" {
-            return Some(10);
-        }
-        if let Some(n) = arg.strip_prefix("--top-origins=") {
-            match n.parse::<usize>() {
-                Ok(n) if n >= 1 => return Some(n),
-                _ => {
-                    eprintln!("--top-origins {n}: expected an integer >= 1");
-                    std::process::exit(2);
-                }
-            }
-        }
-    }
-    None
-}
 
 /// Parses `--timer-list=SECS[,SECS...]` into sim instants (nanoseconds).
 fn timer_list_instants(args: &[String]) -> Option<Vec<u64>> {
@@ -136,35 +112,6 @@ fn timer_list_instants(args: &[String]) -> Option<Vec<u64>> {
     Some(instants)
 }
 
-/// Prints the paper-Table-3-style "top timer users" table from the
-/// label-merged attribution tables of every experiment.
-fn print_top_origins(out: &mut Stdout, results: &[timerstudy::ExperimentResult], n: usize) {
-    let mut merged = telemetry::OriginTable::empty();
-    for r in results {
-        merged.merge(&r.report.attribution);
-    }
-    writeln!(
-        out,
-        "Top timer users: top {n} origins by sets (all experiments)"
-    );
-    writeln!(
-        out,
-        "{:<40} {:>12} {:>10} {:>11}",
-        "origin", "sets", "expired%", "cancelled%"
-    );
-    for row in merged.top(n) {
-        writeln!(
-            out,
-            "{:<40} {:>12} {:>9.1}% {:>10.1}%",
-            row.label,
-            row.sets,
-            row.expiry_ratio() * 100.0,
-            row.cancel_ratio() * 100.0
-        );
-    }
-    writeln!(out);
-}
-
 /// Creates `dir` for `flag`'s files before anything runs, so an unusable
 /// directory wastes no run: exits 2 with one stderr line when it cannot.
 fn create_output_dir(flag: &str, dir: &str) {
@@ -204,7 +151,6 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .cloned();
     let metrics = metrics_dir(&args);
-    let top_n = top_origins(&args);
     let timer_list = timer_list_instants(&args);
     if let Some(dir) = &artifacts_dir {
         create_output_dir("--artifacts", dir);
@@ -293,9 +239,6 @@ fn main() {
     }
     if let Some(dir) = &artifacts_dir {
         eprintln!("artifacts written to {dir}/");
-    }
-    if let Some(n) = top_n {
-        print_top_origins(&mut out, &results, n);
     }
     if let Some(instants) = &timer_list {
         // Dedicated uncached serial runs: the kernels dump their queues

@@ -120,6 +120,8 @@ fn retired_flags_are_usage_errors() {
     assert_usage_error(REPRO_ALL, &["--scale", "10"]);
     assert_usage_error(REPRO_ALL, &["--adaptive=fixed"]);
     assert_usage_error(REPRO_ALL, &["--adaptive=learned"]);
+    assert_usage_error(REPRO_ALL, &["--top-origins"]);
+    assert_usage_error(REPRO_ALL, &["--top-origins=5"]);
 }
 
 #[test]

@@ -53,31 +53,22 @@ impl LinuxKernel {
     }
 
     /// `select(2)` with a timeout: arms the task's select timer.
-    ///
-    /// `countdown` marks a re-issue of a remaining value returned by
-    /// [`LinuxKernel::sys_select_return`] — ground truth used only to
-    /// validate the analysis-side countdown detector, never read by it.
     pub fn sys_select(
         &mut self,
         pid: Pid,
         tid: Tid,
         origin: &str,
         timeout: SimDuration,
-        countdown: bool,
     ) -> TimerHandle {
         let h = self.user_timer(pid, tid, UserKind::Select, origin);
         self.charge_call(self.now);
-        let flags = EventFlags {
-            countdown,
-            ..EventFlags::default()
-        };
         self.base.mod_timer_in(
             &mut self.log,
             self.now,
             h,
             timeout,
             SimDuration::ZERO,
-            flags,
+            EventFlags::default(),
         );
         h
     }

@@ -39,7 +39,7 @@ fn select_countdown_returns_remaining_time() {
     let mut k = kernel();
     k.register_process(100, "Xorg");
     k.advance_to(t(1000));
-    let h = k.sys_select(100, 100, "Xorg:select", SimDuration::from_secs(120), false);
+    let h = k.sys_select(100, 100, "Xorg:select", SimDuration::from_secs(120));
     // 40 s later a file descriptor becomes ready.
     k.advance_to(t(41_000));
     let remaining = k.sys_select_return(h);
@@ -52,7 +52,7 @@ fn select_countdown_returns_remaining_time() {
 fn select_timeout_expires_and_notifies() {
     let mut k = kernel();
     k.register_process(100, "app");
-    let _h = k.sys_select(100, 100, "app:select", SimDuration::from_millis(100), false);
+    let _h = k.sys_select(100, 100, "app:select", SimDuration::from_millis(100));
     k.advance_to(t(200));
     let notes = k.take_notifications();
     assert!(

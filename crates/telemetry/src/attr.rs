@@ -6,10 +6,10 @@
 //! timer set/cancel/expiry an experiment performed, folded per origin:
 //! counts, the log₂ histogram of requested timeout values, and the log₂
 //! histogram of set-vs-fired slack (how far past its armed expiry a timer
-//! actually fired). The fold itself lives in
-//! `crates/analysis/src/attribution.rs` — this module only defines the
-//! table the report layer renders, so the telemetry crate stays
-//! dependency-free.
+//! actually fired). The fold itself lives in the analysis crate's
+//! per-origin table (`crates/analysis/src/provenance.rs`) — this module
+//! only defines the table the report layer renders, so the telemetry
+//! crate stays dependency-free.
 //!
 //! Tables are a pure function of the event stream: rows are sorted on
 //! `(sets desc, label asc)`, label resolution goes through the trace
@@ -23,7 +23,7 @@ use crate::hist::LogHistogram;
 use crate::json::escape;
 
 /// Attribution of one origin's timer activity.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct OriginRow {
     /// Resolved origin label (e.g. `tcp:retransmit`, `kernel:workqueue_1s`).
     pub label: String,
@@ -43,37 +43,6 @@ pub struct OriginRow {
 }
 
 impl OriginRow {
-    /// A zeroed row for `label`.
-    pub fn new(label: String) -> Self {
-        OriginRow {
-            label,
-            inits: 0,
-            sets: 0,
-            cancels: 0,
-            expirations: 0,
-            timeout_ns: LogHistogram::new(),
-            slack_ns: LogHistogram::new(),
-        }
-    }
-
-    /// Fraction of sets that expired (0 when nothing was set).
-    pub fn expiry_ratio(&self) -> f64 {
-        if self.sets == 0 {
-            0.0
-        } else {
-            self.expirations as f64 / self.sets as f64
-        }
-    }
-
-    /// Fraction of sets that were cancelled (0 when nothing was set).
-    pub fn cancel_ratio(&self) -> f64 {
-        if self.sets == 0 {
-            0.0
-        } else {
-            self.cancels as f64 / self.sets as f64
-        }
-    }
-
     /// Folds another row (same origin) into this one.
     pub fn merge(&mut self, other: &OriginRow) {
         self.inits += other.inits;
@@ -122,11 +91,6 @@ impl OriginTable {
         self.sort();
     }
 
-    /// The top `n` rows by set count (the whole table when `n` is larger).
-    pub fn top(&self, n: usize) -> &[OriginRow] {
-        &self.rows[..n.min(self.rows.len())]
-    }
-
     /// Total set operations across every origin.
     pub fn total_sets(&self) -> u64 {
         self.rows.iter().map(|r| r.sets).sum()
@@ -162,9 +126,12 @@ mod tests {
     use super::*;
 
     fn row(label: &str, sets: u64) -> OriginRow {
-        let mut r = OriginRow::new(label.to_string());
-        r.sets = sets;
-        r.expirations = sets / 2;
+        let mut r = OriginRow {
+            label: label.to_string(),
+            sets,
+            expirations: sets / 2,
+            ..OriginRow::default()
+        };
         r.timeout_ns.record(5_000_000);
         r
     }
@@ -185,15 +152,6 @@ mod tests {
         assert_eq!(a.rows[1].label, "tcp:rto");
         assert_eq!(a.rows[2].label, "net:arp");
         assert_eq!(a.total_sets(), 35);
-    }
-
-    #[test]
-    fn ratios_handle_empty_rows() {
-        let empty = OriginRow::new("x".into());
-        assert_eq!(empty.expiry_ratio(), 0.0);
-        assert_eq!(empty.cancel_ratio(), 0.0);
-        let r = row("y", 8);
-        assert!((r.expiry_ratio() - 0.5).abs() < 1e-12);
     }
 
     #[test]

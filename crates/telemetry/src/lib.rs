@@ -46,11 +46,13 @@ static ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Globally enables or disables sim-plane recording.
 ///
-/// Disabling is the "uninstrumented" baseline the `telemetry_overhead`
-/// benchmark compares against: hot-path recording calls become a single
-/// relaxed load. Spans follow [`chrome::set_capture`] instead, and the
-/// plain counters behind component getters (e.g. `RingBuffer::dropped`)
-/// keep counting regardless.
+/// Disabling is the "uninstrumented" baseline the
+/// `telemetry_overhead_smoke` test of the `timerstudy` crate compares
+/// against: hot-path recording calls become a single relaxed load, and
+/// the analysis fold counts no per-origin attribution. Spans follow
+/// [`chrome::set_capture`] instead, and the plain counters behind
+/// component getters (e.g. `RingBuffer::dropped`) keep counting
+/// regardless.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }

@@ -314,9 +314,12 @@ mod tests {
             sim::observe(SimHist::NetRttMicros, 130_000);
         });
         drop(on);
-        let mut row = crate::attr::OriginRow::new("tcp:rto".into());
-        row.sets = 12;
-        row.expirations = 3;
+        let mut row = crate::attr::OriginRow {
+            label: "tcp:rto".into(),
+            sets: 12,
+            expirations: 3,
+            ..Default::default()
+        };
         row.timeout_ns.record(200_000_000);
         RunReport::new(
             "serial",

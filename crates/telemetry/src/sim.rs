@@ -13,7 +13,8 @@
 //! Metric identities are fixed enums rather than string names so the hot
 //! path is an array index, not a map lookup (the paper charges 89 ns per
 //! trace record; our budget per counter bump is a few nanoseconds, and
-//! the `telemetry_overhead` benchmark holds the whole plane under 10 %).
+//! the `telemetry_overhead_smoke` test of the `timerstudy` crate holds
+//! the whole plane under 10 %).
 
 use std::cell::RefCell;
 

@@ -76,9 +76,6 @@ fn pack_space_flags(space: Space, flags: EventFlags) -> u8 {
     if flags.rounded {
         b |= 1 << 2;
     }
-    if flags.countdown {
-        b |= 1 << 3;
-    }
     if flags.periodic_rearm {
         b |= 1 << 4;
     }
@@ -94,7 +91,6 @@ fn unpack_space_flags(b: u8) -> (Space, EventFlags) {
     let flags = EventFlags {
         deferrable: b & (1 << 1) != 0,
         rounded: b & (1 << 2) != 0,
-        countdown: b & (1 << 3) != 0,
         periodic_rearm: b & (1 << 4) != 0,
     };
     (space, flags)
@@ -169,7 +165,7 @@ mod tests {
             any::<u32>(),
             any::<u32>(),
             any::<bool>(),
-            any::<[bool; 4]>(),
+            any::<[bool; 3]>(),
         )
             .prop_map(
                 |(ts, kind, timer, timeout, expires, origin, pid, tid, user, fl)| Event {
@@ -185,8 +181,7 @@ mod tests {
                     flags: EventFlags {
                         deferrable: fl[0],
                         rounded: fl[1],
-                        countdown: fl[2],
-                        periodic_rearm: fl[3],
+                        periodic_rearm: fl[2],
                     },
                 },
             )

@@ -94,9 +94,6 @@ pub struct EventFlags {
     pub deferrable: bool,
     /// The expiry was rounded with `round_jiffies`.
     pub rounded: bool,
-    /// The set came from a `select`-style countdown re-arm (the remaining
-    /// time of an earlier timeout, not a fresh programmer-chosen value).
-    pub countdown: bool,
     /// The timer is a periodic re-arm performed by kernel infrastructure.
     pub periodic_rearm: bool,
 }

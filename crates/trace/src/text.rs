@@ -42,16 +42,13 @@ pub fn to_line(event: &Event, strings: &StringTable) -> String {
         line.push_str(&format!("\texpires={:.9}", e.as_secs_f64()));
     }
     let f = event.flags;
-    if f.deferrable || f.rounded || f.countdown || f.periodic_rearm {
+    if f.deferrable || f.rounded || f.periodic_rearm {
         line.push_str("\tflags=");
         if f.deferrable {
             line.push('D');
         }
         if f.rounded {
             line.push('R');
-        }
-        if f.countdown {
-            line.push('C');
         }
         if f.periodic_rearm {
             line.push('P');

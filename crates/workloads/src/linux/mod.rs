@@ -63,7 +63,7 @@ pub fn looper_start<W: HasLoopers + 'static>(driver: &mut LinuxDriver<W>, idx: u
         let l = &driver.world.loopers()[idx];
         (l.pid, l.tid, l.origin, l.full)
     };
-    let handle = driver.kernel.sys_select(pid, tid, origin, full, false);
+    let handle = driver.kernel.sys_select(pid, tid, origin, full);
     driver.world.loopers()[idx].handle = Some(handle);
     looper_schedule_activity(driver, idx);
 }
@@ -87,12 +87,12 @@ fn looper_activity<W: HasLoopers + 'static>(driver: &mut LinuxDriver<W>, idx: us
     if let Some(h) = handle {
         if driver.kernel.timer_base().is_pending(h) {
             let remaining = driver.kernel.sys_select_return(h);
-            let (value, countdown) = if remaining > SimDuration::from_millis(4) {
-                (remaining, true)
+            let value = if remaining > SimDuration::from_millis(4) {
+                remaining
             } else {
-                (full, false)
+                full
             };
-            let new_handle = driver.kernel.sys_select(pid, tid, origin, value, countdown);
+            let new_handle = driver.kernel.sys_select(pid, tid, origin, value);
             driver.world.loopers()[idx].handle = Some(new_handle);
         }
     }
@@ -111,7 +111,7 @@ pub fn looper_expired<W: HasLoopers + 'static>(driver: &mut LinuxDriver<W>, pid:
             let l = &driver.world.loopers()[idx];
             (l.pid, l.tid, l.origin, l.full)
         };
-        let handle = driver.kernel.sys_select(lpid, ltid, origin, full, false);
+        let handle = driver.kernel.sys_select(lpid, ltid, origin, full);
         driver.world.loopers()[idx].handle = Some(handle);
     }
 }
@@ -136,10 +136,9 @@ pub fn daemon_poll<W: World<LinuxKernel> + 'static>(
     driver: &mut LinuxDriver<W>,
     poller: DaemonPoller,
 ) {
-    let handle =
-        driver
-            .kernel
-            .sys_select(poller.pid, poller.pid, poller.origin, poller.timeout, false);
+    let handle = driver
+        .kernel
+        .sys_select(poller.pid, poller.pid, poller.origin, poller.timeout);
     if driver.rng.chance(poller.activity_chance) {
         // Work arrives part-way through: cancel and immediately re-issue.
         let frac = 0.05 + 0.9 * driver.rng.unit_f64();

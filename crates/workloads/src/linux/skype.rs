@@ -91,7 +91,7 @@ fn main_poll_cycle(driver: &mut LinuxDriver<SkypeWorld>, tid: u32) {
     let timeout = SimDuration::from_secs_f64(value);
     let handle = driver
         .kernel
-        .sys_select(pids::SKYPE, tid, "skype:select_main", timeout, false);
+        .sys_select(pids::SKYPE, tid, "skype:select_main", timeout);
     if !timeout.is_zero() && driver.rng.chance(0.74) {
         let frac = driver.rng.unit_f64();
         let delay = timeout.mul_f64(frac).max(SimDuration::from_micros(50));

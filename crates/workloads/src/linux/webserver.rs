@@ -146,7 +146,7 @@ fn worker_loop_wait(driver: &mut LinuxDriver<WebWorld>, pid: Pid, tid: u32) {
     );
     let handle = driver
         .kernel
-        .sys_select(pid, tid, "apache2:event_loop", timeout, false);
+        .sys_select(pid, tid, "apache2:event_loop", timeout);
     driver.world.loop_handles[(pid - pids::APACHE) as usize] = Some(handle);
 }
 

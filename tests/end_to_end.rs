@@ -76,14 +76,6 @@ fn fig4_dots_exhibit_countdown() {
         "countdown sawtooth expected: {declining}/{}",
         dots.len() - 1
     );
-    // The detector found the countdown timers without using flags.
-    assert!(r.report.countdown_timer_count >= 1);
-    let (true_positives, detected, flagged) = r.report.countdown_validation;
-    assert!(flagged > 0 && detected > 0);
-    let recall = true_positives as f64 / flagged as f64;
-    let precision = true_positives as f64 / detected as f64;
-    assert!(recall > 0.9, "detector recall = {recall}");
-    assert!(precision >= 0.99, "detector precision = {precision}");
 }
 
 #[test]
