@@ -26,12 +26,6 @@
 //! thread counts and cached runs of the same parameters; see the
 //! Observability section of the README.
 //!
-//! `--timer-list=SIM_SECS[,SIM_SECS...]` runs one dedicated, uncached
-//! Linux and Vista webserver experiment and dumps a deterministic
-//! `/proc/timer_list`-style snapshot of every simulated timer queue at
-//! each requested sim instant. An instant past the simulated clock's
-//! range (about 584 years of nanoseconds) is a usage error.
-//!
 //! `--assert-peak-resident-below N` exits nonzero if the
 //! `analysis_resident_events_high_watermark` gauge reached `N` or more
 //! in any experiment (the CI bounded-memory check, run on
@@ -55,62 +49,17 @@ use timerstudy::FaultSpec;
 const SEED: u64 = 7;
 
 const USAGE: &str = "usage: repro_all [--artifacts DIR] \
-     [--metrics[=DIR]] [--timer-list SECS[,SECS...]] \
-     [--assert-peak-resident-below N] [--faults SPEC] [--adaptive]";
+     [--metrics[=DIR]] [--assert-peak-resident-below N] [--faults SPEC] \
+     [--adaptive]";
 
 /// Every flag, spelled the way its parser below reads it.
-const FLAGS: [(&str, Takes); 6] = [
+const FLAGS: [(&str, Takes); 5] = [
     ("--metrics", Takes::Inline),
     ("--adaptive", Takes::Nothing),
     ("--artifacts", Takes::Next),
     ("--assert-peak-resident-below", Takes::Next),
     ("--faults", Takes::Next),
-    ("--timer-list", Takes::Either),
 ];
-
-/// Parses `--timer-list=SECS[,SECS...]` into sim instants (nanoseconds).
-fn timer_list_instants(args: &[String]) -> Option<Vec<u64>> {
-    let value = args
-        .iter()
-        .position(|a| a == "--timer-list")
-        .and_then(|i| args.get(i + 1).cloned())
-        .or_else(|| {
-            args.iter()
-                .find_map(|a| a.strip_prefix("--timer-list=").map(str::to_owned))
-        })?;
-    let mut instants = Vec::new();
-    for part in value.split(',') {
-        // Accept fractional seconds ("1.5") exactly: split on the point
-        // and scale the fraction digits, no float round-tripping.
-        let part = part.trim();
-        let (whole, frac) = part.split_once('.').unwrap_or((part, ""));
-        let frac_nanos = if frac.is_empty() {
-            Some(0)
-        } else if frac.len() <= 9 && frac.chars().all(|c| c.is_ascii_digit()) {
-            let scale = 10u64.pow(9 - frac.len() as u32);
-            Some(frac.parse::<u64>().expect("checked: 1 to 9 ASCII digits") * scale)
-        } else {
-            None
-        };
-        let Some((secs, frac_nanos)) = whole.parse::<u64>().ok().zip(frac_nanos) else {
-            eprintln!("--timer-list {value}: expected a comma list of sim seconds");
-            std::process::exit(2);
-        };
-        match secs
-            .checked_mul(1_000_000_000)
-            .and_then(|nanos| nanos.checked_add(frac_nanos))
-        {
-            Some(nanos) => instants.push(nanos),
-            None => {
-                eprintln!("--timer-list {value}: {part} s is past the simulated clock's range");
-                std::process::exit(2);
-            }
-        }
-    }
-    instants.sort_unstable();
-    instants.dedup();
-    Some(instants)
-}
 
 /// Creates `dir` for `flag`'s files before anything runs, so an unusable
 /// directory wastes no run: exits 2 with one stderr line when it cannot.
@@ -151,7 +100,6 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .cloned();
     let metrics = metrics_dir(&args);
-    let timer_list = timer_list_instants(&args);
     if let Some(dir) = &artifacts_dir {
         create_output_dir("--artifacts", dir);
     }
@@ -239,23 +187,6 @@ fn main() {
     }
     if let Some(dir) = &artifacts_dir {
         eprintln!("artifacts written to {dir}/");
-    }
-    if let Some(instants) = &timer_list {
-        // Dedicated uncached serial runs: the kernels dump their queues
-        // at each requested instant.
-        for os in [timerstudy::Os::Linux, timerstudy::Os::Vista] {
-            let spec = timerstudy::ExperimentSpec::new(
-                os,
-                timerstudy::Workload::Webserver,
-                duration,
-                SEED,
-            );
-            eprintln!("timer-list: dedicated {} Webserver run...", os.label());
-            let (_, captures) = timerstudy::run_experiment_with_timer_list(spec, instants);
-            for capture in &captures {
-                writeln!(out, "{}", capture.render());
-            }
-        }
     }
     // The final run summary is always printed, metrics requested or not.
     let cache = timerstudy::cache::global();

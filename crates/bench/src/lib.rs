@@ -16,8 +16,6 @@ pub enum Takes {
     Inline,
     /// `--flag VALUE`.
     Next,
-    /// `--flag VALUE` or `--flag=VALUE`.
-    Either,
 }
 
 /// Exits 2 with a one-line usage error on an unknown argument or a flag
@@ -41,7 +39,6 @@ pub fn check_args<S: AsRef<str>>(
             Some((_, Takes::Nothing)) => !inline,
             Some((_, Takes::Inline)) => true,
             Some((_, Takes::Next)) => !inline && rest.next().is_some(),
-            Some((_, Takes::Either)) => inline || rest.next().is_some(),
             None => false,
         };
         if !ok {

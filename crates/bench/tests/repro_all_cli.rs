@@ -122,6 +122,8 @@ fn retired_flags_are_usage_errors() {
     assert_usage_error(REPRO_ALL, &["--adaptive=learned"]);
     assert_usage_error(REPRO_ALL, &["--top-origins"]);
     assert_usage_error(REPRO_ALL, &["--top-origins=5"]);
+    assert_usage_error(REPRO_ALL, &["--timer-list", "1.5"]);
+    assert_usage_error(REPRO_ALL, &["--timer-list=1.5,3"]);
 }
 
 #[test]
@@ -142,23 +144,6 @@ fn malformed_repro_variables_are_rejected() {
         assert!(
             stderr.starts_with(&format!("{var}={value}: ")),
             "the error must name {var}: {stderr}"
-        );
-    }
-}
-
-#[test]
-fn sim_times_past_the_clock_range_are_rejected() {
-    // 18446744074 s is just past u64::MAX nanoseconds: a wrapped product
-    // would quietly snapshot at about 0.29 s. `REPRO_SECONDS` past the
-    // range is checked with the other malformed variables.
-    for args in [
-        &["--timer-list", "18446744074"][..],
-        &["--timer-list=1.5,18446744073.8"][..],
-    ] {
-        let stderr = assert_rejected(REPRO_ALL, args);
-        assert!(
-            stderr.contains("past the simulated clock's range"),
-            "{args:?}: {stderr}"
         );
     }
 }

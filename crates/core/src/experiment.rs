@@ -352,26 +352,6 @@ pub fn run_experiments(specs: &[ExperimentSpec]) -> Vec<ExperimentResult> {
     specs.iter().copied().map(run_experiment).collect()
 }
 
-/// Runs one experiment serially with a timer-list capture plan: the
-/// kernel dumps a `/proc/timer_list`-style [`wheel::TimerListCapture`]
-/// at each requested sim instant (nanoseconds since boot).
-///
-/// Always a dedicated, uncached, single-threaded run — a capture run
-/// exists for its side channel and must not poison (or be satisfied
-/// from) the experiment cache. The captures are deterministic: same
-/// spec + instants → byte-identical renders, and the pending
-/// `(expiry, id)` multiset per queue is invariant across `spec.backend`
-/// choices (`tests/timer_list.rs`).
-pub fn run_experiment_with_timer_list(
-    spec: ExperimentSpec,
-    instants_nanos: &[u64],
-) -> (ExperimentResult, Vec<wheel::TimerListCapture>) {
-    wheel::snapshot::install_plan(instants_nanos.to_vec());
-    let result = run_experiment(spec);
-    let captures = wheel::snapshot::take_captures();
-    (result, captures)
-}
-
 /// The specs of the four Table 1/2 workloads on one OS.
 pub fn table_specs(os: Os, duration: SimDuration, seed: u64) -> Vec<ExperimentSpec> {
     Workload::TABLE_WORKLOADS

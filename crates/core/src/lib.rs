@@ -40,8 +40,7 @@ pub mod render;
 pub use analysis::Report;
 pub use cache::ExperimentCache;
 pub use experiment::{
-    run_experiment, run_experiment_with_timer_list, run_experiments, ExperimentResult,
-    ExperimentSpec, Os, ANALYSIS_CHUNK_EVENTS,
+    run_experiment, run_experiments, ExperimentResult, ExperimentSpec, Os, ANALYSIS_CHUNK_EVENTS,
 };
 pub use faults::FaultSpec;
 pub use metrics::{run_report, spec_label};

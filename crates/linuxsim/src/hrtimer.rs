@@ -162,31 +162,6 @@ impl HrTimerBase {
     pub fn slot_count(&self) -> usize {
         self.slots.len()
     }
-
-    /// The `/proc/timer_list` section for the high-resolution base. The
-    /// tree keys on `(expiry, slot)`, so entries come out pre-sorted; the
-    /// tick is one nanosecond (hrtimers are not quantised).
-    pub fn timer_list(&self, now: SimInstant, strings: &trace::StringTable) -> wheel::QueueListing {
-        let entries = self
-            .queue
-            .keys()
-            .map(|&(expires, idx)| {
-                let slot = &self.slots[idx as usize];
-                wheel::TimerListEntry {
-                    expires_tick: expires.as_nanos(),
-                    id: idx as u64,
-                    origin: strings.resolve(slot.origin).to_owned(),
-                    pid: slot.pid,
-                }
-            })
-            .collect::<Vec<_>>();
-        wheel::QueueListing {
-            name: "hrtimer".to_owned(),
-            now_tick: now.as_nanos(),
-            tick_nanos: 1,
-            entries,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -299,23 +299,6 @@ impl LinuxKernel {
             self.now = target;
         }
         self.run_hrtimers(self.now);
-        // Timer-list captures: drain every planned instant this advance
-        // crossed. Captured after tick processing, so a snapshot at T
-        // reflects the pending set once everything due by T has fired —
-        // the same state every backend reaches, making the dump
-        // backend-invariant.
-        if wheel::snapshot::plan_pending() {
-            for at_nanos in wheel::snapshot::due_instants(self.now.as_nanos()) {
-                wheel::snapshot::record_capture(wheel::TimerListCapture {
-                    at_nanos,
-                    kernel: "linux",
-                    queues: vec![
-                        self.base.timer_list(self.log.strings()),
-                        self.hr.timer_list(self.now, self.log.strings()),
-                    ],
-                });
-            }
-        }
         telemetry::sim::add(
             telemetry::SimCounter::SimTimeAdvancedNs,
             self.now.as_nanos().saturating_sub(entered_at.as_nanos()),

@@ -338,17 +338,12 @@ impl TimerBase {
     /// deferrable timers (the dynticks idle path: `next_timer_interrupt`
     /// ignores deferrable timers so they cannot wake an idle CPU).
     ///
-    /// The wheel is the one record of what is armed. Without skipping it
-    /// answers from its node slab; skipping walks its pending entries in
-    /// expiry order, which only the dynticks idle path asks for.
+    /// The wheel is the one record of what is armed; it answers both
+    /// cases with one scan of its node slab.
     pub fn next_expiry(&self, skip_deferrable: bool) -> Option<SimInstant> {
         let next = if skip_deferrable {
             self.wheel
-                .snapshot()
-                .entries
-                .into_iter()
-                .find(|e| !self.slots[e.id as usize].deferrable)
-                .map(|e| e.expires)
+                .next_expiry_where(&|id| !self.slots[id as usize].deferrable)
         } else {
             self.wheel.next_expiry()
         };
@@ -358,20 +353,6 @@ impl TimerBase {
     /// The armed expiry of a pending timer.
     pub fn expiry_of(&self, handle: TimerHandle) -> Option<Jiffies> {
         self.wheel.expiry_of(handle.0 as u64).map(Jiffies)
-    }
-
-    /// The `/proc/timer_list` section for the standard base: every
-    /// pending timer's armed expiry jiffy, owner and provenance.
-    pub fn timer_list(&self, strings: &trace::StringTable) -> wheel::QueueListing {
-        wheel::QueueListing::from_snapshot(
-            "base",
-            self.clock.hz().period().as_nanos(),
-            &self.wheel.snapshot(),
-            |id| {
-                let slot = &self.slots[id as usize];
-                (strings.resolve(slot.origin).to_owned(), slot.pid)
-            },
-        )
     }
 }
 

@@ -260,21 +260,6 @@ impl VistaKernel {
         if target > self.now {
             self.now = target;
         }
-        // Timer-list captures: drain every planned instant this advance
-        // crossed (see `wheel::snapshot`); captured after interrupt
-        // processing so the dump is backend-invariant.
-        if wheel::snapshot::plan_pending() {
-            for at_nanos in wheel::snapshot::due_instants(self.now.as_nanos()) {
-                wheel::snapshot::record_capture(wheel::TimerListCapture {
-                    at_nanos,
-                    kernel: "vista",
-                    queues: vec![
-                        self.kt.timer_list(self.log.strings()),
-                        self.vtcp.timer_list(),
-                    ],
-                });
-            }
-        }
         telemetry::sim::add(
             telemetry::SimCounter::SimTimeAdvancedNs,
             self.now.as_nanos().saturating_sub(entered_at.as_nanos()),

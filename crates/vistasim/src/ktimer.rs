@@ -264,20 +264,6 @@ impl KTimerTable {
         fired
     }
 
-    /// The `/proc/timer_list`-style section for the KTIMER ring: every
-    /// armed timer's due quantum, owner and provenance.
-    pub fn timer_list(&self, strings: &trace::StringTable) -> wheel::QueueListing {
-        wheel::QueueListing::from_snapshot(
-            "ktimer",
-            RING_QUANTUM.as_nanos(),
-            &self.ring.snapshot(),
-            |id| match self.timers.get(&id) {
-                Some(t) => (strings.resolve(t.origin).to_owned(), t.pid),
-                None => ("<freed>".to_owned(), 0),
-            },
-        )
-    }
-
     /// Number of live KTIMER objects.
     pub fn live_count(&self) -> usize {
         self.timers.len()

@@ -85,26 +85,6 @@ impl VistaTcp {
     fn quantum_of(&self, now: SimInstant, rel: SimDuration) -> u64 {
         (now + rel).as_nanos().div_ceil(WHEEL_QUANTUM.as_nanos())
     }
-
-    /// The `/proc/timer_list`-style section for the per-CPU TCP wheel.
-    /// Wheel entries never reach the trace log (they are the masked
-    /// operations), so provenance comes from the entry kind.
-    pub fn timer_list(&self) -> wheel::QueueListing {
-        wheel::QueueListing::from_snapshot(
-            "tcp_wheel",
-            WHEEL_QUANTUM.as_nanos(),
-            &self.wheel.snapshot(),
-            |id| {
-                let label = match self.entries.get(&id) {
-                    Some((_, EntryKind::Retransmit)) => "tcpip:rexmit",
-                    Some((_, EntryKind::DelayedAck)) => "tcpip:delack",
-                    Some((_, EntryKind::Keepalive)) => "tcpip:keepalive",
-                    None => "<freed>",
-                };
-                (label.to_owned(), 0)
-            },
-        )
-    }
 }
 
 impl VistaKernel {

@@ -54,12 +54,16 @@ pub trait TimerQueue: std::fmt::Debug {
     /// `fire` receives the timer id and the tick it was armed for.
     fn advance_to(&mut self, now: Tick, fire: &mut dyn FnMut(TimerId, Tick));
 
-    /// The current tick (the argument of the last `advance_to`, or 0).
-    fn now(&self) -> Tick;
+    /// The earliest armed expiry tick among the pending timers `keep`
+    /// accepts, if any. The dynticks idle path passes a filter that
+    /// skips deferrable timers, so they cannot wake an idle CPU.
+    fn next_expiry_where(&self, keep: &dyn Fn(TimerId) -> bool) -> Option<Tick>;
 
     /// The earliest pending expiry tick, if any (the kernel's
     /// `next_timer_interrupt`, used by dynticks to sleep past idle ticks).
-    fn next_expiry(&self) -> Option<Tick>;
+    fn next_expiry(&self) -> Option<Tick> {
+        self.next_expiry_where(&|_| true)
+    }
 
     /// The armed expiry tick of timer `id`, if it is pending.
     fn expiry_of(&self, id: TimerId) -> Option<Tick>;
@@ -70,40 +74,6 @@ pub trait TimerQueue: std::fmt::Debug {
     /// Returns `true` if no timers are pending.
     fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// A `/proc/timer_list`-style view of the queue's pending set.
-    ///
-    /// The snapshot reports *armed* expiry ticks from the queue's
-    /// per-timer bookkeeping — never structure-internal slot positions —
-    /// so at any instant every structure reports the identical entry
-    /// multiset. That equivalence is part of the queue contract, pinned
-    /// by `tests/timer_list.rs` at the experiment level.
-    fn snapshot(&self) -> QueueSnapshot;
-}
-
-/// One pending timer in a [`QueueSnapshot`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct SnapshotEntry {
-    /// Armed (absolute) expiry tick.
-    pub expires: Tick,
-    /// The caller-chosen timer id.
-    pub id: TimerId,
-}
-
-/// A deterministic view of one timer queue at one instant.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct QueueSnapshot {
-    /// The queue's current tick.
-    pub now: Tick,
-    /// Every pending timer, sorted by (armed expiry, id).
-    pub entries: Vec<SnapshotEntry>,
-}
-
-impl QueueSnapshot {
-    /// The `(expires, id)` multiset — the cross-structure equivalence key.
-    pub fn pending_multiset(&self) -> Vec<(Tick, TimerId)> {
-        self.entries.iter().map(|e| (e.expires, e.id)).collect()
     }
 }
 
@@ -206,27 +176,14 @@ impl ActiveSet {
         self.entries.is_empty()
     }
 
-    /// The minimum expiry tick over all pending timers (O(n) scan).
-    ///
-    /// Concurrency in the paper's traces tops out at 84 outstanding
-    /// timers, so a linear scan on the idle path is deliberate simplicity —
-    /// the kernels do a bounded wheel scan instead.
-    pub fn min_expiry(&self) -> Option<Tick> {
-        self.entries.values().map(|e| e.expires).min()
-    }
-
-    /// The [`QueueSnapshot`] of this set's armed state at tick `now`.
-    pub fn snapshot_at(&self, now: Tick) -> QueueSnapshot {
-        let mut entries: Vec<SnapshotEntry> = self
-            .entries
+    /// The minimum armed expiry over the pending timers `keep` accepts: a
+    /// linear scan of the whole set on every call.
+    pub fn min_expiry_where(&self, keep: &dyn Fn(TimerId) -> bool) -> Option<Tick> {
+        self.entries
             .iter()
-            .map(|(&id, e)| SnapshotEntry {
-                expires: e.expires,
-                id,
-            })
-            .collect();
-        entries.sort_unstable();
-        QueueSnapshot { now, entries }
+            .filter(|&(&id, _)| keep(id))
+            .map(|(_, e)| e.expires)
+            .min()
     }
 }
 
@@ -258,12 +215,12 @@ mod tests {
     fn min_expiry_scans() {
         let mut set = ActiveSet::new();
         let mut gen_counter = 0;
-        assert_eq!(set.min_expiry(), None);
+        assert_eq!(set.min_expiry_where(&|_| true), None);
         set.arm(1, 50, &mut gen_counter);
         set.arm(2, 30, &mut gen_counter);
         set.arm(3, 90, &mut gen_counter);
-        assert_eq!(set.min_expiry(), Some(30));
+        assert_eq!(set.min_expiry_where(&|_| true), Some(30));
         set.disarm(2);
-        assert_eq!(set.min_expiry(), Some(50));
+        assert_eq!(set.min_expiry_where(&|_| true), Some(50));
     }
 }

@@ -30,7 +30,7 @@
 use simtime::fasthash::FoldMap;
 use telemetry::{sim, SimCounter, SimGauge};
 
-use crate::api::{QueueSnapshot, SnapshotEntry, Tick, TimerId};
+use crate::api::{Tick, TimerId};
 
 /// Index of a node in the slab.
 pub type NodeIndex = u32;
@@ -176,28 +176,18 @@ impl NodeArena {
         self.nodes.len()
     }
 
-    /// The minimum expiry over pending timers (linear slab scan).
-    pub fn min_expiry(&self) -> Option<Tick> {
+    /// The minimum armed expiry over the live nodes `keep` accepts.
+    ///
+    /// A linear scan of the whole slab, free nodes included, on every
+    /// call. Both kernels ask through `next_wakeup` on every driver step,
+    /// so its cost follows the slab's high watermark, not the pending
+    /// count.
+    pub fn min_expiry_where(&self, keep: &dyn Fn(TimerId) -> bool) -> Option<Tick> {
         self.nodes
             .iter()
-            .filter(|n| n.generation != 0)
+            .filter(|n| n.generation != 0 && keep(n.id))
             .map(|n| n.expires)
             .min()
-    }
-
-    /// The [`QueueSnapshot`] of the live nodes at tick `now`.
-    pub fn snapshot_at(&self, now: Tick) -> QueueSnapshot {
-        let mut entries: Vec<SnapshotEntry> = self
-            .nodes
-            .iter()
-            .filter(|n| n.generation != 0)
-            .map(|n| SnapshotEntry {
-                expires: n.expires,
-                id: n.id,
-            })
-            .collect();
-        entries.sort_unstable();
-        QueueSnapshot { now, entries }
     }
 }
 
@@ -243,19 +233,18 @@ mod tests {
     }
 
     #[test]
-    fn min_expiry_and_snapshot_track_live_nodes() {
+    fn min_expiry_tracks_kept_live_nodes() {
         let mut arena = NodeArena::new();
         let mut gen_counter = 0;
-        assert_eq!(arena.min_expiry(), None);
+        let all = |_: TimerId| true;
+        assert_eq!(arena.min_expiry_where(&all), None);
         arena.arm(1, 50, &mut gen_counter);
         arena.arm(2, 30, &mut gen_counter);
         arena.arm(3, 90, &mut gen_counter);
-        assert_eq!(arena.min_expiry(), Some(30));
+        assert_eq!(arena.min_expiry_where(&all), Some(30));
         arena.disarm(2);
-        assert_eq!(arena.min_expiry(), Some(50));
-        let snap = arena.snapshot_at(7);
-        assert_eq!(snap.now, 7);
-        assert_eq!(snap.pending_multiset(), vec![(50, 1), (90, 3)]);
+        assert_eq!(arena.min_expiry_where(&all), Some(50));
+        assert_eq!(arena.min_expiry_where(&|id| id != 1), Some(90));
     }
 
     #[test]

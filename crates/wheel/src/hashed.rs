@@ -130,12 +130,8 @@ impl TimerQueue for HashedWheel {
         }
     }
 
-    fn now(&self) -> Tick {
-        self.current
-    }
-
-    fn next_expiry(&self) -> Option<Tick> {
-        self.arena.min_expiry()
+    fn next_expiry_where(&self, keep: &dyn Fn(TimerId) -> bool) -> Option<Tick> {
+        self.arena.min_expiry_where(keep)
     }
 
     fn expiry_of(&self, id: TimerId) -> Option<Tick> {
@@ -144,10 +140,6 @@ impl TimerQueue for HashedWheel {
 
     fn len(&self) -> usize {
         self.arena.len()
-    }
-
-    fn snapshot(&self) -> crate::api::QueueSnapshot {
-        self.arena.snapshot_at(self.current)
     }
 }
 

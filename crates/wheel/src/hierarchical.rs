@@ -224,12 +224,8 @@ impl TimerQueue for HierarchicalWheel {
         }
     }
 
-    fn now(&self) -> Tick {
-        self.current
-    }
-
-    fn next_expiry(&self) -> Option<Tick> {
-        self.arena.min_expiry()
+    fn next_expiry_where(&self, keep: &dyn Fn(TimerId) -> bool) -> Option<Tick> {
+        self.arena.min_expiry_where(keep)
     }
 
     fn expiry_of(&self, id: TimerId) -> Option<Tick> {
@@ -238,10 +234,6 @@ impl TimerQueue for HierarchicalWheel {
 
     fn len(&self) -> usize {
         self.arena.len()
-    }
-
-    fn snapshot(&self) -> crate::api::QueueSnapshot {
-        self.arena.snapshot_at(self.current)
     }
 }
 

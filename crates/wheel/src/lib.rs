@@ -27,7 +27,6 @@ pub mod arena;
 pub mod backend;
 pub mod hashed;
 pub mod hierarchical;
-pub mod snapshot;
 pub mod sortedlist;
 
 pub use api::{Tick, TimerId, TimerQueue};
@@ -35,5 +34,4 @@ pub use arena::{NodeArena, NodeHandle};
 pub use backend::Backend;
 pub use hashed::HashedWheel;
 pub use hierarchical::HierarchicalWheel;
-pub use snapshot::{QueueListing, TimerListCapture, TimerListEntry};
 pub use sortedlist::SortedList;

@@ -116,12 +116,8 @@ impl TimerQueue for SortedList {
         self.drain_scratch = batch;
     }
 
-    fn now(&self) -> Tick {
-        self.current
-    }
-
-    fn next_expiry(&self) -> Option<Tick> {
-        self.active.min_expiry()
+    fn next_expiry_where(&self, keep: &dyn Fn(TimerId) -> bool) -> Option<Tick> {
+        self.active.min_expiry_where(keep)
     }
 
     fn expiry_of(&self, id: TimerId) -> Option<Tick> {
@@ -130,10 +126,6 @@ impl TimerQueue for SortedList {
 
     fn len(&self) -> usize {
         self.active.len()
-    }
-
-    fn snapshot(&self) -> crate::api::QueueSnapshot {
-        self.active.snapshot_at(self.current)
     }
 }
 

@@ -104,6 +104,11 @@ proptest! {
         }
     }
 
+    /// After every op, all three structures agree on the pending state:
+    /// its size, each id's armed expiry, and the earliest expiry. The
+    /// filtered minimum (what dynticks asks for when it skips deferrable
+    /// timers) must equal the model: the least armed expiry over the kept
+    /// ids.
     #[test]
     fn pending_state_agrees(ops in proptest::collection::vec(op_strategy(), 0..80)) {
         let mut hier = HierarchicalWheel::new();
@@ -146,6 +151,11 @@ proptest! {
             prop_assert_eq!(hier.len(), list.len());
             prop_assert_eq!(hier.next_expiry(), hashed.next_expiry());
             prop_assert_eq!(hier.next_expiry(), list.next_expiry());
+            let odd = |id: TimerId| id % 2 == 1;
+            let model = (0..8).filter(|&id| odd(id)).filter_map(|id| list.expiry_of(id)).min();
+            prop_assert_eq!(hier.next_expiry_where(&odd), model);
+            prop_assert_eq!(hashed.next_expiry_where(&odd), model);
+            prop_assert_eq!(list.next_expiry_where(&odd), model);
             for id in 0..8 {
                 prop_assert_eq!(hier.expiry_of(id), hashed.expiry_of(id));
                 prop_assert_eq!(hier.expiry_of(id), list.expiry_of(id));
